@@ -14,7 +14,21 @@ class SingularSystem(CptsimError):
 
 
 class InvariantViolation(CptsimError):
-    """A solution violates a physical invariant (trace, positivity, residual)."""
+    """A solution violates a physical invariant (trace, positivity, residual).
+
+    Where the raiser knows them, ``invariant`` names the broken check,
+    ``value`` and ``bound`` give its measured value and limit, and
+    ``delta_raman`` the detuning (rad/s) of the offending sample; each is
+    None otherwise.
+    """
+
+    def __init__(self, message, invariant=None, value=None, bound=None,
+                 delta_raman=None):
+        self.invariant = invariant
+        self.value = value
+        self.bound = bound
+        self.delta_raman = delta_raman
+        super().__init__(message)
 
 
 class NoResonance(CptsimError):

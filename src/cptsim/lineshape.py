@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (NonConvergentBaseline, NoResonance, NotBracketed,
                      ParameterError, Unbracketed)
@@ -37,6 +38,7 @@ BASELINE_RTOL = 1e-6
 PROBE_PUMPING_STRENGTH = 1e-3     # "zero-power" reference for broadening
 CALIBRATION_BRACKET = (1e-4, 1e4)  # pumping-strength bracket for the V search
 MIN_SAMPLES_IN_FWHM = 50
+MIN_GAP_REL = 1e-9                # closest refinement detuning, share of the sweep span
 
 
 class Spacing(Enum):
@@ -80,6 +82,12 @@ class Lineshape:
         object.__setattr__(self, "deltas", d)
         object.__setattr__(self, "rho_ee", y)
 
+    @cached_property
+    def _spline(self) -> CubicSpline:
+        """Not-a-knot cubic spline through the samples, built once and
+        shared by the center and the asymmetry."""
+        return CubicSpline(self.deltas, self.rho_ee)
+
 
 @dataclass(frozen=True)
 class ContrastSummary:
@@ -117,7 +125,11 @@ def sweep(params: ModelParams, spec: SweepSpec) -> Lineshape:
 
     ADAPTIVE spacing starts from the linear grid and inserts points
     across the dip until the half-depth span holds at least
-    max(MIN_SAMPLES_IN_FWHM, n_points/3) samples.
+    max(MIN_SAMPLES_IN_FWHM, n_points/3) samples.  Each round solves
+    only its new detunings and merges them into the sorted samples; a
+    new detuning within MIN_GAP_REL * (delta_max - delta_min) of a kept
+    sample is dropped, since a spline through such a near-duplicate pair
+    turns roundoff in rho_ee into center and asymmetry errors.
     """
     deltas = np.linspace(spec.delta_min, spec.delta_max, spec.n_points)
     ys = rho_ee_many(params, deltas)
@@ -127,6 +139,7 @@ def sweep(params: ModelParams, spec: SweepSpec) -> Lineshape:
     # target sampling inside the dip scales with the requested grid so
     # that doubling n_points keeps halving the in-window spacing
     target = max(MIN_SAMPLES_IN_FWHM, spec.n_points // 3)
+    min_gap = MIN_GAP_REL * (spec.delta_max - spec.delta_min)
     for _ in range(12):
         try:
             lo, hi = _half_depth_crossings(deltas, ys)
@@ -137,9 +150,16 @@ def sweep(params: ModelParams, spec: SweepSpec) -> Lineshape:
             break
         width = hi - lo
         extra = np.linspace(lo - width, hi + width, max(spec.n_points, 51))
-        keep = (extra >= spec.delta_min) & (extra <= spec.delta_max)
-        deltas = np.union1d(deltas, extra[keep])
-        ys = rho_ee_many(params, deltas)
+        extra = extra[(extra >= spec.delta_min) & (extra <= spec.delta_max)]
+        at = np.searchsorted(deltas, extra)
+        gap = np.minimum(extra - deltas[np.maximum(at - 1, 0)],
+                         deltas[np.minimum(at, deltas.size - 1)] - extra)
+        keep = gap > min_gap
+        if not keep.any():
+            break
+        extra, at = extra[keep], at[keep]
+        deltas = np.insert(deltas, at, extra)
+        ys = np.insert(ys, at, rho_ee_many(params, extra))
     return Lineshape(deltas, ys, params)
 
 
@@ -178,53 +198,96 @@ def fwhm(shape: Lineshape) -> float:
     return (d_hi - d_lo) / TWO_PI
 
 
-def _extremum_location(deltas: np.ndarray, ys: np.ndarray) -> float:
+def _piece(spline: PPoly, k0: int, k1: int) -> PPoly:
+    """The polynomial pieces of ``spline`` on intervals k0..k1-1."""
+    return PPoly(spline.c[:, k0:k1], spline.x[k0:k1 + 1])
+
+
+def _extremum_location(shape: Lineshape) -> float:
     """Dip position from a cubic-spline derivative root near the minimum.
 
     The antisymmetric metric is steeply sensitive to center errors, so
     the quadratic-vertex estimate (O(h^2) bias) is not enough; the
-    spline root carries an O(h^4) bias instead.
+    spline root carries an O(h^4) bias instead.  Only the four intervals
+    within two samples of the sampled minimum are searched.
     """
+    deltas, ys = shape.deltas, shape.rho_ee
     i = int(np.argmin(ys))
     if i == 0 or i == ys.size - 1:
         return float(deltas[i])
-    spline = CubicSpline(deltas, ys)
-    roots = spline.derivative().roots(extrapolate=False)
-    window = (roots >= deltas[max(i - 2, 0)]) & (roots <= deltas[min(i + 2, ys.size - 1)])
-    candidates = roots[window]
+    lo, hi = max(i - 2, 0), min(i + 2, ys.size - 1)
+    spline = shape._spline
+    roots = _piece(spline, lo, hi).derivative().roots(extrapolate=False)
+    candidates = roots[(roots >= deltas[lo]) & (roots <= deltas[hi])]
     if candidates.size == 0:
         return float(deltas[i])
     values = spline(candidates)
     return float(candidates[int(np.argmin(values))])
 
 
+def _level_crossings(spline: PPoly, level: float,
+                     center: float) -> tuple[float | None, float | None]:
+    """Nearest roots of spline == level below and above ``center``.
+
+    Equal to taking the largest root below and the smallest above from
+    spline.solve(level, extrapolate=False), without solving every
+    interval.  A cubic piece lies within the hull of its Bernstein
+    coefficients, so an interval whose hull (widened for rounding) misses
+    the level holds no root.  The remaining intervals are solved
+    outward from the center on each side, up to the first root found.
+    """
+    x, c = spline.x, spline.c
+    h = np.diff(x)
+    d0 = c[3] - level
+    d1 = d0 + c[2] * h / 3.0
+    d2 = d1 + (c[2] * h + c[1] * h * h) / 3.0
+    d3 = d0 + c[2] * h + c[1] * h * h + c[0] * h**3
+    hull = np.stack([d0, d1, d2, d3])
+    slack = 1e-9 * (np.abs(c[3]).max() + abs(level))
+    maybe = (hull.min(axis=0) <= slack) & (hull.max(axis=0) >= -slack)
+
+    def nearest(ks, side):
+        for k in ks:
+            roots = _piece(spline, k, k + 1).solve(level, extrapolate=False)
+            roots = roots[side * (roots - center) > 0]
+            if roots.size:
+                return float(roots.min() if side > 0 else roots.max())
+        return None
+
+    k = np.nonzero(maybe)[0]
+    below = nearest(k[x[k] < center][::-1], -1)
+    above = nearest(k[x[k + 1] > center], +1)
+    return below, above
+
+
 def resonance_center(shape: Lineshape) -> float:
     """Extremum location of the dip (rad/s)."""
-    return _extremum_location(shape.deltas, shape.rho_ee)
+    return _extremum_location(shape)
 
 
 def asymmetry(shape: Lineshape, n_half: int = 200) -> float:
     """Antisymmetric L2 fraction of the dip about its extremum.
 
-    Samples the lineshape at mirrored offsets delta_c +/- x across the
-    FWHM window and returns ||rho(+x) - rho(-x)|| / ||baseline - rho||.
-    Zero for a perfectly symmetric dip.
+    Samples the lineshape's cubic spline (the one the center also uses)
+    at mirrored offsets delta_c +/- x across the FWHM window and returns
+    ||rho(+x) - rho(-x)|| / ||baseline - rho||.  The window ends are the
+    spline's half-depth crossings nearest the center, or the linear
+    crossings where the spline has none on a side.  Zero for a perfectly
+    symmetric dip.
     """
     deltas, ys = shape.deltas, shape.rho_ee
     d_lo, d_hi = _half_depth_crossings(deltas, ys)
-    center = _extremum_location(deltas, ys)
+    center = _extremum_location(shape)
     baseline = _edge_baseline(ys)
 
     # spline-refined window and samples: the metric is first-order
     # sensitive to the window span, so the O(h^2) linear crossings would
     # dominate its grid error
-    spline = CubicSpline(deltas, ys)
+    spline = shape._spline
     half = 0.5 * (baseline + float(spline(center)))
-    roots = spline.solve(half, extrapolate=False)
-    below = roots[roots < center]
-    above = roots[roots > center]
-    if below.size and above.size:
-        d_lo, d_hi = float(below.max()), float(above.min())
+    below, above = _level_crossings(spline, half, center)
+    if below is not None and above is not None:
+        d_lo, d_hi = below, above
     xs = np.linspace(0.0, (d_hi - d_lo) / 2.0, n_half + 1)
     up = spline(center + xs)
     dn = spline(center - xs)

@@ -80,7 +80,8 @@ def load_scan(source) -> Scan:
     TooFewSamples.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        # utf-8-sig: files saved with a byte-order mark parse as without one
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return _parse_lines(fh)
     if isinstance(source, io.TextIOBase) or hasattr(source, "__iter__"):
         return _parse_lines(source)

@@ -1,6 +1,7 @@
 """Command-line behaviors: dispatch, config merging, outputs, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -210,6 +211,26 @@ def test_analyze_total_failure_exit_code(tmp_path, capsys):
 def test_analyze_missing_input(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"))
     assert code == 2
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "se.csv"
+    code, _, err = run(capsys, "spin-exchange", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stray_tmp_directory_does_not_block_write(tmp_path, capsys):
+    out = tmp_path / "se.csv"
+    (tmp_path / "se.csv.tmp").mkdir()
+    code, _, _ = run(capsys, "spin-exchange", "--out", str(out))
+    assert code == 0
+    assert out.read_text().startswith("temperature_C,")
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["se.csv", "se.csv.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 # ------------------------------------------------------------------ config

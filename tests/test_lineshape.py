@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import cptsim.lineshape as lineshape_mod
 from cptsim import (Depolarization, Lineshape, NonConvergentBaseline,
@@ -72,6 +73,40 @@ def test_adaptive_sweep_brackets_fwhm_densely():
     lo, hi = lineshape_mod._half_depth_crossings(shape.deltas, shape.rho_ee)
     inside = np.count_nonzero((shape.deltas > lo) & (shape.deltas < hi))
     assert inside >= lineshape_mod.MIN_SAMPLES_IN_FWHM
+
+
+def test_adaptive_sweep_solves_each_kept_detuning_once(monkeypatch):
+    solved = []
+    real = lineshape_mod.rho_ee_many
+
+    def counting(params, deltas):
+        solved.append(np.size(deltas))
+        return real(params, deltas)
+
+    monkeypatch.setattr(lineshape_mod, "rho_ee_many", counting)
+    p = params_at_strength(8.9, mode=Depolarization.NONE)
+    shape = sweep(p, default_sweep_spec(p))
+    assert len(solved) > 1  # the refinement ran
+    assert sum(solved) == shape.deltas.size
+
+
+# COMPLETE mode, Delta = -300 MHz, Gamma = 0.5 GHz, s = 1e3: a point where
+# refinement used to keep near-duplicate detunings (0 and ~1e-9 rad/s)
+FAULT2_OVERRIDES = {"delta_opt": -300e6, "gamma_opt": 0.5e9}
+
+
+def test_adaptive_sweep_keeps_no_near_duplicates():
+    p = params_at_strength(1e3, **FAULT2_OVERRIDES)
+    spec = default_sweep_spec(p)
+    shape = sweep(p, spec)
+    gaps = np.diff(shape.deltas)
+    assert gaps.min() > lineshape_mod.MIN_GAP_REL * (spec.delta_max - spec.delta_min)
+
+
+def test_complete_mode_metrics_symmetric_at_refined_point():
+    m = resonance_metrics(params_at_strength(1e3, **FAULT2_OVERRIDES))
+    assert abs(m.center_hz) / m.fwhm_hz < 1e-6
+    assert m.asymmetry < 1e-6
 
 
 def test_grid_convergence_of_metrics():
@@ -271,6 +306,56 @@ def test_resonance_metrics_composition():
     assert abs(m.center_hz) < 1.0  # dip pinned to delta = 0
     # 3x power broadening: full width close to 8 * gamma_g
     assert m.fwhm_hz == pytest.approx(8 * p.gamma_g / TWO_PI, rel=0.02)
+
+
+def _global_spline_selection(shape):
+    """Center and half-depth roots from every interval of one global spline."""
+    deltas, ys = shape.deltas, shape.rho_ee
+    spline = CubicSpline(deltas, ys)
+    i = int(np.argmin(ys))
+    roots = spline.derivative().roots(extrapolate=False)
+    lo, hi = deltas[max(i - 2, 0)], deltas[min(i + 2, ys.size - 1)]
+    cand = roots[(roots >= lo) & (roots <= hi)]
+    if i in (0, ys.size - 1) or cand.size == 0:
+        center = float(deltas[i])
+    else:
+        center = float(cand[int(np.argmin(spline(cand)))])
+    half = 0.5 * (0.5 * (ys[0] + ys[-1]) + float(spline(center)))
+    roots = spline.solve(half, extrapolate=False)
+    below, above = roots[roots < center], roots[roots > center]
+    return (center, float(below.max()) if below.size else None,
+            float(above.min()) if above.size else None)
+
+
+def test_local_spline_search_equals_global_selection(rng):
+    # noisy dips give splines with many spurious extrema and crossings
+    shapes = [sweep(p, default_sweep_spec(p)) for p in
+              (params_at_strength(8.9), params_at_strength(30.0, mode=Depolarization.NONE))]
+    for _ in range(100):
+        n = int(rng.integers(20, 2000))
+        d = np.unique(rng.uniform(-50.0, 50.0, n))
+        w, c0 = rng.uniform(0.5, 10.0), rng.uniform(-5.0, 5.0)
+        y = 2.0 - rng.uniform(0.01, 1.0) * w**2 / ((d - c0) ** 2 + w**2)
+        y = np.abs(y + rng.normal(0.0, 10 ** rng.uniform(-6, -1), d.size))
+        shapes.append(Lineshape(d, y, make_params()))
+    for shape in shapes:
+        center = resonance_center(shape)
+        half = 0.5 * (0.5 * (shape.rho_ee[0] + shape.rho_ee[-1])
+                      + float(shape._spline(center)))
+        local = (center, *lineshape_mod._level_crossings(shape._spline, half, center))
+        assert local == _global_spline_selection(shape)
+
+
+def test_resonance_metrics_builds_one_spline(monkeypatch):
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return CubicSpline(*args, **kwargs)
+
+    monkeypatch.setattr(lineshape_mod, "CubicSpline", counting)
+    resonance_metrics(params_at_strength(8.9, mode=Depolarization.NONE))
+    assert len(builds) == 1
 
 
 def test_resonance_center_refinement():

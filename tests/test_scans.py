@@ -90,6 +90,17 @@ def test_write_read_round_trip(tmp_path):
     assert scan.metadata["cell"] == "A1"
 
 
+@pytest.mark.parametrize("meta", [[("temperature_C", 65)], []])
+def test_load_file_with_byte_order_mark(tmp_path, meta):
+    # the mark precedes a "# key = value" line, or the column header
+    path = tmp_path / "bom.csv"
+    path.write_text(scan_text(simple_rows(), meta=meta).getvalue(),
+                    encoding="utf-8-sig")
+    scan = load_scan(path)
+    assert scan.frequency.size == 20
+    assert scan.metadata == dict((k, float(v)) for k, v in meta)
+
+
 # ---------------------------------------------------------------- fitting
 
 def test_fit_recovers_clean_peak():

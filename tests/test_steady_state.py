@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from cptsim import (Depolarization, ParameterError,
-                    assemble_linear_system, depolarize, equation_residuals,
-                    excited_from_ground, hz_to_angular, pumping_strength,
+import cptsim.steady_state as steady_state_mod
+from cptsim import (Depolarization, InvariantViolation, ParameterError,
+                    SingularSystem, assemble_linear_system, default_sweep_spec,
+                    depolarize, equation_residuals, excited_from_ground, fwhm,
+                    hz_to_angular, lorentz_factors, pumping_strength,
                     rabi_for_pumping_strength, rho_ee_many,
-                    solve_steady_state)
+                    solve_steady_state, sweep)
 
 from conftest import make_params, random_params
 from oracles import excited_verbatim, residual_verbatim, solve_full_system
@@ -263,6 +265,70 @@ def test_batched_rho_ee_matches_scalar_solves(rng):
     batched = rho_ee_many(p, deltas)
     scalar = [solve_steady_state(p.replace(delta_raman=d)).rho_ee for d in deltas]
     np.testing.assert_allclose(batched, scalar, rtol=1e-12)
+
+
+def _rho_ee_per_point(p, delta):
+    """rho_ee from one dense 10x10 LU solve of the full system at delta."""
+    q = p.replace(delta_raman=float(delta))
+    x = np.linalg.solve(*assemble_linear_system(q))
+    return excited_from_ground(x[:8], complex(x[8], x[9]), q).sum()
+
+
+@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
+@pytest.mark.parametrize("strength", [0.01, 8.9, 1e3])
+def test_batched_rho_ee_matches_per_point_lu(mode, strength):
+    # the Schur-complement batch against a full LU solve per detuning:
+    # the dip center, +/- FWHM, and the far-baseline detunings that
+    # physical_contrast visits (K * W, K doubling from 1e3 up to 1e9)
+    base = make_params(mode=mode)
+    p = base.replace(rabi=rabi_for_pumping_strength(base, strength))
+    width = 2 * np.pi * fwhm(sweep(p, default_sweep_spec(p)))
+    w = max(p.gamma_g, p.rabi**2 * lorentz_factors(p).lu)
+    far = w * 1e3 * 2.0 ** np.arange(0, 21, 4)
+    deltas = np.concatenate([[0.0, -width, width], -far, far])
+    batched = rho_ee_many(p, deltas)
+    single = np.array([_rho_ee_per_point(p, d) for d in deltas])
+    np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
+def test_batched_rho_ee_matches_full_unreduced_system(mode, rng):
+    for _ in range(10):
+        p = random_params(rng, mode=mode)
+        deltas = p.delta_raman * np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+        batched = rho_ee_many(p, deltas)
+        oracle = [solve_full_system(p.replace(delta_raman=d))[1].sum() for d in deltas]
+        np.testing.assert_allclose(batched, oracle, rtol=1e-10, atol=0)
+
+
+def test_batched_rho_ee_non_finite_sample_is_singular():
+    p = make_params(rabi=hz_to_angular(1e5))
+    with pytest.raises(SingularSystem, match="nan"):
+        rho_ee_many(p, np.array([0.0, np.nan]))
+
+
+def test_batched_rho_ee_singular_population_block(monkeypatch):
+    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
+                        lambda params: (np.zeros((10, 10)), np.ones(10)))
+    with pytest.raises(SingularSystem, match="population block"):
+        rho_ee_many(make_params(), np.array([0.0]))
+
+
+def test_batched_rho_ee_names_the_broken_invariant():
+    # fig-1 geometry at gamma_g = 1 Hz, s = 3e6: the trace check rejects
+    # the stiff solution (absolute tolerance), and the error says so
+    base = make_params(gamma_g=1.0)
+    p = base.replace(rabi=rabi_for_pumping_strength(base, 3e6))
+    deltas = np.array([1e3, 0.0, -1e3])
+    with pytest.raises(InvariantViolation) as info:
+        rho_ee_many(p, deltas)
+    exc = info.value
+    assert exc.invariant in ("residual", "trace", "positivity")
+    assert exc.value > exc.bound
+    assert exc.delta_raman in deltas
+    for text in (exc.invariant, f"{exc.value:.3e}", f"{exc.bound:.3e}",
+                 repr(exc.delta_raman)):
+        assert text in str(exc)
 
 
 def test_pumping_strength_round_trip(rng):
