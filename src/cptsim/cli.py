@@ -28,19 +28,18 @@ from pathlib import Path
 
 import numpy as np
 
-from scipy.constants import atomic_mass
-
 from . import __version__
 from .errors import ConfigError, CptsimError
-from .lineshape import (Spacing, SweepSpec, calibrate_power_broadening,
-                        default_sweep_spec, fwhm, physical_contrast,
+from .lineshape import (PROBE_PUMPING_STRENGTH, Spacing, SweepSpec,
+                        calibrate_power_broadening, calibration_fwhm,
+                        default_sweep_spec, physical_contrast,
                         resonance_metrics, sweep)
 from .params import (Depolarization, ModelParams, angular_to_hz,
                      hz_to_angular, pumping_strength,
                      rabi_for_pumping_strength)
 from .scans import METRIC_COLUMNS, Scan, batch_metrics, load_scan
 from .steady_state import solve_steady_state
-from .vapor import VaporParams, spin_exchange
+from .vapor import ATOMIC_MASS_UNIT_KG, VaporParams, spin_exchange
 
 FIG1_PRESET_HZ = {
     "gamma_opt_hz": 1e9,
@@ -373,10 +372,9 @@ def cmd_power_broadening(opts: dict) -> int:
     base = _base_params(opts, Depolarization(mode)).replace(delta_raman=0.0)
     rabi = calibrate_power_broadening(base, opts["multiple"])
     calibrated = base.replace(rabi=rabi)
-    probe = base.replace(
-        rabi=rabi_for_pumping_strength(base, 1e-3))
-    w0 = fwhm(sweep(probe, default_sweep_spec(probe, 25.0, 241)))
-    w = fwhm(sweep(calibrated, default_sweep_spec(calibrated, 25.0, 241)))
+    w0 = calibration_fwhm(base.replace(
+        rabi=rabi_for_pumping_strength(base, PROBE_PUMPING_STRENGTH)))
+    w = calibration_fwhm(calibrated)
     block = {
         "multiple": opts["multiple"],
         "mode": mode,
@@ -405,7 +403,7 @@ def cmd_spin_exchange(opts: dict) -> int:
         vp = VaporParams(
             temperature=t_c + 273.15,
             nuclear_spin=opts["nuclear_spin"],
-            atomic_mass=opts["atomic_mass_amu"] * atomic_mass,
+            atomic_mass=opts["atomic_mass_amu"] * ATOMIC_MASS_UNIT_KG,
             sigma_se=opts["sigma_se_cm2"],
         )
         res = spin_exchange(vp)

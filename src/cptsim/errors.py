@@ -47,10 +47,6 @@ class NotBracketed(CptsimError):
     """A root-finding target is unreachable within the allowed bracket."""
 
 
-class NonConvergence(CptsimError):
-    """An iterative fit failed to converge."""
-
-
 class InvalidSpin(CptsimError, ValueError):
     """Nuclear spin is not a valid half-integer."""
 

@@ -9,8 +9,9 @@ correspondingly peaks).  All metrics below are defined on that dip:
   far-detuned baseline obtained by pushing |delta| out by doubling
   factors until it stabilizes;
 * FWHM from the two half-depth crossings of a sampled lineshape;
-* asymmetry as the L2 fraction of the antisymmetric part of the dip
-  about its extremum, over the FWHM window;
+* center and asymmetry (the L2 fraction of the antisymmetric part of
+  the dip about its extremum, over the FWHM window) from a local cubic
+  through the samples, with an O(h^4) value error at sample spacing h;
 * quality factor = contrast / FWHM(Hz).
 
 All detunings in this module are angular (rad/s) except where a name
@@ -22,14 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (NonConvergentBaseline, NoResonance, NotBracketed,
                      ParameterError, Unbracketed)
-from .params import TWO_PI, ModelParams, lorentz_factors, pump_rate
+from .params import (TWO_PI, ModelParams, lorentz_factors, pump_rate,
+                     rabi_for_pumping_strength)
 from .steady_state import rho_ee_many
 
 BASELINE_K_START = 1e3
@@ -82,12 +82,6 @@ class Lineshape:
         object.__setattr__(self, "deltas", d)
         object.__setattr__(self, "rho_ee", y)
 
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        """Not-a-knot cubic spline through the samples, built once and
-        shared by the center and the asymmetry."""
-        return CubicSpline(self.deltas, self.rho_ee)
-
 
 @dataclass(frozen=True)
 class ContrastSummary:
@@ -128,7 +122,7 @@ def sweep(params: ModelParams, spec: SweepSpec) -> Lineshape:
     max(MIN_SAMPLES_IN_FWHM, n_points/3) samples.  Each round solves
     only its new detunings and merges them into the sorted samples; a
     new detuning within MIN_GAP_REL * (delta_max - delta_min) of a kept
-    sample is dropped, since a spline through such a near-duplicate pair
+    sample is dropped, since a cubic through such a near-duplicate pair
     turns roundoff in rho_ee into center and asymmetry errors.
     """
     deltas = np.linspace(spec.delta_min, spec.delta_max, spec.n_points)
@@ -163,33 +157,50 @@ def sweep(params: ModelParams, spec: SweepSpec) -> Lineshape:
     return Lineshape(deltas, ys, params)
 
 
-def _edge_baseline(ys: np.ndarray) -> float:
-    return 0.5 * (float(ys[0]) + float(ys[-1]))
-
-
-def _half_depth_crossings(deltas: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    """Locate the two half-depth crossings of a dip by linear interpolation."""
-    baseline = _edge_baseline(ys)
+def _dip(ys: np.ndarray) -> tuple[int, float, float]:
+    """Index of the minimum, baseline (mean of the two edge samples) and
+    depth of a dip."""
+    baseline = 0.5 * (float(ys[0]) + float(ys[-1]))
     i_min = int(np.argmin(ys))
     depth = baseline - float(ys[i_min])
     # flatness guard, relative so it works at any rho_ee magnitude
     scale = max(abs(baseline), abs(float(ys[i_min])), 1e-300)
     if depth <= 1e-12 * scale:
         raise NoResonance("no dip below the baseline")
-    half = baseline - depth / 2.0
+    return i_min, baseline, depth
 
-    left = np.nonzero(ys[:i_min] >= half)[0]
-    if left.size == 0:
+
+def _brackets(ys: np.ndarray, i: int, level: float) -> tuple[int | None, int | None]:
+    """Sample intervals [j, j+1] nearest sample i, one on each side, across
+    which ys reaches ``level`` from below; None where there is none, and
+    on both sides unless ys[i] lies below the level."""
+    if not ys[i] < level:
+        return None, None
+    left = np.nonzero(ys[:i] >= level)[0]
+    right = np.nonzero(ys[i + 1:] >= level)[0]
+    return (int(left[-1]) if left.size else None,
+            i + int(right[0]) if right.size else None)
+
+
+def level_crossings(xs: np.ndarray, ys: np.ndarray, i: int,
+                    level: float) -> tuple[float, float]:
+    """Linear crossings of ``level`` nearest a dip at sample i, one on each
+    side, on the intervals ``_brackets`` finds; nan where it finds none.
+    For a peak, pass -ys and -level."""
+    return tuple(math.nan if j is None else
+                 float(xs[j] + (level - ys[j]) * (xs[j + 1] - xs[j]) / (ys[j + 1] - ys[j]))
+                 for j in _brackets(ys, i, level))
+
+
+def _half_depth_crossings(deltas: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Locate the two half-depth crossings of a dip by linear interpolation."""
+    i_min, baseline, depth = _dip(ys)
+    d_lo, d_hi = level_crossings(deltas, ys, i_min, baseline - depth / 2.0)
+    if math.isnan(d_lo):
         raise Unbracketed("left half-depth crossing outside the sweep")
-    j = int(left[-1])
-    d_lo = deltas[j] + (half - ys[j]) * (deltas[j + 1] - deltas[j]) / (ys[j + 1] - ys[j])
-
-    right = np.nonzero(ys[i_min:] >= half)[0]
-    if right.size == 0:
+    if math.isnan(d_hi):
         raise Unbracketed("right half-depth crossing outside the sweep")
-    k = i_min + int(right[0])
-    d_hi = deltas[k - 1] + (half - ys[k - 1]) * (deltas[k] - deltas[k - 1]) / (ys[k] - ys[k - 1])
-    return float(d_lo), float(d_hi)
+    return d_lo, d_hi
 
 
 def fwhm(shape: Lineshape) -> float:
@@ -198,104 +209,114 @@ def fwhm(shape: Lineshape) -> float:
     return (d_hi - d_lo) / TWO_PI
 
 
-def _piece(spline: PPoly, k0: int, k1: int) -> PPoly:
-    """The polynomial pieces of ``spline`` on intervals k0..k1-1."""
-    return PPoly(spline.c[:, k0:k1], spline.x[k0:k1 + 1])
+def _local_cubic(xs: np.ndarray, ys: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """Coefficients of the local cubic on the sample intervals k0..k1-1.
 
-
-def _extremum_location(shape: Lineshape) -> float:
-    """Dip position from a cubic-spline derivative root near the minimum.
-
-    The antisymmetric metric is steeply sensitive to center errors, so
-    the quadratic-vertex estimate (O(h^2) bias) is not enough; the
-    spline root carries an O(h^4) bias instead.  Only the four intervals
-    within two samples of the sampled minimum are searched.
+    On each interval, the cubic Hermite interpolant of its two samples,
+    with the slope at a sample the mean of the slopes there of the
+    four-point cubics (through samples k-1..k+2 of interval k, shifted
+    inward at the ends) of the two intervals that meet at it; value error
+    O(h^4) at spacing h.  The four-point cubics alone kink by O(h^3) in
+    slope at each sample, enough to snap a nearby dip minimum onto it.
+    Row r holds the powers of u = t - xs[k0 + r], highest first.
     """
-    deltas, ys = shape.deltas, shape.rho_ee
+    n = xs.size
+    if n < 4:
+        raise ParameterError("the local cubic needs at least four samples")
+    # row r: the interval left of sample k0 + r; row r + 1: the one right of it
+    e = np.minimum(np.maximum(np.arange(k0 - 1, k1 + 1), 0), n - 2)
+    nodes = np.minimum(np.maximum(e - 1, 0), n - 4)[:, None] + np.arange(4)
+    x, y = xs[nodes], ys[nodes]
+    d1 = (y[:, 1:] - y[:, :-1]) / (x[:, 1:] - x[:, :-1])
+    d2 = (d1[:, 1:] - d1[:, :-1]) / (x[:, 2:] - x[:, :-2])
+    d3 = (d2[:, 1] - d2[:, 0]) / (x[:, 3] - x[:, 0])
+
+    def slope(r):  # slopes at samples k0..k1 of the four-point cubics in rows r
+        a = xs[k0:k1 + 1, None] - x[r, :3]
+        return (d1[r, 0] + d2[r, 0] * (a[:, 0] + a[:, 1])
+                + d3[r] * (a[:, 0] * a[:, 1] + a[:, 2] * (a[:, 0] + a[:, 1])))
+
+    m = 0.5 * (slope(np.s_[:-1]) + slope(np.s_[1:]))
+    m0, m1 = m[:-1], m[1:]
+    h = xs[k0 + 1:k1 + 1] - xs[k0:k1]
+    d = (ys[k0 + 1:k1 + 1] - ys[k0:k1]) / h
+    return np.stack([(m0 + m1 - 2.0 * d) / h**2, (3.0 * d - 2.0 * m0 - m1) / h,
+                     m0, ys[k0:k1]], axis=1)
+
+
+def _horner(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return ((p[:, 0] * u + p[:, 1]) * u + p[:, 2]) * u + p[:, 3]
+
+
+def _extremum_location(deltas: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Dip position and the local cubic's value there: the lowest root of
+    its derivative (a quadratic) within two samples of the sampled minimum.
+    The cubic's O(h^4) value error leaves an O(h^3) center error, against
+    O(h^2) for a quadratic vertex; the asymmetry is steeply sensitive to it."""
     i = int(np.argmin(ys))
     if i == 0 or i == ys.size - 1:
-        return float(deltas[i])
-    lo, hi = max(i - 2, 0), min(i + 2, ys.size - 1)
-    spline = shape._spline
-    roots = _piece(spline, lo, hi).derivative().roots(extrapolate=False)
-    candidates = roots[(roots >= deltas[lo]) & (roots <= deltas[hi])]
-    if candidates.size == 0:
-        return float(deltas[i])
-    values = spline(candidates)
-    return float(candidates[int(np.argmin(values))])
+        return float(deltas[i]), float(ys[i])
+    k0, k1 = max(i - 2, 0), min(i + 2, ys.size - 1)
+    p = _local_cubic(deltas, ys, k0, k1)
+    a, b, c = 3.0 * p[:, 0], 2.0 * p[:, 1], p[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        u = np.stack([q / a, c / q], axis=1)
+    row, col = np.nonzero((u >= 0.0) & (u <= np.diff(deltas[k0:k1 + 1])[:, None]))
+    if row.size == 0:
+        return float(deltas[i]), float(ys[i])
+    u = u[row, col]
+    values = _horner(p[row], u)
+    best = int(np.argmin(values))
+    return float(deltas[k0 + row[best]] + u[best]), float(values[best])
 
 
-def _level_crossings(spline: PPoly, level: float,
-                     center: float) -> tuple[float | None, float | None]:
-    """Nearest roots of spline == level below and above ``center``.
-
-    Equal to taking the largest root below and the smallest above from
-    spline.solve(level, extrapolate=False), without solving every
-    interval.  A cubic piece lies within the hull of its Bernstein
-    coefficients, so an interval whose hull (widened for rounding) misses
-    the level holds no root.  The remaining intervals are solved
-    outward from the center on each side, up to the first root found.
-    """
-    x, c = spline.x, spline.c
-    h = np.diff(x)
-    d0 = c[3] - level
-    d1 = d0 + c[2] * h / 3.0
-    d2 = d1 + (c[2] * h + c[1] * h * h) / 3.0
-    d3 = d0 + c[2] * h + c[1] * h * h + c[0] * h**3
-    hull = np.stack([d0, d1, d2, d3])
-    slack = 1e-9 * (np.abs(c[3]).max() + abs(level))
-    maybe = (hull.min(axis=0) <= slack) & (hull.max(axis=0) >= -slack)
-
-    def nearest(ks, side):
-        for k in ks:
-            roots = _piece(spline, k, k + 1).solve(level, extrapolate=False)
-            roots = roots[side * (roots - center) > 0]
-            if roots.size:
-                return float(roots.min() if side > 0 else roots.max())
-        return None
-
-    k = np.nonzero(maybe)[0]
-    below = nearest(k[x[k] < center][::-1], -1)
-    above = nearest(k[x[k + 1] > center], +1)
-    return below, above
+def _cubic_crossings(deltas: np.ndarray, ys: np.ndarray, i: int,
+                     level: float) -> tuple[float, float]:
+    """Crossings of the local cubic with ``level`` nearest a dip at sample i:
+    on each side, the cubic's root nearest the linear crossing on the
+    interval ``_brackets`` finds (the cubic runs through its samples)."""
+    j_lo, j_hi = _brackets(ys, i, level)
+    if j_lo is None or j_hi is None:
+        raise Unbracketed("half level of the local cubic not bracketed by the samples")
+    j = np.array([j_lo, j_hi])
+    p = _local_cubic(deltas, ys, j_lo, j_hi + 1)[[0, -1]]
+    p[:, 3] -= level
+    h = deltas[j + 1] - deltas[j]
+    linear = (level - ys[j]) * h / (ys[j + 1] - ys[j])
+    u = [r[np.argmin(np.abs(r - g))].real for r, g in zip(map(np.roots, p), linear)]
+    d_lo, d_hi = deltas[j] + np.clip(u, 0.0, h)
+    return float(d_lo), float(d_hi)
 
 
 def resonance_center(shape: Lineshape) -> float:
     """Extremum location of the dip (rad/s)."""
-    return _extremum_location(shape)
+    return _extremum_location(shape.deltas, shape.rho_ee)[0]
 
 
 def asymmetry(shape: Lineshape, n_half: int = 200) -> float:
     """Antisymmetric L2 fraction of the dip about its extremum.
 
-    Samples the lineshape's cubic spline (the one the center also uses)
-    at mirrored offsets delta_c +/- x across the FWHM window and returns
-    ||rho(+x) - rho(-x)|| / ||baseline - rho||.  The window ends are the
-    spline's half-depth crossings nearest the center, or the linear
-    crossings where the spline has none on a side.  Zero for a perfectly
-    symmetric dip.
+    Samples the local cubic (O(h^4) value error) at mirrored offsets
+    delta_c +/- x across the window between its crossings of the level
+    halfway from the baseline to its value at the center, and returns
+    ||rho(+x) - rho(-x)|| / ||baseline - rho||; zero for a symmetric dip.
     """
     deltas, ys = shape.deltas, shape.rho_ee
-    d_lo, d_hi = _half_depth_crossings(deltas, ys)
-    center = _extremum_location(shape)
-    baseline = _edge_baseline(ys)
-
-    # spline-refined window and samples: the metric is first-order
-    # sensitive to the window span, so the O(h^2) linear crossings would
-    # dominate its grid error
-    spline = shape._spline
-    half = 0.5 * (baseline + float(spline(center)))
-    below, above = _level_crossings(spline, half, center)
-    if below is not None and above is not None:
-        d_lo, d_hi = below, above
+    i_min, baseline, _ = _dip(ys)
+    center, bottom = _extremum_location(deltas, ys)
+    # the metric is first-order sensitive to the window span, so O(h^2)
+    # linear crossings would dominate its grid error
+    d_lo, d_hi = _cubic_crossings(deltas, ys, i_min, 0.5 * (baseline + bottom))
     xs = np.linspace(0.0, (d_hi - d_lo) / 2.0, n_half + 1)
-    up = spline(center + xs)
-    dn = spline(center - xs)
+    t = center + np.concatenate([xs, -xs])
+    k = np.clip(np.searchsorted(deltas, t, side="right") - 1, 0, ys.size - 2)
+    k0 = int(k.min())
+    p = _local_cubic(deltas, ys, k0, int(k.max()) + 1)
+    up, dn = _horner(p[k - k0], t - deltas[k]).reshape(2, -1)
     num = float(np.sqrt(np.sum((up - dn) ** 2)))
     den = float(np.sqrt(np.sum((baseline - up) ** 2) + np.sum((baseline - dn) ** 2)))
-    if den == 0.0:
-        return 0.0
-    return num / den
+    return num / den if den else 0.0
 
 
 def physical_contrast(params: ModelParams) -> ContrastSummary:
@@ -328,31 +349,30 @@ def physical_contrast(params: ModelParams) -> ContrastSummary:
         f"baseline still drifting at |delta| = {k:.3e} * W")
 
 
+def calibration_fwhm(params: ModelParams) -> float:
+    """FWHM (Hz) of the calibration's adaptive 241-point, +/-25 half-width sweep."""
+    return fwhm(sweep(params, default_sweep_spec(params, 25.0, 241)))
+
+
 def calibrate_power_broadening(params: ModelParams, multiple: float = 3.0) -> float:
     """Rabi frequency whose excess FWHM is ``multiple`` times the zero-power FWHM.
 
     The zero-power reference width is measured at the probe level
     V^2*lu = PROBE_PUMPING_STRENGTH * gamma_g; the returned V satisfies
-    FWHM(V) = (1 + multiple) * FWHM(probe).  Solved by bisection on
-    log V to 1e-6 relative within the CALIBRATION_BRACKET pumping
-    strengths.
+    FWHM(V) = (1 + multiple) * FWHM(probe), both from ``calibration_fwhm``.
+    Solved by bisection on log V to 1e-6 relative within the
+    CALIBRATION_BRACKET pumping strengths.
     """
     if multiple < 0:
         raise ParameterError("broadening multiple must be >= 0")
-    lf = lorentz_factors(params)
-
-    def v_for(s: float) -> float:
-        return math.sqrt(s * params.gamma_g / lf.lu)
 
     def width_at(v: float) -> float:
-        p = params.replace(rabi=v)
-        shape = sweep(p, default_sweep_spec(p, span_halfwidths=25.0, n_points=241))
-        return fwhm(shape) * TWO_PI
+        return calibration_fwhm(params.replace(rabi=v)) * TWO_PI
 
-    w0 = width_at(v_for(PROBE_PUMPING_STRENGTH))
+    w0 = width_at(rabi_for_pumping_strength(params, PROBE_PUMPING_STRENGTH))
     target = (1.0 + multiple) * w0
 
-    lo, hi = (v_for(s) for s in CALIBRATION_BRACKET)
+    lo, hi = (rabi_for_pumping_strength(params, s) for s in CALIBRATION_BRACKET)
     w_lo, w_hi = width_at(lo), width_at(hi)
     if not (w_lo <= target <= w_hi):
         raise NotBracketed(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (MonotonicityError, NoResonance, ParseError,
                      TooFewSamples)
-from .lineshape import ResonanceMetrics
+from .lineshape import ResonanceMetrics, level_crossings
 
 MIN_SAMPLES = 16
 MAX_ITERATIONS = 200
@@ -181,20 +181,12 @@ def _initial_guess(x: np.ndarray, y: np.ndarray):
     i0 = int(np.argmax(np.abs(resid)))
     sign = 1 if resid[i0] >= 0 else -1
     amp0 = abs(resid[i0])
-    sr = sign * resid
-    half = amp0 / 2.0
-
     spacing = float(np.median(np.diff(x)))
-    lo = x[i0] - spacing
-    for j in range(i0 - 1, -1, -1):
-        if sr[j] < half:
-            lo = x[j] + (half - sr[j]) * (x[j + 1] - x[j]) / (sr[j + 1] - sr[j])
-            break
-    hi = x[i0] + spacing
-    for j in range(i0 + 1, x.size):
-        if sr[j] < half:
-            hi = x[j - 1] + (half - sr[j - 1]) * (x[j] - x[j - 1]) / (sr[j] - sr[j - 1])
-            break
+    lo, hi = level_crossings(x, -sign * resid, i0, -amp0 / 2.0)
+    if math.isnan(lo):
+        lo = x[i0] - spacing
+    if math.isnan(hi):
+        hi = x[i0] + spacing
     w0 = max((hi - lo) / 2.0, spacing)
     return np.array([a0, b0, sign * amp0, float(x[i0]), w0]), sign
 
@@ -264,18 +256,8 @@ def _direct_fwhm(x: np.ndarray, y: np.ndarray) -> float:
     resid = y - (a0 + b0 * x)
     i0 = int(np.argmax(np.abs(resid)))
     sign = 1 if resid[i0] >= 0 else -1
-    sr = sign * resid
-    half = sr[i0] / 2.0
-    lo = hi = math.nan
-    for j in range(i0 - 1, -1, -1):
-        if sr[j] < half:
-            lo = x[j] + (half - sr[j]) * (x[j + 1] - x[j]) / (sr[j + 1] - sr[j])
-            break
-    for j in range(i0 + 1, x.size):
-        if sr[j] < half:
-            hi = x[j - 1] + (half - sr[j - 1]) * (x[j] - x[j - 1]) / (sr[j] - sr[j - 1])
-            break
-    return float(hi - lo)
+    lo, hi = level_crossings(x, -sign * resid, i0, -abs(resid[i0]) / 2.0)
+    return hi - lo
 
 
 def _fit_asymmetry(x, y, a, b, x0, fwhm) -> float:

@@ -19,14 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from scipy.constants import atomic_mass, k as k_B, torr
-
 from .errors import InvalidSpin, OutOfRange, ParameterError
+
+# CODATA 2022 atomic mass unit; k is exact in the SI, as is the torr
+ATOMIC_MASS_UNIT_KG = 1.66053906892e-27
+BOLTZMANN_J_K = 1.380649e-23
+TORR_PA = 101325.0 / 760.0
 
 # 87Rb defaults: nuclear spin 3/2, atomic mass (Steck), and the commonly
 # adopted Rb-Rb spin-exchange cross section.
 RB87_NUCLEAR_SPIN = 1.5
-RB87_MASS_KG = 86.909180527 * atomic_mass
+RB87_MASS_KG = 86.909180527 * ATOMIC_MASS_UNIT_KG
 RB87_SIGMA_SE_CM2 = 1.9e-14
 
 
@@ -91,7 +94,7 @@ def mean_relative_velocity(temperature: float, mass: float) -> float:
     """
     if not (temperature > 0 and mass > 0):
         raise ParameterError("temperature and mass must be > 0")
-    return math.sqrt(16.0 * k_B * temperature / (math.pi * mass)) * 100.0
+    return math.sqrt(16.0 * BOLTZMANN_J_K * temperature / (math.pi * mass)) * 100.0
 
 
 def alkali_number_density(temperature: float) -> float:
@@ -106,8 +109,8 @@ def alkali_number_density(temperature: float) -> float:
             f"[{_VP['t_min']:g}, {_VP['t_max']:g}] K")
     log10_p_torr = (_VP["A"] + _VP["B"] / temperature + _VP["C"] * temperature
                     + _VP["D"] * math.log10(temperature))
-    p_pa = 10.0**log10_p_torr * torr
-    n_m3 = p_pa / (k_B * temperature)
+    p_pa = 10.0**log10_p_torr * TORR_PA
+    n_m3 = p_pa / (BOLTZMANN_J_K * temperature)
     return n_m3 * 1e-6
 
 

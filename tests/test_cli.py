@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cptsim
 from cptsim.cli import main
 
 from oracles import lorentzian_scan
@@ -283,3 +287,38 @@ def test_repeat_runs_byte_identical(tmp_path, capsys):
     run(capsys, *args, "--out", str(a))
     run(capsys, *args, "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# ----------------------------------------------------------- dependencies
+
+def test_every_subcommand_runs_on_numpy_alone(tmp_path):
+    # numpy is the only dependency: with every other non-stdlib import
+    # blocked, each subcommand still works
+    write_scan(tmp_path / "s.csv")
+    commands = [
+        ["solve", "--preset", "fig1", "--mode", "both"],
+        ["sweep", "--pumping-strength", "8.9", "--n-points", "301"],
+        ["contrast-ratio", "--pumping-strengths", "10,100"],
+        ["power-broadening", "--mode", "complete"],
+        ["spin-exchange"],
+        ["analyze", str(tmp_path / "s.csv"), "--out", str(tmp_path / "t.csv")],
+    ]
+    script = f"""
+import sys
+
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top not in sys.stdlib_module_names and top not in ("numpy", "cptsim"):
+            raise ImportError(f"blocked import of {{name}}")
+
+sys.meta_path.insert(0, Block())
+from cptsim.cli import main
+sys.exit(max([main(argv) for argv in {commands!r}]))
+"""
+    src = str(Path(cptsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
