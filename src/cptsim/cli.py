@@ -154,26 +154,28 @@ def _load_config_file(path: str) -> dict[str, str]:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Fill unset options from the config file, then from DEFAULTS."""
-    actions = {a.dest: a for a in parser._actions
-               if a.dest not in ("help", "config", "inputs")}
+def _merge_config(args: argparse.Namespace, options: dict) -> dict:
+    """Fill unset options from the config file, then from DEFAULTS.
+
+    ``options`` maps each config-settable destination of the subcommand
+    to its (type, choices), as ``build_parser`` recorded them.
+    """
     opts = dict(vars(args))
     if args.config:
         cfg = _load_config_file(args.config)
         for key, raw in cfg.items():
-            if key not in actions:
+            if key not in options:
                 raise ConfigError(f"unknown config key {key!r}")
             if opts.get(key) is not None:
                 continue  # explicit flag wins
-            action = actions[key]
+            kind, choices = options[key]
             try:
-                value = action.type(raw) if action.type else raw
+                value = kind(raw) if kind else raw
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
-            if action.choices and value not in action.choices:
+            if choices and value not in choices:
                 raise ConfigError(
-                    f"config key {key!r}: {value!r} not in {sorted(action.choices)}")
+                    f"config key {key!r}: {value!r} not in {sorted(choices)}")
             opts[key] = value
     for key, value in DEFAULTS.items():
         if key in opts and opts[key] is None:
@@ -297,7 +299,7 @@ def cmd_sweep(opts: dict) -> int:
     (params,) = _build_params(opts)
     spec = _sweep_spec_from(opts, params)
     shape = sweep(params, spec)
-    metrics = resonance_metrics(params, spec, shape=shape)
+    metrics = resonance_metrics(params, shape=shape)
 
     metrics_block = {
         "params_hz": _params_hz_dict(params),
@@ -500,102 +502,119 @@ def cmd_analyze(opts: dict) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(p: argparse.ArgumentParser, modes=("none", "complete")) -> None:
+class _Options:
+    """Adds options to a parser or argument group, recording the type and
+    choices of each under its destination (the config-file key)."""
+
+    def __init__(self, target, table: dict):
+        self.target, self.table = target, table
+
+    def __call__(self, *flags, **kwargs):
+        action = self.target.add_argument(*flags, **kwargs)
+        self.table[action.dest] = (kwargs.get("type"), kwargs.get("choices"))
+
+    def group(self, title: str) -> "_Options":
+        return _Options(self.target.add_argument_group(title), self.table)
+
+
+def _add_common(p: argparse.ArgumentParser, add: _Options,
+                modes=("none", "complete")) -> None:
     p.add_argument("--config", help="flat key = value config file; flags win")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"),
-                   help="output format (default csv)")
-    p.add_argument("--mode", choices=modes,
-                   help="excited-state depolarization mode (default none)")
-    p.add_argument("--preset", choices=("fig1",),
-                   help="fig1: 1 GHz optical width, 817 MHz excited splitting, "
-                        "-30 MHz optical detuning, Rabi frequency calibrated "
-                        "for 3x power broadening")
+    add("--out", help="output path (default: stdout)")
+    add("--format", choices=("csv", "json"),
+        help="output format (default csv)")
+    add("--mode", choices=modes,
+        help="excited-state depolarization mode (default none)")
+    add("--preset", choices=("fig1",),
+        help="fig1: 1 GHz optical width, 817 MHz excited splitting, "
+             "-30 MHz optical detuning, Rabi frequency calibrated "
+             "for 3x power broadening")
 
 
-def _add_model(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("model parameters (Hz)")
-    g.add_argument("--rabi-hz", dest="rabi_hz", type=float,
-                   help="Rabi frequency V/2pi of each field component")
-    g.add_argument("--pumping-strength", dest="pumping_strength", type=float,
-                   help="set V via the dimensionless strength V^2*lu/gamma_g")
-    g.add_argument("--gamma-opt-hz", dest="gamma_opt_hz", type=float,
-                   help="optical-coherence relaxation Gamma/2pi [1e9]")
-    g.add_argument("--gamma-nat-hz", dest="gamma_nat_hz", type=float,
-                   help="excited-state decay gamma/2pi [5.75e6]")
-    g.add_argument("--gamma-g-hz", dest="gamma_g_hz", type=float,
-                   help="ground-state relaxation Gamma_g/2pi [100]")
-    g.add_argument("--omega-e-hz", dest="omega_e_hz", type=float,
-                   help="excited hyperfine splitting omega_e/2pi [817e6]")
-    g.add_argument("--delta-opt-hz", dest="delta_opt_hz", type=float,
-                   help="optical detuning Delta/2pi from F_e=2 [-30e6]")
-    g.add_argument("--delta-raman-hz", dest="delta_raman_hz", type=float,
-                   help="two-photon detuning delta/2pi [0]")
+def _add_model(add: _Options) -> None:
+    g = add.group("model parameters (Hz)")
+    g("--rabi-hz", dest="rabi_hz", type=float,
+      help="Rabi frequency V/2pi of each field component")
+    g("--pumping-strength", dest="pumping_strength", type=float,
+      help="set V via the dimensionless strength V^2*lu/gamma_g")
+    g("--gamma-opt-hz", dest="gamma_opt_hz", type=float,
+      help="optical-coherence relaxation Gamma/2pi [1e9]")
+    g("--gamma-nat-hz", dest="gamma_nat_hz", type=float,
+      help="excited-state decay gamma/2pi [5.75e6]")
+    g("--gamma-g-hz", dest="gamma_g_hz", type=float,
+      help="ground-state relaxation Gamma_g/2pi [100]")
+    g("--omega-e-hz", dest="omega_e_hz", type=float,
+      help="excited hyperfine splitting omega_e/2pi [817e6]")
+    g("--delta-opt-hz", dest="delta_opt_hz", type=float,
+      help="optical detuning Delta/2pi from F_e=2 [-30e6]")
+    g("--delta-raman-hz", dest="delta_raman_hz", type=float,
+      help="two-photon detuning delta/2pi [0]")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and per subcommand its config-settable options
+    (destination -> (type, choices))."""
     parser = argparse.ArgumentParser(
         prog="cptsim",
         description="Four-level sigma+ CPT steady-state simulator and scan analyzer. "
                     "All frequencies on this interface are in Hz (angular/2pi).")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
+    options = {}
 
-    p = subparsers["solve"] = sub.add_parser(
-        "solve", help="steady-state populations at one detuning")
-    _add_common(p, modes=("none", "complete", "both"))
-    _add_model(p)
+    def subcommand(name: str, summary: str) -> tuple[argparse.ArgumentParser, _Options]:
+        p = sub.add_parser(name, help=summary)
+        return p, _Options(p, options.setdefault(name, {}))
 
-    p = subparsers["sweep"] = sub.add_parser(
-        "sweep", help="lineshape over Raman detuning + metrics")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--delta-span-hz", dest="delta_span_hz", type=float,
-                   help="full sweep span centered on 0 (default: auto)")
-    p.add_argument("--span-halfwidths", dest="span_halfwidths", type=float,
-                   help="auto span in units of the estimated half width [20]")
-    p.add_argument("--n-points", dest="n_points", type=int,
-                   help="number of base grid points [1001]")
-    p.add_argument("--spacing", choices=("linear", "adaptive"),
-                   help="grid refinement mode [adaptive]")
+    p, add = subcommand("solve", "steady-state populations at one detuning")
+    _add_common(p, add, modes=("none", "complete", "both"))
+    _add_model(add)
 
-    p = subparsers["contrast-ratio"] = sub.add_parser(
-        "contrast-ratio", help="contrast in both modes vs pumping strength")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--pumping-strengths", dest="pumping_strengths", required=True,
-                   help="comma-separated list of V^2*lu/gamma_g values")
+    p, add = subcommand("sweep", "lineshape over Raman detuning + metrics")
+    _add_common(p, add)
+    _add_model(add)
+    add("--delta-span-hz", dest="delta_span_hz", type=float,
+        help="full sweep span centered on 0 (default: auto)")
+    add("--span-halfwidths", dest="span_halfwidths", type=float,
+        help="auto span in units of the estimated half width [20]")
+    add("--n-points", dest="n_points", type=int,
+        help="number of base grid points [1001]")
+    add("--spacing", choices=("linear", "adaptive"),
+        help="grid refinement mode [adaptive]")
 
-    p = subparsers["power-broadening"] = sub.add_parser(
-        "power-broadening", help="calibrate V for a given power-broadening multiple")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--multiple", dest="multiple", type=float,
-                   help="excess FWHM over the zero-power FWHM, in units of it [3]")
+    p, add = subcommand("contrast-ratio", "contrast in both modes vs pumping strength")
+    _add_common(p, add)
+    _add_model(add)
+    add("--pumping-strengths", dest="pumping_strengths", required=True,
+        help="comma-separated list of V^2*lu/gamma_g values")
 
-    p = subparsers["spin-exchange"] = sub.add_parser(
-        "spin-exchange", help="spin-exchange broadening vs temperature")
-    _add_common(p)
-    p.add_argument("--t-min-c", dest="t_min_c", type=float, help="start [50 C]")
-    p.add_argument("--t-max-c", dest="t_max_c", type=float, help="stop [90 C]")
-    p.add_argument("--t-step-c", dest="t_step_c", type=float, help="step [1 C]")
-    p.add_argument("--nuclear-spin", dest="nuclear_spin", type=float,
-                   help="nuclear spin I [1.5]")
-    p.add_argument("--sigma-se-cm2", dest="sigma_se_cm2", type=float,
-                   help="spin-exchange cross section [1.9e-14]")
-    p.add_argument("--atomic-mass-amu", dest="atomic_mass_amu", type=float,
-                   help="atomic mass [86.909180527]")
+    p, add = subcommand("power-broadening",
+                        "calibrate V for a given power-broadening multiple")
+    _add_common(p, add)
+    _add_model(add)
+    add("--multiple", dest="multiple", type=float,
+        help="excess FWHM over the zero-power FWHM, in units of it [3]")
 
-    p = subparsers["analyze"] = sub.add_parser(
-        "analyze", help="fit scans and tabulate metrics")
-    _add_common(p)
+    p, add = subcommand("spin-exchange", "spin-exchange broadening vs temperature")
+    _add_common(p, add)
+    add("--t-min-c", dest="t_min_c", type=float, help="start [50 C]")
+    add("--t-max-c", dest="t_max_c", type=float, help="stop [90 C]")
+    add("--t-step-c", dest="t_step_c", type=float, help="step [1 C]")
+    add("--nuclear-spin", dest="nuclear_spin", type=float,
+        help="nuclear spin I [1.5]")
+    add("--sigma-se-cm2", dest="sigma_se_cm2", type=float,
+        help="spin-exchange cross section [1.9e-14]")
+    add("--atomic-mass-amu", dest="atomic_mass_amu", type=float,
+        help="atomic mass [86.909180527]")
+
+    p, add = subcommand("analyze", "fit scans and tabulate metrics")
+    _add_common(p, add)
     p.add_argument("inputs", nargs="+",
                    help="scan CSV files and/or directories of *.csv")
-    p.add_argument("--vary", dest="vary",
-                   help="metadata key swept within a group [intensity_mW_cm2]")
+    add("--vary", dest="vary",
+        help="metadata key swept within a group [intensity_mW_cm2]")
 
-    return parser, subparsers
+    return parser, options
 
 
 _DISPATCH = {
@@ -609,10 +628,10 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
+    parser, options = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _merge_config(args, subparsers[args.command])
+        opts = _merge_config(args, options[args.command])
         return _DISPATCH[args.command](opts)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

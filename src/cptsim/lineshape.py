@@ -8,11 +8,20 @@ correspondingly peaks).  All metrics below are defined on that dip:
 * physical contrast  [rho_ee(far) - rho_ee(0)] / rho_ee(far), with the
   far-detuned baseline obtained by pushing |delta| out by doubling
   factors until it stabilizes;
-* FWHM from the two half-depth crossings of a sampled lineshape;
-* center and asymmetry (the L2 fraction of the antisymmetric part of
-  the dip about its extremum, over the FWHM window) from a local cubic
-  through the samples, with an O(h^4) value error at sample spacing h;
+* FWHM between the two crossings of the level halfway from the edge
+  baseline (the mean of rho_ee at the two window edges) to the bottom;
+* center, the extremum of the dip, and asymmetry, the L2 fraction of
+  the dip's antisymmetric part about it over the FWHM window;
 * quality factor = contrast / FWHM(Hz).
+
+Model metrics (``resonance_metrics(params)``, ``calibration_fwhm``,
+``calibrate_power_broadening``) are exact: rho_ee is a rational function
+of delta (``steady_state.RationalLineshape``), so the center and the
+crossings are roots of quadratics, and the full system is solved and
+checked at every detuning a metric uses.  Sampled metrics (``fwhm``,
+``resonance_center``, ``asymmetry`` of a ``Lineshape``) use linear
+crossings and a local cubic through the samples, with an O(h^4) value
+error at sample spacing h; they serve ``sweep`` output and measured data.
 
 All detunings in this module are angular (rad/s) except where a name
 ends in ``_hz``.
@@ -30,7 +39,7 @@ from .errors import (NonConvergentBaseline, NoResonance, NotBracketed,
                      ParameterError, Unbracketed)
 from .params import (TWO_PI, ModelParams, lorentz_factors, pump_rate,
                      rabi_for_pumping_strength)
-from .steady_state import rho_ee_many
+from .steady_state import RationalLineshape, rho_ee_many
 
 BASELINE_K_START = 1e3
 BASELINE_K_MAX = 1e9
@@ -302,18 +311,35 @@ def asymmetry(shape: Lineshape, n_half: int = 200) -> float:
     halfway from the baseline to its value at the center, and returns
     ||rho(+x) - rho(-x)|| / ||baseline - rho||; zero for a symmetric dip.
     """
-    deltas, ys = shape.deltas, shape.rho_ee
+    center, bottom = _extremum_location(shape.deltas, shape.rho_ee)
+    return _sampled_asymmetry(shape.deltas, shape.rho_ee, center, bottom, n_half)
+
+
+def _sampled_asymmetry(deltas: np.ndarray, ys: np.ndarray, center: float,
+                       bottom: float, n_half: int = 200) -> float:
+    """:func:`asymmetry` about a known extremum (center, bottom)."""
     i_min, baseline, _ = _dip(ys)
-    center, bottom = _extremum_location(deltas, ys)
     # the metric is first-order sensitive to the window span, so O(h^2)
     # linear crossings would dominate its grid error
     d_lo, d_hi = _cubic_crossings(deltas, ys, i_min, 0.5 * (baseline + bottom))
-    xs = np.linspace(0.0, (d_hi - d_lo) / 2.0, n_half + 1)
-    t = center + np.concatenate([xs, -xs])
+    t = _mirrored_offsets(center, d_lo, d_hi, n_half)
     k = np.clip(np.searchsorted(deltas, t, side="right") - 1, 0, ys.size - 2)
     k0 = int(k.min())
     p = _local_cubic(deltas, ys, k0, int(k.max()) + 1)
-    up, dn = _horner(p[k - k0], t - deltas[k]).reshape(2, -1)
+    return _antisymmetric_fraction(_horner(p[k - k0], t - deltas[k]), baseline)
+
+
+def _mirrored_offsets(center: float, d_lo: float, d_hi: float,
+                      n_half: int) -> np.ndarray:
+    """center + x, then center - x, for n_half + 1 offsets x across half
+    the window [d_lo, d_hi]."""
+    xs = np.linspace(0.0, (d_hi - d_lo) / 2.0, n_half + 1)
+    return center + np.concatenate([xs, -xs])
+
+
+def _antisymmetric_fraction(values: np.ndarray, baseline: float) -> float:
+    """||rho(+x) - rho(-x)|| / ||baseline - rho|| over mirrored values."""
+    up, dn = values.reshape(2, -1)
     num = float(np.sqrt(np.sum((up - dn) ** 2)))
     den = float(np.sqrt(np.sum((baseline - up) ** 2) + np.sum((baseline - dn) ** 2)))
     return num / den if den else 0.0
@@ -324,17 +350,21 @@ def physical_contrast(params: ModelParams) -> ContrastSummary:
 
     The baseline is the mean of rho_ee at delta = +/- K*W with
     W = max(gamma_g, V^2*lu); K starts at BASELINE_K_START and doubles
-    until the baseline moves by less than BASELINE_RTOL relative.
+    until the baseline moves by less than BASELINE_RTOL relative.  Only
+    delta = 0 and the visited rungs are solved, all on one factorization.
     """
+    return _contrast(params, RationalLineshape(params))
+
+
+def _contrast(params: ModelParams, model: RationalLineshape) -> ContrastSummary:
     if params.rabi == 0.0:
         return ContrastSummary(0.0, 0.0, 0.0)
     lf = lorentz_factors(params)
     w = max(params.gamma_g, params.rabi**2 * lf.lu)
-    at_zero = float(rho_ee_many(params, np.array([0.0]))[0])
+    at_zero = float(model(np.array([0.0]))[0])
 
     def baseline_at(k: float) -> float:
-        vals = rho_ee_many(params, np.array([-k * w, k * w]))
-        return float(vals.mean())
+        return float(model(np.array([-k * w, k * w])).mean())
 
     k = BASELINE_K_START
     prev = baseline_at(k)
@@ -349,19 +379,86 @@ def physical_contrast(params: ModelParams) -> ContrastSummary:
         f"baseline still drifting at |delta| = {k:.3e} * W")
 
 
+def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
+    """Roots of a*x^2 + b*x + c without cancellation; nan where a root is
+    not real or not finite (one root when a = 0)."""
+    disc = b * b - 4.0 * a * c
+    if not disc >= 0.0:
+        return math.nan, math.nan
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (q / a if a else math.nan, c / q if q else math.nan)
+
+
+@dataclass(frozen=True)
+class _ModelDip:
+    """The exact dip of a RationalLineshape inside a +/- ``edge`` window.
+
+    ``baseline`` is an excess over c0; ``lo`` and ``hi`` are the crossings
+    of the level halfway from it to the bottom of the dip.
+    """
+
+    edge: float
+    baseline: float
+    center: float
+    lo: float
+    hi: float
+
+
+def _model_dip(model: RationalLineshape, span_halfwidths: float) -> _ModelDip:
+    """Center and half-depth crossings of the model dip, in closed form.
+
+    The baseline is the mean of rho_ee at the window edges +/- span
+    half widths (``halfwidth_estimate``).  The center is the root of
+    the derivative's numerator -p1*d^2 - 2*p0*d + (p1*q0 - p0*q1) with
+    the lower rho_ee; each crossing of a level c0 + k solves
+    k*d^2 + (k*q1 - p1)*d + (k*q0 - p0) = 0.  Raises NoResonance for a
+    flat or inverted dip and Unbracketed when the center or a crossing
+    lies outside the window.
+    """
+    p1, p0, q1, q0 = model.p1, model.p0, model.q1, model.q0
+    edge = span_halfwidths * halfwidth_estimate(model.params)
+    baseline = 0.5 * (model.excess(-edge) + model.excess(edge))
+    roots = [d for d in _quadratic_roots(-p1, -2.0 * p0, p1 * q0 - p0 * q1)
+             if math.isfinite(d)]
+    if not roots:
+        raise NoResonance("no dip below the baseline")
+    bottom, center = min((model.excess(d), d) for d in roots)
+    depth = baseline - bottom
+    # flatness guard, relative so it works at any rho_ee magnitude
+    scale = max(abs(model.c0 + baseline), abs(model.c0 + bottom), 1e-300)
+    if depth <= 1e-12 * scale:
+        raise NoResonance("no dip below the baseline")
+    k = baseline - depth / 2.0
+    lo, hi = sorted(_quadratic_roots(k, k * q1 - p1, k * q0 - p0))
+    if not -edge <= lo < center:
+        raise Unbracketed(f"left half-depth crossing outside +/-{span_halfwidths:g} half widths")
+    if not center < hi <= edge:
+        raise Unbracketed(f"right half-depth crossing outside +/-{span_halfwidths:g} half widths")
+    return _ModelDip(edge, baseline, center, lo, hi)
+
+
+def _validated(model: RationalLineshape, dip: _ModelDip, *more: np.ndarray) -> None:
+    """Solve and check the full system at every detuning a metric uses."""
+    model(np.concatenate([[-dip.edge, dip.edge, dip.center, dip.lo, dip.hi], *more]))
+
+
 def calibration_fwhm(params: ModelParams) -> float:
-    """FWHM (Hz) of the calibration's adaptive 241-point, +/-25 half-width sweep."""
-    return fwhm(sweep(params, default_sweep_spec(params, 25.0, 241)))
+    """FWHM (Hz) of the model dip against the mean of rho_ee at +/-25
+    estimated half widths, in closed form (see ``_model_dip``)."""
+    model = RationalLineshape(params)
+    dip = _model_dip(model, 25.0)
+    _validated(model, dip)
+    return (dip.hi - dip.lo) / TWO_PI
 
 
 def calibrate_power_broadening(params: ModelParams, multiple: float = 3.0) -> float:
     """Rabi frequency whose excess FWHM is ``multiple`` times the zero-power FWHM.
 
-    The zero-power reference width is measured at the probe level
+    The zero-power reference width is taken at the probe level
     V^2*lu = PROBE_PUMPING_STRENGTH * gamma_g; the returned V satisfies
-    FWHM(V) = (1 + multiple) * FWHM(probe), both from ``calibration_fwhm``.
-    Solved by bisection on log V to 1e-6 relative within the
-    CALIBRATION_BRACKET pumping strengths.
+    FWHM(V) = (1 + multiple) * FWHM(probe), both closed-form widths from
+    ``calibration_fwhm``.  Solved by bisection on log V to 1e-6 relative
+    within the CALIBRATION_BRACKET pumping strengths.
     """
     if multiple < 0:
         raise ParameterError("broadening multiple must be >= 0")
@@ -396,25 +493,36 @@ def qfactor(metrics: ResonanceMetrics) -> float:
     return metrics.physical_contrast / metrics.fwhm_hz
 
 
-def resonance_metrics(params: ModelParams, spec: SweepSpec | None = None,
+def resonance_metrics(params: ModelParams,
                       shape: Lineshape | None = None) -> ResonanceMetrics:
     """All figures of merit for one parameter set.
 
-    Contrast comes from the asymptotic-baseline procedure; width,
-    center, and asymmetry from a sampled sweep (the default adaptive
-    sweep when neither ``spec`` nor a precomputed ``shape`` is given).
+    Contrast comes from the asymptotic-baseline procedure.  Without a
+    ``shape``, width, center and asymmetry are exact: from the closed
+    form of one RationalLineshape, against the mean of rho_ee at +/-20
+    estimated half widths, with the full system solved and checked at
+    every detuning they use.  With a sampled ``shape``, they are the
+    sampled metrics ``fwhm``, ``resonance_center`` and ``asymmetry``.
     """
-    summary = physical_contrast(params)
+    model = RationalLineshape(params)
+    summary = _contrast(params, model)
     if shape is None:
-        shape = sweep(params, spec or default_sweep_spec(params))
-    width_hz = fwhm(shape)
-    center = resonance_center(shape)
+        dip = _model_dip(model, 20.0)
+        t = _mirrored_offsets(dip.center, dip.lo, dip.hi, 200)
+        _validated(model, dip, t)
+        width_hz = (dip.hi - dip.lo) / TWO_PI
+        center = dip.center
+        asym = _antisymmetric_fraction(model.excess(t), dip.baseline)
+    else:
+        width_hz = fwhm(shape)
+        center, bottom = _extremum_location(shape.deltas, shape.rho_ee)
+        asym = _sampled_asymmetry(shape.deltas, shape.rho_ee, center, bottom)
     return ResonanceMetrics(
         baseline=summary.baseline,
         amplitude=summary.amplitude,
         physical_contrast=summary.physical_contrast,
         fwhm_hz=width_hz,
         center_hz=center / TWO_PI,
-        asymmetry=asymmetry(shape),
+        asymmetry=asym,
         qfactor=summary.physical_contrast / width_hz,
     )

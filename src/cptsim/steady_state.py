@@ -66,6 +66,7 @@ for _e, _w in TABLES.coherence_weight.items():
     _W_EXC[EXCITED_INDEX[_e]] = float(_w)
 
 _IS_UPPER = np.array(EXCITED_IS_UPPER)
+_DIAG8 = np.arange(8)
 _I20 = GROUND_INDEX[(2, 0)]
 _I10 = GROUND_INDEX[(1, 0)]
 
@@ -73,6 +74,7 @@ POPULATION_TOL = 1e-12     # allowed negative excursion of ground populations
 TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
 RESIDUAL_TOL = 1e-10       # residual bound, relative to max(1, gamma_g)
 EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
+_CHECKS = ("residual", "trace", "positivity")  # rows of RationalLineshape._bounds
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     # Population rows: relaxation + pump-out on the diagonal.  The
     # pump-out of ground g is the column sum of K (all routes out).
     pump_out = K.sum(axis=0)
-    A[:8, :8] = np.diag(np.full(8, gg) + pump_out)
+    A[_DIAG8, _DIAG8] = gg + pump_out
     b[:8] = gg / 8.0
 
     # Spontaneous feed, entering with a minus sign on the left.
@@ -299,70 +301,117 @@ def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
     )
 
 
-def rho_ee_many(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
-    """Total excited population at each Raman detuning, batched.
+class RationalLineshape:
+    """rho_ee(delta) of one parameter set, from one factorization.
 
     The detuning enters the system only on the diagonal of the two
     coherence rows, so the 8x8 population block is delta-free.  It is
-    solved once per call, for b and the two coherence columns, which
-    leaves the 2x2 Schur complement S with right-hand side r:
+    solved once, for b and the two coherence columns, which leaves the
+    2x2 Schur complement S with right-hand side r:
 
         (S + delta*I) @ x[8:] = r,   x[:8] = y0 - Z @ x[8:].
 
-    Each detuning then costs a closed-form 2x2 solve and an 8x2
-    back-substitution, vectorized over all detunings.  Every sample is
-    rebuilt as a full 10-vector and checked against the full system
-    A(delta): finite (else SingularSystem), residual within
-    RESIDUAL_TOL * max(1, gamma_g), trace within TRACE_TOL, and ground
-    populations above -POPULATION_TOL.  A broken check raises
-    InvariantViolation naming the invariant, its value, its bound and
-    the first offending detuning.
+    rho_ee is linear in x, with weights ``w_pop`` on the ground
+    populations and ``w_coh`` on Re(rho21).  Since
+    (S + delta*I)^-1 = (adj(S) + delta*I) / det(S + delta*I), it is
+    exactly the rational function
+
+        rho_ee(delta) = c0 + (p1*delta + p0) / (delta^2 + q1*delta + q0)
+
+    with q1 = tr S, q0 = det S, p1 = g.r and p0 = g.adj(S).r, where
+    g = (w_coh, 0) - Z^T w_pop and c0 = w_pop.y0 is the delta -> inf
+    limit.  :meth:`excess` evaluates the closed form; calling the object
+    solves and checks every detuning (see :func:`rho_ee_many`).
     """
-    deltas = np.asarray(deltas, dtype=float).ravel()
-    A0, b = assemble_linear_system(params.replace(delta_raman=0.0))
-    try:
-        Y = np.linalg.solve(A0[:8, :8], np.column_stack([b[:8], A0[:8, 8:]]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"population block is singular: {exc}") from exc
-    y0, Z = Y[:, 0], Y[:, 1:]
-    S = A0[8:, 8:] - A0[8:, :8] @ Z
-    r = -(A0[8:, :8] @ y0)
 
-    s00 = S[0, 0] + deltas
-    s11 = S[1, 1] + deltas
-    xs = np.empty((deltas.size, 10))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = s00 * s11 - S[0, 1] * S[1, 0]
-        xs[:, 8] = (s11 * r[0] - S[0, 1] * r[1]) / det
-        xs[:, 9] = (s00 * r[1] - S[1, 0] * r[0]) / det
-        xs[:, :8] = y0 - xs[:, 8:] @ Z.T
-    finite = np.all(np.isfinite(xs), axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise SingularSystem(
-            f"non-finite solution at delta_raman={float(deltas[i])!r} rad/s")
+    def __init__(self, params: ModelParams):
+        self.params = params
+        A0, b = assemble_linear_system(params)
+        A0[8, 8] = A0[9, 9] = 0.0  # the delta-free part
+        rhs = np.empty((8, 3))
+        rhs[:, 0], rhs[:, 1:] = b[:8], A0[:8, 8:]
+        try:
+            Y = np.linalg.solve(A0[:8, :8], rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"population block is singular: {exc}") from exc
+        self.y0, self.Z = Y[:, 0], Y[:, 1:]
+        self.S = A0[8:, 8:] - A0[8:, :8] @ self.Z
+        self.r = -(A0[8:, :8] @ self.y0)
+        (s00, s01), (s10, s11) = self.S.tolist()
+        r0, r1 = self.r.tolist()
 
-    # residual of the full A(delta) = A0 + delta*(e8 e8^T + e9 e9^T)
-    resid = xs @ A0.T
-    resid -= b
-    resid[:, 8:] += deltas[:, None] * xs[:, 8:]
-    np.abs(resid, out=resid)
-    checks = (
-        ("residual", resid.max(axis=1), RESIDUAL_TOL * max(1.0, params.gamma_g)),
-        ("trace", np.abs(xs[:, :8].sum(axis=1) - 1.0), TRACE_TOL),
-        ("positivity", -xs[:, :8].min(axis=1), POPULATION_TOL),
-    )
-    for name, value, bound in checks:
-        bad = value > bound
+        lf = lorentz_factors(params)
+        l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
+        prefac = 2.0 * params.rabi**2 * l_e / params.gamma_nat
+        self.w_pop = _A_EXC.T @ prefac
+        self.w_coh = float(_W_EXC @ prefac)
+
+        g0, g1 = (np.array([self.w_coh, 0.0]) - self.Z.T @ self.w_pop).tolist()
+        self.c0 = float(self.w_pop @ self.y0)
+        self.q1 = s00 + s11
+        self.q0 = s00 * s11 - s01 * s10
+        self.p1 = g0 * r0 + g1 * r1
+        self.p0 = g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0)
+
+        self._A0, self._b = A0, b
+        self._bounds = np.array([[RESIDUAL_TOL * max(1.0, params.gamma_g)],
+                                 [TRACE_TOL], [POPULATION_TOL]])
+
+    def excess(self, deltas):
+        """Closed-form rho_ee(delta) - c0 at a detuning or an array of
+        them, unchecked."""
+        return (self.p1 * deltas + self.p0) / ((deltas + self.q1) * deltas + self.q0)
+
+    def __call__(self, deltas: np.ndarray) -> np.ndarray:
+        """rho_ee at each detuning, each sample solved and checked."""
+        deltas = np.asarray(deltas, dtype=float).ravel()
+        (s00, s01), (s10, s11) = self.S.tolist()
+        r0, r1 = self.r.tolist()
+        a = s00 + deltas
+        d = s11 + deltas
+        xs = np.empty((deltas.size, 10))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det = a * d - s01 * s10
+            xs[:, 8] = (d * r0 - s01 * r1) / det
+            xs[:, 9] = (a * r1 - s10 * r0) / det
+            xs[:, :8] = self.y0 - xs[:, 8:] @ self.Z.T
+        if not np.isfinite(xs).all():
+            i = int(np.argmin(np.isfinite(xs).all(axis=1)))
+            raise SingularSystem(
+                f"non-finite solution at delta_raman={float(deltas[i])!r} rad/s")
+
+        # residual of the full A(delta) = A0 + delta*(e8 e8^T + e9 e9^T)
+        resid = xs @ self._A0.T
+        resid -= self._b
+        resid[:, 8:] += deltas[:, None] * xs[:, 8:]
+        np.abs(resid, out=resid)
+        pops = xs[:, :8]
+        values = np.empty((3, deltas.size))
+        resid.max(axis=1, out=values[0])
+        np.abs(pops.sum(axis=1) - 1.0, out=values[1])
+        np.negative(pops.min(axis=1), out=values[2])
+        bad = values > self._bounds
         if bad.any():
-            i = int(np.argmax(bad))
+            c = int(np.argmax(bad.any(axis=1)))
+            i = int(np.argmax(bad[c]))
+            name, value, bound = _CHECKS[c], float(values[c, i]), float(self._bounds[c, 0])
             raise InvariantViolation(
                 f"{name} invariant broken at delta_raman={float(deltas[i])!r} rad/s: "
-                f"{value[i]:.3e} exceeds bound {bound:.3e}",
-                invariant=name, value=float(value[i]), bound=bound,
-                delta_raman=float(deltas[i]))
+                f"{value:.3e} exceeds bound {bound:.3e}",
+                invariant=name, value=value, bound=bound, delta_raman=float(deltas[i]))
+        return pops @ self.w_pop + xs[:, 8] * self.w_coh
 
-    lf = lorentz_factors(params)
-    l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
-    prefac = 2.0 * params.rabi**2 * l_e / params.gamma_nat
-    return xs[:, :8] @ (_A_EXC.T @ prefac) + xs[:, 8] * (_W_EXC @ prefac)
+
+def rho_ee_many(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
+    """Total excited population at each Raman detuning, batched.
+
+    One :class:`RationalLineshape` factorization; each detuning then
+    costs a closed-form 2x2 solve and an 8x2 back-substitution,
+    vectorized over all detunings.  Every sample is rebuilt as a full
+    10-vector and checked against the full system A(delta): finite
+    (else SingularSystem), residual within RESIDUAL_TOL * max(1, gamma_g),
+    trace within TRACE_TOL, and ground populations above
+    -POPULATION_TOL.  A broken check raises InvariantViolation naming
+    the invariant, its value, its bound and the first offending detuning.
+    """
+    return RationalLineshape(params)(deltas)

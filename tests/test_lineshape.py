@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 import cptsim.lineshape as lineshape_mod
-from cptsim import (Depolarization, Lineshape, NonConvergentBaseline,
-                    NoResonance, NotBracketed, ParameterError,
-                    ResonanceMetrics, Spacing, SweepSpec, Unbracketed,
-                    asymmetry, calibrate_power_broadening,
-                    default_sweep_spec, fwhm, physical_contrast, qfactor,
-                    rabi_for_pumping_strength, resonance_center,
-                    resonance_metrics, sweep)
+from cptsim import (Depolarization, InvariantViolation, Lineshape,
+                    NonConvergentBaseline, NoResonance, NotBracketed,
+                    ParameterError, RationalLineshape, ResonanceMetrics,
+                    Spacing, SweepSpec, Unbracketed, asymmetry,
+                    calibrate_power_broadening, default_sweep_spec, fwhm,
+                    physical_contrast, qfactor, rabi_for_pumping_strength,
+                    resonance_center, resonance_metrics, rho_ee_many, sweep)
+from cptsim.lineshape import calibration_fwhm
 
-from conftest import make_params
+from conftest import make_params, random_params
 
 TWO_PI = 2 * np.pi
 
@@ -230,16 +231,119 @@ def test_baseline_consistency_with_wide_sweep():
 def test_baseline_divergence_raises(monkeypatch):
     calls = {"n": 0}
 
-    def fake_rho(params, deltas):
-        calls["n"] += 1
-        return np.full(np.asarray(deltas).size, 1.0 + 0.1 * calls["n"])
+    class DriftingShape:
+        """A lineshape whose every evaluation moves the baseline."""
 
-    monkeypatch.setattr(lineshape_mod, "rho_ee_many", fake_rho)
+        def __init__(self, params):
+            pass
+
+        def __call__(self, deltas):
+            calls["n"] += 1
+            return np.full(np.asarray(deltas).size, 1.0 + 0.1 * calls["n"])
+
+    monkeypatch.setattr(lineshape_mod, "RationalLineshape", DriftingShape)
     with pytest.raises(NonConvergentBaseline):
         physical_contrast(params_at_strength(1.0))
 
 
+# ------------------------------------------------------ closed-form metrics
+
+def test_closed_form_center_is_stationary_and_crossings_sit_at_half_level(rng):
+    for mode in (Depolarization.NONE, Depolarization.COMPLETE):
+        for _ in range(10):
+            p = random_params(rng, mode=mode)
+            model = RationalLineshape(p)
+            dip = lineshape_mod._model_dip(model, 20.0)
+            c = dip.center
+            # derivative numerator of the rational excess, against its terms
+            terms = np.array([-model.p1 * c * c, -2.0 * model.p0 * c,
+                              model.p1 * model.q0, -model.p0 * model.q1])
+            assert abs(terms.sum()) <= 1e-12 * np.abs(terms).sum()
+            width = dip.hi - dip.lo
+            near = rho_ee_many(p, c + width * np.array([-1e-3, 0.0, 1e-3]))
+            assert near[1] <= near[0] and near[1] <= near[2]
+            # the half level from checked solves at the edges and the center
+            edges = rho_ee_many(p, np.array([-dip.edge, dip.edge]))
+            level = 0.5 * (edges.mean() + near[1])
+            depth = edges.mean() - near[1]
+            at = rho_ee_many(p, np.array([dip.lo, dip.hi]))
+            np.testing.assert_allclose(at, level, rtol=0, atol=1e-9 * depth)
+
+
+@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
+def test_sampled_fwhm_converges_to_closed_form_at_second_order(mode):
+    # linear crossings on a linear grid: relative error <= 1.5 (h/FWHM)^2
+    p = params_at_strength(8.9, mode=mode)
+    exact = resonance_metrics(p).fwhm_hz
+    for n in (251, 501, 1001, 2001, 4001, 8001):
+        shape = sweep(p, default_sweep_spec(p, n_points=n, spacing=Spacing.LINEAR))
+        h = (shape.deltas[1] - shape.deltas[0]) / TWO_PI
+        err = abs(fwhm(shape) - exact) / exact
+        assert err <= 2.0 * (h / exact) ** 2
+
+
+def test_complete_mode_closed_form_is_even(rng):
+    for _ in range(20):
+        p = random_params(rng, mode=Depolarization.COMPLETE)
+        model = RationalLineshape(p)
+        scale = math.sqrt(model.q0)
+        assert abs(model.q1) <= 1e-12 * scale
+        assert abs(model.p1) * scale <= 1e-12 * abs(model.p0)
+        m = resonance_metrics(p)
+        assert abs(m.center_hz) <= 1e-12 * m.fwhm_hz
+        assert m.asymmetry <= 1e-12
+
+
+def test_closed_form_metrics_of_a_dark_cell_raise_no_resonance():
+    with pytest.raises(NoResonance):
+        resonance_metrics(make_params(rabi=0.0))
+    with pytest.raises(NoResonance):
+        calibration_fwhm(make_params(rabi=0.0))
+
+
+@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
+def test_closed_form_metrics_check_the_solves(mode):
+    # fig-1 geometry at gamma_g = 1 Hz, s = 3e6: the checked solves reject
+    # the stiff solution, so the closed form is not taken on trust
+    base = make_params(gamma_g=1.0, mode=mode)
+    p = base.replace(rabi=rabi_for_pumping_strength(base, 3e6))
+    with pytest.raises(InvariantViolation):
+        resonance_metrics(p)
+    with pytest.raises(InvariantViolation):
+        calibration_fwhm(p)
+
+
+def test_sampled_metrics_find_the_extremum_once(monkeypatch):
+    p = params_at_strength(8.9, mode=Depolarization.NONE)
+    shape = sweep(p, default_sweep_spec(p))
+    expected = (resonance_center(shape) / TWO_PI, asymmetry(shape))
+    calls = []
+    real = lineshape_mod._extremum_location
+
+    def counting(deltas, ys):
+        calls.append(1)
+        return real(deltas, ys)
+
+    monkeypatch.setattr(lineshape_mod, "_extremum_location", counting)
+    m = resonance_metrics(p, shape=shape)
+    assert len(calls) == 1
+    assert (m.center_hz, m.asymmetry) == expected
+    assert m.fwhm_hz == fwhm(shape)
+
+
 # ------------------------------------------------------------ calibration
+
+def test_calibration_makes_no_sweep(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("calibration swept")
+
+    monkeypatch.setattr(lineshape_mod, "sweep", no_sweep)
+    base = make_params(mode=Depolarization.NONE)
+    rabi = calibrate_power_broadening(base, 3.0)
+    probe = base.replace(rabi=rabi_for_pumping_strength(base, 1e-3))
+    ratio = calibration_fwhm(base.replace(rabi=rabi)) / calibration_fwhm(probe)
+    assert ratio == pytest.approx(4.0, rel=1e-5)
+
 
 def test_calibration_round_trip_multiple_three():
     base = make_params(mode=Depolarization.COMPLETE)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cptsim.steady_state as steady_state_mod
 from cptsim import (Depolarization, InvariantViolation, ParameterError,
-                    SingularSystem, assemble_linear_system, default_sweep_spec,
+                    RationalLineshape, SingularSystem,
+                    assemble_linear_system, default_sweep_spec,
                     depolarize, equation_residuals, excited_from_ground, fwhm,
                     hz_to_angular, lorentz_factors, pumping_strength,
                     rabi_for_pumping_strength, rho_ee_many,
@@ -299,6 +302,23 @@ def test_batched_rho_ee_matches_full_unreduced_system(mode, rng):
         batched = rho_ee_many(p, deltas)
         oracle = [solve_full_system(p.replace(delta_raman=d))[1].sum() for d in deltas]
         np.testing.assert_allclose(batched, oracle, rtol=1e-10, atol=0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from([Depolarization.NONE, Depolarization.COMPLETE]))
+def test_rational_lineshape_matches_batched_and_unreduced_solves(seed, mode):
+    # c0 + (p1*d + p0)/(d^2 + q1*d + q0) is exact: it equals the checked
+    # per-detuning solves and the un-reduced 18-unknown oracle
+    p = random_params(np.random.default_rng(seed), mode=mode)
+    model = RationalLineshape(p)
+    hw = p.gamma_g + model.q0**0.5  # of the order of the dip's half width
+    deltas = np.concatenate([p.delta_raman * np.array([-3.0, -1.0, 0.5, 2.0]),
+                             hw * np.array([-20.0, -1.0, 0.0, 0.3, 1.0, 20.0])])
+    closed = model.c0 + model.excess(deltas)
+    np.testing.assert_allclose(closed, rho_ee_many(p, deltas), rtol=1e-12, atol=0)
+    oracle = [solve_full_system(p.replace(delta_raman=d))[1].sum() for d in deltas]
+    np.testing.assert_allclose(closed, oracle, rtol=1e-10, atol=0)
 
 
 def test_batched_rho_ee_non_finite_sample_is_singular():
