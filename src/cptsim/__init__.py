@@ -10,10 +10,9 @@ temperature, and fits measured transmission scans.
 from .couplings import (CouplingTables, EXCITED_LEVELS, GROUND_LEVELS,
                         build_coupling_tables)
 from .errors import (ConfigError, CptsimError, InvalidSpin,
-                     InvariantViolation, MonotonicityError,
-                     NonConvergentBaseline, NoResonance, NotBracketed,
-                     OutOfRange, ParameterError, ParseError, SingularSystem,
-                     TooFewSamples, Unbracketed)
+                     InvariantViolation, MonotonicityError, NoResonance,
+                     NotBracketed, OutOfRange, ParameterError, ParseError,
+                     SingularSystem, TooFewSamples, Unbracketed)
 from .lineshape import (ContrastSummary, Lineshape, ResonanceMetrics,
                         Spacing, SweepSpec, asymmetry,
                         calibrate_power_broadening, default_sweep_spec,

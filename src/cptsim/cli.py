@@ -398,7 +398,8 @@ def cmd_spin_exchange(opts: dict) -> int:
     t_min, t_max, t_step = opts["t_min_c"], opts["t_max_c"], opts["t_step_c"]
     if t_step <= 0 or t_max < t_min:
         raise ConfigError("need t_max_c >= t_min_c and t_step_c > 0")
-    n_steps = int(round((t_max - t_min) / t_step))
+    # the last temperature passes t_max by roundoff at most
+    n_steps = math.floor((t_max - t_min) / t_step + 1e-9)
     temps_c = [t_min + i * t_step for i in range(n_steps + 1)]
     rows = []
     for t_c in temps_c:

@@ -35,9 +35,10 @@ Three tables are kept, all with exact ``fractions.Fraction`` entries:
 
 Detailed balance ties the tables together: c = 2a for every
 (ground, excited) pair, which is exactly the rate balance
-gamma * rho_e = (pump-out into e).  This identity is what pins down
-the corrected pump brackets; it is validated on construction and again
-in the test suite.
+gamma * rho_e = (pump-out into e).  Only the branching and excitation
+tables are typed in; ``pump`` is derived from ``excitation`` by this
+identity, which is validated on construction and again in the test
+suite.
 """
 
 from __future__ import annotations
@@ -63,17 +64,6 @@ EXCITED_INDEX = {lvl: i for i, lvl in enumerate(EXCITED_LEVELS)}
 EXCITED_IS_UPPER: tuple[bool, ...] = tuple(f == 2 for f, _ in EXCITED_LEVELS)
 
 F = Fraction
-
-_PUMP: dict[Level, tuple[tuple[Level, Fraction], ...]] = {
-    (2, -2): (((2, -1), F(1, 3)), ((1, -1), F(1, 1))),
-    (2, -1): (((2, 0), F(1, 2)), ((1, 0), F(1, 2))),
-    (2, 0):  (((2, 1), F(1, 2)), ((1, 1), F(1, 6))),
-    (2, 1):  (((2, 2), F(1, 3)),),
-    (2, 2):  (),
-    (1, -1): (((2, 0), F(1, 6)), ((1, 0), F(1, 6))),
-    (1, 0):  (((2, 1), F(1, 2)), ((1, 1), F(1, 6))),
-    (1, 1):  (((2, 2), F(1, 1)),),
-}
 
 _BRANCH: dict[Level, tuple[tuple[Level, Fraction], ...]] = {
     (2, -2): (((2, -2), F(1, 3)), ((2, -1), F(1, 6)), ((1, -1), F(1, 2))),
@@ -101,6 +91,13 @@ _EXCITATION: dict[Level, tuple[tuple[Level, Fraction], ...]] = {
     (1, -1): (((2, -2), F(1, 2)),),
     (1, 0):  (((2, -1), F(1, 4)), ((1, -1), F(1, 12))),
     (1, 1):  (((2, 0), F(1, 12)), ((1, 0), F(1, 12))),
+}
+
+# Detailed balance, c = 2a: each pump route is an excitation route read
+# from the ground side, listed in excited-level order.
+_PUMP: dict[Level, tuple[tuple[Level, Fraction], ...]] = {
+    g: tuple((e, 2 * a) for e, rows in _EXCITATION.items() for gr, a in rows if gr == g)
+    for g in GROUND_LEVELS
 }
 
 # a-scale coefficient of Re(rho21) for the sublevels fed by the m=0 pair.

@@ -39,10 +39,6 @@ class Unbracketed(CptsimError):
     """A half-depth crossing lies outside the sampled range."""
 
 
-class NonConvergentBaseline(CptsimError):
-    """The far-detuned baseline did not stabilize within the search range."""
-
-
 class NotBracketed(CptsimError):
     """A root-finding target is unreachable within the allowed bracket."""
 

@@ -5,20 +5,20 @@ function of the two-photon detuning delta.  The dark state forms at
 delta = 0, so rho_ee shows a dip there (the transmitted intensity
 correspondingly peaks).  All metrics below are defined on that dip:
 
-* physical contrast  [rho_ee(far) - rho_ee(0)] / rho_ee(far), with the
-  far-detuned baseline obtained by pushing |delta| out by doubling
-  factors until it stabilizes;
+* physical contrast  [c0 - rho_ee(0)] / c0, against the exact
+  far-detuned baseline c0 = rho_ee(|delta| -> inf);
 * FWHM between the two crossings of the level halfway from the edge
   baseline (the mean of rho_ee at the two window edges) to the bottom;
 * center, the extremum of the dip, and asymmetry, the L2 fraction of
   the dip's antisymmetric part about it over the FWHM window;
 * quality factor = contrast / FWHM(Hz).
 
-Model metrics (``resonance_metrics(params)``, ``calibration_fwhm``,
-``calibrate_power_broadening``) are exact: rho_ee is a rational function
-of delta (``steady_state.RationalLineshape``), so the center and the
-crossings are roots of quadratics, and the full system is solved and
-checked at every detuning a metric uses.  Sampled metrics (``fwhm``,
+Model metrics (``physical_contrast``, ``resonance_metrics(params)``,
+``calibration_fwhm``, ``calibrate_power_broadening``) are exact: rho_ee
+is a rational function of delta (``steady_state.RationalLineshape``), so
+c0 is its limit, the center and the crossings are roots of quadratics,
+and the full system is solved and checked at every finite detuning a
+metric uses.  Sampled metrics (``fwhm``,
 ``resonance_center``, ``asymmetry`` of a ``Lineshape``) use linear
 crossings and a local cubic through the samples, with an O(h^4) value
 error at sample spacing h; they serve ``sweep`` output and measured data.
@@ -35,15 +35,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (NonConvergentBaseline, NoResonance, NotBracketed,
-                     ParameterError, Unbracketed)
-from .params import (TWO_PI, ModelParams, lorentz_factors, pump_rate,
-                     rabi_for_pumping_strength)
+from .errors import NoResonance, NotBracketed, ParameterError, Unbracketed
+from .params import TWO_PI, ModelParams, pump_rate, rabi_for_pumping_strength
 from .steady_state import RationalLineshape, rho_ee_many
 
-BASELINE_K_START = 1e3
-BASELINE_K_MAX = 1e9
-BASELINE_RTOL = 1e-6
 PROBE_PUMPING_STRENGTH = 1e-3     # "zero-power" reference for broadening
 CALIBRATION_BRACKET = (1e-4, 1e4)  # pumping-strength bracket for the V search
 MIN_SAMPLES_IN_FWHM = 50
@@ -348,35 +343,24 @@ def _antisymmetric_fraction(values: np.ndarray, baseline: float) -> float:
 def physical_contrast(params: ModelParams) -> ContrastSummary:
     """Contrast of the dip against the far-detuned baseline.
 
-    The baseline is the mean of rho_ee at delta = +/- K*W with
-    W = max(gamma_g, V^2*lu); K starts at BASELINE_K_START and doubles
-    until the baseline moves by less than BASELINE_RTOL relative.  Only
-    delta = 0 and the visited rungs are solved, all on one factorization.
+    The baseline is c0, the exact limit of rho_ee as |delta| -> inf, and
+    the amplitude is c0 - rho_ee(0) = -(p0/q0), both from one
+    RationalLineshape; the amplitude is taken directly, not as that
+    difference.  The full system is solved and checked at delta = 0, and
+    the limit state for trace and positivity.
     """
-    return _contrast(params, RationalLineshape(params))
+    model = RationalLineshape(params)
+    model(np.array([0.0]))
+    return _contrast(model)
 
 
-def _contrast(params: ModelParams, model: RationalLineshape) -> ContrastSummary:
-    if params.rabi == 0.0:
+def _contrast(model: RationalLineshape) -> ContrastSummary:
+    """Contrast from the closed form; checks the delta -> inf state."""
+    if model.params.rabi == 0.0:
         return ContrastSummary(0.0, 0.0, 0.0)
-    lf = lorentz_factors(params)
-    w = max(params.gamma_g, params.rabi**2 * lf.lu)
-    at_zero = float(model(np.array([0.0]))[0])
-
-    def baseline_at(k: float) -> float:
-        return float(model(np.array([-k * w, k * w])).mean())
-
-    k = BASELINE_K_START
-    prev = baseline_at(k)
-    while k <= BASELINE_K_MAX:
-        k *= 2.0
-        cur = baseline_at(k)
-        if abs(cur - prev) <= BASELINE_RTOL * abs(prev):
-            amplitude = cur - at_zero
-            return ContrastSummary(cur, amplitude, amplitude / cur)
-        prev = cur
-    raise NonConvergentBaseline(
-        f"baseline still drifting at |delta| = {k:.3e} * W")
+    model.check_limit()
+    amplitude = -model.excess(0.0)
+    return ContrastSummary(model.c0, amplitude, amplitude / model.c0)
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
@@ -497,26 +481,28 @@ def resonance_metrics(params: ModelParams,
                       shape: Lineshape | None = None) -> ResonanceMetrics:
     """All figures of merit for one parameter set.
 
-    Contrast comes from the asymptotic-baseline procedure.  Without a
-    ``shape``, width, center and asymmetry are exact: from the closed
+    Contrast is exact, as in ``physical_contrast``.  Without a
+    ``shape``, width, center and asymmetry are exact too: from the closed
     form of one RationalLineshape, against the mean of rho_ee at +/-20
-    estimated half widths, with the full system solved and checked at
-    every detuning they use.  With a sampled ``shape``, they are the
-    sampled metrics ``fwhm``, ``resonance_center`` and ``asymmetry``.
+    estimated half widths.  The full system is then solved and checked
+    once, at delta = 0 and at every detuning these metrics use.  With a
+    sampled ``shape``, they are the sampled metrics ``fwhm``,
+    ``resonance_center`` and ``asymmetry``, and only delta = 0 is solved.
     """
     model = RationalLineshape(params)
-    summary = _contrast(params, model)
     if shape is None:
         dip = _model_dip(model, 20.0)
         t = _mirrored_offsets(dip.center, dip.lo, dip.hi, 200)
-        _validated(model, dip, t)
+        _validated(model, dip, [0.0], t)
         width_hz = (dip.hi - dip.lo) / TWO_PI
         center = dip.center
         asym = _antisymmetric_fraction(model.excess(t), dip.baseline)
     else:
+        model(np.array([0.0]))
         width_hz = fwhm(shape)
         center, bottom = _extremum_location(shape.deltas, shape.rho_ee)
         asym = _sampled_asymmetry(shape.deltas, shape.rho_ee, center, bottom)
+    summary = _contrast(model)
     return ResonanceMetrics(
         baseline=summary.baseline,
         amplitude=summary.amplitude,

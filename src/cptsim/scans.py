@@ -93,7 +93,6 @@ def _parse_lines(lines: Iterable[str]) -> Scan:
     freqs: list[float] = []
     sigs: list[float] = []
     header_allowed = True
-    lineno_of: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -121,10 +120,6 @@ def _parse_lines(lines: Iterable[str]) -> Scan:
             raise ParseError(f"non-finite value in {line!r}", line=lineno)
         freqs.append(f)
         sigs.append(y)
-        lineno_of.append(lineno)
-
-    if len(freqs) < MIN_SAMPLES:
-        raise TooFewSamples(f"scan has {len(freqs)} samples, need >= {MIN_SAMPLES}")
     return Scan(np.array(freqs), np.array(sigs), metadata)
 
 

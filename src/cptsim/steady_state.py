@@ -29,6 +29,7 @@ between excitation and feed), while the excited populations returned by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,7 +322,8 @@ class RationalLineshape:
     with q1 = tr S, q0 = det S, p1 = g.r and p0 = g.adj(S).r, where
     g = (w_coh, 0) - Z^T w_pop and c0 = w_pop.y0 is the delta -> inf
     limit.  :meth:`excess` evaluates the closed form; calling the object
-    solves and checks every detuning (see :func:`rho_ee_many`).
+    solves and checks every detuning (see :func:`rho_ee_many`), and
+    :meth:`check_limit` checks the delta -> inf state.
     """
 
     def __init__(self, params: ModelParams):
@@ -394,12 +396,25 @@ class RationalLineshape:
         if bad.any():
             c = int(np.argmax(bad.any(axis=1)))
             i = int(np.argmax(bad[c]))
-            name, value, bound = _CHECKS[c], float(values[c, i]), float(self._bounds[c, 0])
-            raise InvariantViolation(
-                f"{name} invariant broken at delta_raman={float(deltas[i])!r} rad/s: "
-                f"{value:.3e} exceeds bound {bound:.3e}",
-                invariant=name, value=value, bound=bound, delta_raman=float(deltas[i]))
+            raise _broken(_CHECKS[c], values[c, i], self._bounds[c, 0], deltas[i])
         return pops @ self.w_pop + xs[:, 8] * self.w_coh
+
+    def check_limit(self) -> None:
+        """Check the delta -> inf state (ground populations y0, no
+        coherence), whose rho_ee is c0: trace within TRACE_TOL and
+        populations above -POPULATION_TOL."""
+        for name, value, bound in (("trace", abs(self.y0.sum() - 1.0), TRACE_TOL),
+                                   ("positivity", -self.y0.min(), POPULATION_TOL)):
+            if not value <= bound:
+                raise _broken(name, value, bound, math.inf)
+
+
+def _broken(name: str, value, bound, delta) -> InvariantViolation:
+    value, bound, delta = float(value), float(bound), float(delta)
+    return InvariantViolation(
+        f"{name} invariant broken at delta_raman={delta!r} rad/s: "
+        f"{value:.3e} exceeds bound {bound:.3e}",
+        invariant=name, value=value, bound=bound, delta_raman=delta)
 
 
 def rho_ee_many(params: ModelParams, deltas: np.ndarray) -> np.ndarray:

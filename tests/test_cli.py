@@ -178,6 +178,21 @@ def test_spin_exchange_prefactor_and_linearity(capsys):
     assert g3 == pytest.approx(2 * g1, rel=1e-12)
 
 
+def test_spin_exchange_stops_at_t_max(capsys):
+    def temperatures(*argv):
+        code, out, _ = run(capsys, "spin-exchange", *argv)
+        assert code == 0
+        return [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+
+    # a step that does not divide the range ends below t_max, not past it
+    assert temperatures("--t-min-c", "50", "--t-max-c", "51",
+                        "--t-step-c", "0.6") == [50.0, 50.6]
+    # a step that divides it up to roundoff still reaches t_max
+    temps = temperatures("--t-min-c", "50", "--t-max-c", "50.3", "--t-step-c", "0.1")
+    assert len(temps) == 4 and temps[-1] == pytest.approx(50.3, abs=1e-12)
+    assert temperatures() == [50.0 + i for i in range(41)]
+
+
 def test_spin_exchange_out_of_range(capsys):
     code, _, err = run(capsys, "spin-exchange", "--t-max-c", "400")
     assert code == 3

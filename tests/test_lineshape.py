@@ -7,15 +7,16 @@ import pytest
 
 import cptsim.lineshape as lineshape_mod
 from cptsim import (Depolarization, InvariantViolation, Lineshape,
-                    NonConvergentBaseline, NoResonance, NotBracketed,
-                    ParameterError, RationalLineshape, ResonanceMetrics,
-                    Spacing, SweepSpec, Unbracketed, asymmetry,
+                    NoResonance, NotBracketed, ParameterError,
+                    RationalLineshape, ResonanceMetrics, Spacing, SweepSpec,
+                    Unbracketed, asymmetry,
                     calibrate_power_broadening, default_sweep_spec, fwhm,
                     physical_contrast, qfactor, rabi_for_pumping_strength,
                     resonance_center, resonance_metrics, rho_ee_many, sweep)
-from cptsim.lineshape import calibration_fwhm
+from cptsim.lineshape import calibration_fwhm, halfwidth_estimate
 
 from conftest import make_params, random_params
+from oracles import solve_full_system
 
 TWO_PI = 2 * np.pi
 
@@ -228,22 +229,76 @@ def test_baseline_consistency_with_wide_sweep():
     assert sweep_contrast == pytest.approx(summary.physical_contrast, rel=5e-3)
 
 
-def test_baseline_divergence_raises(monkeypatch):
-    calls = {"n": 0}
+@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
+def test_contrast_is_linear_in_weak_pumping(mode):
+    # contrast ~ s at weak pumping; with the exact baseline and the
+    # amplitude taken without cancellation, contrast/s holds to ~5e-9
+    c = [physical_contrast(params_at_strength(s, mode=mode)).physical_contrast / s
+         for s in (1e-10, 1e-8)]
+    assert c[0] == pytest.approx(c[1], rel=1e-7)
 
-    class DriftingShape:
-        """A lineshape whose every evaluation moves the baseline."""
 
-        def __init__(self, params):
-            pass
+def test_baseline_is_the_exact_far_detuned_limit(rng):
+    for mode in (Depolarization.NONE, Depolarization.COMPLETE):
+        for _ in range(5):
+            p = random_params(rng, mode=mode)
+            summary = physical_contrast(p)
+            assert summary.baseline == RationalLineshape(p).c0
+            far = 2e7 * halfwidth_estimate(p)
+            oracle = np.mean([solve_full_system(p.replace(delta_raman=d))[1].sum()
+                              for d in (-far, far)])
+            assert summary.baseline == pytest.approx(oracle, rel=1e-9)
+            at_zero = solve_full_system(p.replace(delta_raman=0.0))[1].sum()
+            assert summary.amplitude == pytest.approx(oracle - at_zero, rel=1e-9)
 
+
+def test_contrast_checks_the_far_detuned_state(monkeypatch):
+    p = params_at_strength(8.9)
+    model = RationalLineshape(p)
+    model.check_limit()
+    y0 = model.y0
+    model.y0 = y0 * (1.0 + 1e-9)
+    with pytest.raises(InvariantViolation) as err:
+        model.check_limit()
+    assert (err.value.invariant, err.value.delta_raman) == ("trace", math.inf)
+    model.y0 = y0.copy()
+    model.y0[4] += model.y0[0] + 1e-11
+    model.y0[0] = -1e-11
+    with pytest.raises(InvariantViolation) as err:
+        model.check_limit()
+    assert (err.value.invariant, err.value.delta_raman) == ("positivity", math.inf)
+
+    class OffTrace(RationalLineshape):
         def __call__(self, deltas):
-            calls["n"] += 1
-            return np.full(np.asarray(deltas).size, 1.0 + 0.1 * calls["n"])
+            values = super().__call__(deltas)
+            # the delta -> inf state leaves the trace after the finite checks
+            self.y0 = self.y0 * (1.0 + 1e-8)
+            return values
 
-    monkeypatch.setattr(lineshape_mod, "RationalLineshape", DriftingShape)
-    with pytest.raises(NonConvergentBaseline):
-        physical_contrast(params_at_strength(1.0))
+    monkeypatch.setattr(lineshape_mod, "RationalLineshape", OffTrace)
+    for call in (physical_contrast, resonance_metrics):
+        with pytest.raises(InvariantViolation) as err:
+            call(p)
+        assert err.value.invariant == "trace"
+        assert err.value.delta_raman == math.inf
+        assert err.value.value == pytest.approx(1e-8, rel=1e-3)
+
+
+def test_contrast_and_metrics_make_one_checked_solve(monkeypatch):
+    batches = []
+    real = RationalLineshape.__call__
+
+    def counting(self, deltas):
+        batches.append(np.asarray(deltas, dtype=float).ravel())
+        return real(self, deltas)
+
+    monkeypatch.setattr(RationalLineshape, "__call__", counting)
+    p = params_at_strength(8.9, mode=Depolarization.NONE)
+    physical_contrast(p)
+    assert len(batches) == 1 and list(batches[0]) == [0.0]
+    batches.clear()
+    resonance_metrics(p)
+    assert len(batches) == 1 and 0.0 in batches[0]
 
 
 # ------------------------------------------------------ closed-form metrics

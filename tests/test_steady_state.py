@@ -281,8 +281,8 @@ def _rho_ee_per_point(p, delta):
 @pytest.mark.parametrize("strength", [0.01, 8.9, 1e3])
 def test_batched_rho_ee_matches_per_point_lu(mode, strength):
     # the Schur-complement batch against a full LU solve per detuning:
-    # the dip center, +/- FWHM, and the far-baseline detunings that
-    # physical_contrast visits (K * W, K doubling from 1e3 up to 1e9)
+    # the dip center, +/- FWHM, and far detunings K * W with K from 1e3
+    # to 1e9, where rho_ee approaches its delta -> inf limit c0
     base = make_params(mode=mode)
     p = base.replace(rabi=rabi_for_pumping_strength(base, strength))
     width = 2 * np.pi * fwhm(sweep(p, default_sweep_spec(p)))
