@@ -299,7 +299,7 @@ def cmd_sweep(opts: dict) -> int:
     (params,) = _build_params(opts)
     spec = _sweep_spec_from(opts, params)
     shape = sweep(params, spec)
-    metrics = resonance_metrics(params, shape=shape)
+    metrics = resonance_metrics(params)
 
     metrics_block = {
         "params_hz": _params_hz_dict(params),

@@ -16,10 +16,9 @@ class SingularSystem(CptsimError):
 class InvariantViolation(CptsimError):
     """A solution violates a physical invariant (trace, positivity, residual).
 
-    Where the raiser knows them, ``invariant`` names the broken check,
-    ``value`` and ``bound`` give its measured value and limit, and
-    ``delta_raman`` the detuning (rad/s) of the offending sample; each is
-    None otherwise.
+    ``invariant`` names the broken check, ``value`` and ``bound`` give
+    its measured value and limit, and ``delta_raman`` the detuning
+    (rad/s) of the offending sample; the package's solvers set all four.
     """
 
     def __init__(self, message, invariant=None, value=None, bound=None,

@@ -18,10 +18,11 @@ Model metrics (``physical_contrast``, ``resonance_metrics(params)``,
 is a rational function of delta (``steady_state.RationalLineshape``), so
 c0 is its limit, the center and the crossings are roots of quadratics,
 and the full system is solved and checked at every finite detuning a
-metric uses.  Sampled metrics (``fwhm``,
+metric uses.  ``sweep`` samples that same rational function, placing
+its ADAPTIVE grid from the exact crossings.  Sampled metrics (``fwhm``,
 ``resonance_center``, ``asymmetry`` of a ``Lineshape``) use linear
 crossings and a local cubic through the samples, with an O(h^4) value
-error at sample spacing h; they serve ``sweep`` output and measured data.
+error at sample spacing h; they serve sampled and measured curves.
 
 All detunings in this module are angular (rad/s) except where a name
 ends in ``_hz``.
@@ -37,12 +38,11 @@ import numpy as np
 
 from .errors import NoResonance, NotBracketed, ParameterError, Unbracketed
 from .params import TWO_PI, ModelParams, pump_rate, rabi_for_pumping_strength
-from .steady_state import RationalLineshape, rho_ee_many
+from .steady_state import RationalLineshape
 
 PROBE_PUMPING_STRENGTH = 1e-3     # "zero-power" reference for broadening
 CALIBRATION_BRACKET = (1e-4, 1e4)  # pumping-strength bracket for the V search
 MIN_SAMPLES_IN_FWHM = 50
-MIN_GAP_REL = 1e-9                # closest refinement detuning, share of the sweep span
 
 
 class Spacing(Enum):
@@ -121,44 +121,44 @@ def default_sweep_spec(params: ModelParams, span_halfwidths: float = 20.0,
 def sweep(params: ModelParams, spec: SweepSpec) -> Lineshape:
     """Sample rho_ee over the requested detuning grid.
 
-    ADAPTIVE spacing starts from the linear grid and inserts points
-    across the dip until the half-depth span holds at least
-    max(MIN_SAMPLES_IN_FWHM, n_points/3) samples.  Each round solves
-    only its new detunings and merges them into the sorted samples; a
-    new detuning within MIN_GAP_REL * (delta_max - delta_min) of a kept
-    sample is dropped, since a cubic through such a near-duplicate pair
-    turns roundoff in rho_ee into center and asymmetry errors.
+    One RationalLineshape factorization places the grid, and one checked
+    call solves every detuning on it.  ADAPTIVE spacing places the
+    grid in one step from the exact half-depth crossings lo, hi of the
+    model dip (``_model_dip`` at +/-20 estimated half widths): the linear
+    samples in [lo - w, hi + w], w = hi - lo, clipped to the span, are
+    replaced by an even grid that puts at least
+    max(MIN_SAMPLES_IN_FWHM, n_points // 3) samples inside the FWHM, and
+    linear samples within half its spacing of that window are dropped.
+    The linear grid is kept when the model has no dip, a crossing lies
+    outside the span, or the linear grid already holds that many samples.
     """
+    model = RationalLineshape(params)
     deltas = np.linspace(spec.delta_min, spec.delta_max, spec.n_points)
-    ys = rho_ee_many(params, deltas)
-    if spec.spacing is Spacing.LINEAR:
-        return Lineshape(deltas, ys, params)
+    if spec.spacing is Spacing.ADAPTIVE:
+        deltas = _adaptive_grid(model, spec, deltas)
+    return Lineshape(deltas, model(deltas), params)
 
+
+def _adaptive_grid(model: RationalLineshape, spec: SweepSpec,
+                   deltas: np.ndarray) -> np.ndarray:
+    """The linear grid ``deltas`` refined across the model dip (see ``sweep``)."""
+    try:
+        dip = _model_dip(model, 20.0)
+    except (NoResonance, Unbracketed):
+        return deltas
     # target sampling inside the dip scales with the requested grid so
     # that doubling n_points keeps halving the in-window spacing
     target = max(MIN_SAMPLES_IN_FWHM, spec.n_points // 3)
-    min_gap = MIN_GAP_REL * (spec.delta_max - spec.delta_min)
-    for _ in range(12):
-        try:
-            lo, hi = _half_depth_crossings(deltas, ys)
-        except (NoResonance, Unbracketed):
-            break
-        inside = int(np.count_nonzero((deltas > lo) & (deltas < hi)))
-        if inside >= target:
-            break
-        width = hi - lo
-        extra = np.linspace(lo - width, hi + width, max(spec.n_points, 51))
-        extra = extra[(extra >= spec.delta_min) & (extra <= spec.delta_max)]
-        at = np.searchsorted(deltas, extra)
-        gap = np.minimum(extra - deltas[np.maximum(at - 1, 0)],
-                         deltas[np.minimum(at, deltas.size - 1)] - extra)
-        keep = gap > min_gap
-        if not keep.any():
-            break
-        extra, at = extra[keep], at[keep]
-        deltas = np.insert(deltas, at, extra)
-        ys = np.insert(ys, at, rho_ee_many(params, extra))
-    return Lineshape(deltas, ys, params)
+    inside = np.count_nonzero((deltas > dip.lo) & (deltas < dip.hi))
+    if not spec.delta_min < dip.lo < dip.hi < spec.delta_max or inside >= target:
+        return deltas
+    width = dip.hi - dip.lo
+    a = max(dip.lo - width, spec.delta_min)
+    b = min(dip.hi + width, spec.delta_max)
+    # a spacing <= width / (target + 1) puts >= target samples in (lo, hi)
+    fine = np.linspace(a, b, math.ceil((b - a) / width * (target + 1)) + 1)
+    half = 0.5 * (fine[1] - fine[0])
+    return np.concatenate([deltas[deltas < a - half], fine, deltas[deltas > b + half]])
 
 
 def _dip(ys: np.ndarray) -> tuple[int, float, float]:
@@ -306,13 +306,8 @@ def asymmetry(shape: Lineshape, n_half: int = 200) -> float:
     halfway from the baseline to its value at the center, and returns
     ||rho(+x) - rho(-x)|| / ||baseline - rho||; zero for a symmetric dip.
     """
-    center, bottom = _extremum_location(shape.deltas, shape.rho_ee)
-    return _sampled_asymmetry(shape.deltas, shape.rho_ee, center, bottom, n_half)
-
-
-def _sampled_asymmetry(deltas: np.ndarray, ys: np.ndarray, center: float,
-                       bottom: float, n_half: int = 200) -> float:
-    """:func:`asymmetry` about a known extremum (center, bottom)."""
+    deltas, ys = shape.deltas, shape.rho_ee
+    center, bottom = _extremum_location(deltas, ys)
     i_min, baseline, _ = _dip(ys)
     # the metric is first-order sensitive to the window span, so O(h^2)
     # linear crossings would dominate its grid error
@@ -477,38 +472,27 @@ def qfactor(metrics: ResonanceMetrics) -> float:
     return metrics.physical_contrast / metrics.fwhm_hz
 
 
-def resonance_metrics(params: ModelParams,
-                      shape: Lineshape | None = None) -> ResonanceMetrics:
-    """All figures of merit for one parameter set.
+def resonance_metrics(params: ModelParams) -> ResonanceMetrics:
+    """All figures of merit for one parameter set, from one RationalLineshape.
 
-    Contrast is exact, as in ``physical_contrast``.  Without a
-    ``shape``, width, center and asymmetry are exact too: from the closed
-    form of one RationalLineshape, against the mean of rho_ee at +/-20
-    estimated half widths.  The full system is then solved and checked
-    once, at delta = 0 and at every detuning these metrics use.  With a
-    sampled ``shape``, they are the sampled metrics ``fwhm``,
-    ``resonance_center`` and ``asymmetry``, and only delta = 0 is solved.
+    Contrast is exact, as in ``physical_contrast``.  Width, center and
+    asymmetry are exact too: from the closed form, against the mean of
+    rho_ee at +/-20 estimated half widths (``_model_dip``).  The full
+    system is solved and checked once, at delta = 0 and at every
+    detuning these metrics use.
     """
     model = RationalLineshape(params)
-    if shape is None:
-        dip = _model_dip(model, 20.0)
-        t = _mirrored_offsets(dip.center, dip.lo, dip.hi, 200)
-        _validated(model, dip, [0.0], t)
-        width_hz = (dip.hi - dip.lo) / TWO_PI
-        center = dip.center
-        asym = _antisymmetric_fraction(model.excess(t), dip.baseline)
-    else:
-        model(np.array([0.0]))
-        width_hz = fwhm(shape)
-        center, bottom = _extremum_location(shape.deltas, shape.rho_ee)
-        asym = _sampled_asymmetry(shape.deltas, shape.rho_ee, center, bottom)
+    dip = _model_dip(model, 20.0)
+    t = _mirrored_offsets(dip.center, dip.lo, dip.hi, 200)
+    _validated(model, dip, [0.0], t)
     summary = _contrast(model)
+    width_hz = (dip.hi - dip.lo) / TWO_PI
     return ResonanceMetrics(
         baseline=summary.baseline,
         amplitude=summary.amplitude,
         physical_contrast=summary.physical_contrast,
         fwhm_hz=width_hz,
-        center_hz=center / TWO_PI,
-        asymmetry=asym,
+        center_hz=dip.center / TWO_PI,
+        asymmetry=_antisymmetric_fraction(model.excess(t), dip.baseline),
         qfactor=summary.physical_contrast / width_hz,
     )

@@ -42,29 +42,24 @@ from .params import Depolarization, LorentzFactors, ModelParams, lorentz_factors
 TABLES = build_coupling_tables()
 
 # Float views of the rational tables, laid out for vectorized assembly.
+# _A_EXC[e, g], _W_EXC[e]: excitation prefactors of excited_from_ground.
 # _C[e, g]: pump-bracket coefficient of ground g feeding excited e, so that
-#           gamma*rho_e = V^2*l_e * (_C[e] @ ground + _W[e]*Re(rho21)).
+#           gamma*rho_e = V^2*l_e * (_C[e] @ ground + _W[e]*Re(rho21));
+#           by detailed balance (c = 2a) twice the excitation view, exactly.
 # _B[g, e]: branching ratio of excited e decaying into ground g.
-_C = np.zeros((8, 8))
-_B = np.zeros((8, 8))
-_W = np.zeros(8)
-for _g, _rows in TABLES.pump.items():
-    for _e, _c in _rows:
-        _C[EXCITED_INDEX[_e], GROUND_INDEX[_g]] = float(_c)
-for _e, _rows in TABLES.branch.items():
-    for _g, _b in _rows:
-        _B[GROUND_INDEX[_g], EXCITED_INDEX[_e]] = float(_b)
-for _e, _w in TABLES.coherence_weight.items():
-    _W[EXCITED_INDEX[_e]] = 2.0 * float(_w)  # pump-scale weight
-
-# Excitation-table views for excited_from_ground (Eq-level prefactors).
 _A_EXC = np.zeros((8, 8))
 _W_EXC = np.zeros(8)
+_B = np.zeros((8, 8))
 for _e, _rows in TABLES.excitation.items():
     for _g, _a in _rows:
         _A_EXC[EXCITED_INDEX[_e], GROUND_INDEX[_g]] = float(_a)
 for _e, _w in TABLES.coherence_weight.items():
     _W_EXC[EXCITED_INDEX[_e]] = float(_w)
+for _e, _rows in TABLES.branch.items():
+    for _g, _b in _rows:
+        _B[GROUND_INDEX[_g], EXCITED_INDEX[_e]] = float(_b)
+_C = 2.0 * _A_EXC
+_W = 2.0 * _W_EXC  # pump-scale weight
 
 _IS_UPPER = np.array(EXCITED_IS_UPPER)
 _DIAG8 = np.arange(8)
@@ -246,50 +241,39 @@ def equation_residuals(params: ModelParams, ground: np.ndarray,
     return res
 
 
-def _validate_ground(x: np.ndarray, context: str = ""):
-    suffix = f" ({context})" if context else ""
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem(f"non-finite solution{suffix}")
-    ground = x[..., :8]
-    if ground.min() < -POPULATION_TOL or ground.max() > 1.0 + POPULATION_TOL:
-        raise InvariantViolation(
-            f"ground population outside [0, 1]{suffix}: "
-            f"min={ground.min():.3e}, max={ground.max():.3e}")
-    trace_err = np.abs(ground.sum(axis=-1) - 1.0).max()
-    if trace_err > TRACE_TOL:
-        raise InvariantViolation(f"ground-state trace off by {trace_err:.3e}{suffix}")
-
-
 def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
     """Solve the steady-state system by dense LU with partial pivoting.
 
-    Raises SingularSystem if the matrix cannot be factorized and
-    InvariantViolation if the solution breaks trace, positivity, or the
-    residual bound RESIDUAL_TOL * max(1, gamma_g).
+    Raises SingularSystem if the matrix cannot be factorized.  Raises
+    InvariantViolation, naming the invariant, its value, its bound and
+    the detuning, if the solution is not finite, a ground population
+    lies outside [0, 1] beyond POPULATION_TOL, the trace is off by more
+    than TRACE_TOL, an excited population lies below -EXCITED_NEG_TOL,
+    or the residual exceeds RESIDUAL_TOL * max(1, gamma_g).
     """
     A, b = assemble_linear_system(params)
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"steady-state matrix is singular: {exc}") from exc
-    _validate_ground(x)
-
+    delta = params.delta_raman
+    _check(delta, ("finite", np.count_nonzero(~np.isfinite(x)), 0.0))
     ground = x[:8].copy()
+    _check(delta, ("positivity", -ground.min(), POPULATION_TOL),
+           # max - 1 and (1 + tol) - 1 are exact: the same test as max > 1 + tol
+           ("population", ground.max() - 1.0, (1.0 + POPULATION_TOL) - 1.0),
+           ("trace", abs(ground.sum() - 1.0), TRACE_TOL))
+
     coherence = complex(x[8], x[9])
     excited = excited_from_ground(ground, coherence, params)
-    if excited.min() < -EXCITED_NEG_TOL:
-        raise InvariantViolation(
-            f"excited population below noise floor: {excited.min():.3e}")
+    _check(delta, ("excited", -excited.min(), EXCITED_NEG_TOL))
     if params.depolarization is Depolarization.COMPLETE:
         effective = depolarize(excited)
     else:
         effective = excited.copy()
 
     residual_norm = float(np.abs(equation_residuals(params, ground, coherence)).max())
-    bound = RESIDUAL_TOL * max(1.0, params.gamma_g)
-    if residual_norm > bound:
-        raise InvariantViolation(
-            f"steady-state residual {residual_norm:.3e} exceeds {bound:.3e}")
+    _check(delta, ("residual", residual_norm, RESIDUAL_TOL * max(1.0, params.gamma_g)))
 
     return SteadyStateSolution(
         params=params,
@@ -403,10 +387,16 @@ class RationalLineshape:
         """Check the delta -> inf state (ground populations y0, no
         coherence), whose rho_ee is c0: trace within TRACE_TOL and
         populations above -POPULATION_TOL."""
-        for name, value, bound in (("trace", abs(self.y0.sum() - 1.0), TRACE_TOL),
-                                   ("positivity", -self.y0.min(), POPULATION_TOL)):
-            if not value <= bound:
-                raise _broken(name, value, bound, math.inf)
+        _check(math.inf, ("trace", abs(self.y0.sum() - 1.0), TRACE_TOL),
+               ("positivity", -self.y0.min(), POPULATION_TOL))
+
+
+def _check(delta, *checks) -> None:
+    """Raise the first of the (name, value, bound) checks whose value
+    is not within its bound, for the sample at detuning ``delta``."""
+    for name, value, bound in checks:
+        if not value <= bound:
+            raise _broken(name, value, bound, delta)
 
 
 def _broken(name: str, value, bound, delta) -> InvariantViolation:

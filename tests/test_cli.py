@@ -1,5 +1,6 @@
 """Command-line behaviors: dispatch, config merging, outputs, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import cptsim
 from cptsim.cli import main
 
+from conftest import make_params
 from oracles import lorentzian_scan
 
 
@@ -115,6 +117,26 @@ def test_sweep_stdout_metrics(capsys):
     assert code == 0
     metrics = json.loads(out)
     assert metrics["fwhm_hz"] > 0
+
+
+@pytest.mark.parametrize("grid", [("--spacing", "linear", "--n-points", "301"),
+                                  ("--span-halfwidths", "40", "--n-points", "101"),
+                                  ("--delta-span-hz", "3000",)],
+                         ids=["linear", "span-40", "delta-span"])
+def test_sweep_sidecar_is_the_library_metrics(tmp_path, capsys, grid):
+    # the sidecar reports resonance_metrics(params), whatever grid the
+    # CSV samples; its baseline stays at +/-20 estimated half widths
+    out = tmp_path / "shape.csv"
+    code, _, _ = run(capsys, "sweep", "--pumping-strength", "8.9", "--mode", "none",
+                     *grid, "--out", str(out))
+    assert code == 0
+    sidecar = json.loads((tmp_path / "shape_metrics.json").read_text())
+    base = make_params(mode=cptsim.Depolarization.NONE)
+    params = base.replace(rabi=cptsim.rabi_for_pumping_strength(base, 8.9))
+    metrics = cptsim.resonance_metrics(params)
+    for field in dataclasses.fields(metrics):
+        assert sidecar[field.name] == getattr(metrics, field.name), field.name
+    assert sidecar["n_samples"] == len(out.read_text().splitlines()) - 1
 
 
 # --------------------------------------------------------- contrast-ratio

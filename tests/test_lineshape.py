@@ -64,33 +64,57 @@ def test_sweep_fig1_complete_single_centered_dip():
     i_min = int(np.argmin(shape.rho_ee))
     assert abs(shape.deltas[i_min]) < (shape.deltas[1] - shape.deltas[0])
     # single dip: rho_ee falls to the minimum and rises after it (up to
-    # solver noise on near-duplicate grid points from the refinement)
+    # solver noise between neighbouring samples)
     noise = 1e-9 * float(np.ptp(shape.rho_ee))
     assert np.all(np.diff(shape.rho_ee[: i_min + 1]) < noise)
     assert np.all(np.diff(shape.rho_ee[i_min:]) > -noise)
 
 
-def test_adaptive_sweep_brackets_fwhm_densely():
-    p = params_at_strength(5.0)
-    shape = sweep(p, default_sweep_spec(p, span_halfwidths=40.0, n_points=101))
+@pytest.mark.parametrize("n", [101, 1001])
+@pytest.mark.parametrize("s", [5.0, 1e3, 1e4])
+def test_adaptive_sweep_brackets_fwhm_densely(s, n):
+    p = params_at_strength(s)
+    shape = sweep(p, default_sweep_spec(p, span_halfwidths=40.0, n_points=n))
     lo, hi = lineshape_mod._half_depth_crossings(shape.deltas, shape.rho_ee)
     inside = np.count_nonzero((shape.deltas > lo) & (shape.deltas < hi))
-    assert inside >= lineshape_mod.MIN_SAMPLES_IN_FWHM
+    assert inside >= max(lineshape_mod.MIN_SAMPLES_IN_FWHM, n // 3)
 
 
-def test_adaptive_sweep_solves_each_kept_detuning_once(monkeypatch):
-    solved = []
-    real = lineshape_mod.rho_ee_many
+@pytest.mark.parametrize("spacing", list(Spacing))
+def test_sweep_makes_one_factorization_and_one_checked_call(monkeypatch, spacing):
+    built, batches = [], []
+    real_init, real_call = RationalLineshape.__init__, RationalLineshape.__call__
 
-    def counting(params, deltas):
-        solved.append(np.size(deltas))
-        return real(params, deltas)
+    def counting_init(self, params):
+        built.append(params)
+        real_init(self, params)
 
-    monkeypatch.setattr(lineshape_mod, "rho_ee_many", counting)
+    def counting_call(self, deltas):
+        batches.append(np.asarray(deltas, dtype=float).ravel())
+        return real_call(self, deltas)
+
+    monkeypatch.setattr(RationalLineshape, "__init__", counting_init)
+    monkeypatch.setattr(RationalLineshape, "__call__", counting_call)
     p = params_at_strength(8.9, mode=Depolarization.NONE)
-    shape = sweep(p, default_sweep_spec(p))
-    assert len(solved) > 1  # the refinement ran
-    assert sum(solved) == shape.deltas.size
+    shape = sweep(p, default_sweep_spec(p, spacing=spacing))
+    assert len(built) == 1 and len(batches) == 1
+    np.testing.assert_array_equal(batches[0], shape.deltas)
+    if spacing is Spacing.LINEAR:
+        assert shape.deltas.size == 1001
+    else:
+        assert shape.deltas.size > 1001  # the dip was refined
+
+
+def test_adaptive_sweep_keeps_the_linear_grid_unless_it_brackets_the_dip():
+    # a span inside the FWHM, or one holding only one crossing, is not
+    # refined: an even grid over it could be coarser than the linear one
+    p = params_at_strength(8.9, mode=Depolarization.NONE)
+    dip = lineshape_mod._model_dip(RationalLineshape(p), 20.0)
+    width = dip.hi - dip.lo
+    for lo, hi in ((dip.center - 0.1 * width, dip.center + 0.1 * width),
+                   (dip.center, dip.hi + 10.0 * width)):
+        shape = sweep(p, SweepSpec(lo, hi, 1001, Spacing.ADAPTIVE))
+        np.testing.assert_array_equal(shape.deltas, np.linspace(lo, hi, 1001))
 
 
 # COMPLETE mode, Delta = -300 MHz, Gamma = 0.5 GHz, s = 1e3: a point where
@@ -103,7 +127,7 @@ def test_adaptive_sweep_keeps_no_near_duplicates():
     spec = default_sweep_spec(p)
     shape = sweep(p, spec)
     gaps = np.diff(shape.deltas)
-    assert gaps.min() > lineshape_mod.MIN_GAP_REL * (spec.delta_max - spec.delta_min)
+    assert gaps.min() > 1e-9 * (spec.delta_max - spec.delta_min)
 
 
 def test_complete_mode_metrics_symmetric_at_refined_point():
@@ -366,24 +390,6 @@ def test_closed_form_metrics_check_the_solves(mode):
         resonance_metrics(p)
     with pytest.raises(InvariantViolation):
         calibration_fwhm(p)
-
-
-def test_sampled_metrics_find_the_extremum_once(monkeypatch):
-    p = params_at_strength(8.9, mode=Depolarization.NONE)
-    shape = sweep(p, default_sweep_spec(p))
-    expected = (resonance_center(shape) / TWO_PI, asymmetry(shape))
-    calls = []
-    real = lineshape_mod._extremum_location
-
-    def counting(deltas, ys):
-        calls.append(1)
-        return real(deltas, ys)
-
-    monkeypatch.setattr(lineshape_mod, "_extremum_location", counting)
-    m = resonance_metrics(p, shape=shape)
-    assert len(calls) == 1
-    assert (m.center_hz, m.asymmetry) == expected
-    assert m.fwhm_hz == fwhm(shape)
 
 
 # ------------------------------------------------------------ calibration

@@ -351,6 +351,42 @@ def test_batched_rho_ee_names_the_broken_invariant():
         assert text in str(exc)
 
 
+UNIFORM = np.full(8, 0.125)
+
+
+BROKEN_SOLUTIONS = [
+    # value: the count of non-finite unknowns, however far the LU spreads them
+    ("finite", [np.nan, *UNIFORM[1:], 0.0, 0.0], None),
+    ("positivity", [-1e-9, 0.125 + 1e-9, *UNIFORM[2:], 0.0, 0.0], 1e-9),
+    # also off trace: the upper population bound is checked first
+    ("population", [1.0 + 1e-9, *np.zeros(7), 0.0, 0.0], 1e-9),
+    ("trace", [*(UNIFORM * (1.0 + 1e-9)), 0.0, 0.0], 1e-9),
+    # Re(rho21) = 1 drives the dark-state brackets of the m=+1 sublevels negative
+    ("excited", [*UNIFORM, 1.0, 0.0], None),
+    # a uniform ground state does not balance the pump
+    ("residual", [*UNIFORM, 0.0, 0.0], None),
+]
+
+
+@pytest.mark.parametrize("invariant, x, value", BROKEN_SOLUTIONS,
+                         ids=[case[0] for case in BROKEN_SOLUTIONS])
+def test_solve_names_each_broken_invariant(monkeypatch, invariant, x, value):
+    p = make_params(rabi=hz_to_angular(1e5), delta_raman=123.0)
+    # the identity system makes the linear solve return x as it is
+    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
+                        lambda params: (np.eye(10), np.array(x)))
+    with pytest.raises(InvariantViolation) as info:
+        solve_steady_state(p)
+    exc = info.value
+    assert exc.invariant == invariant
+    assert exc.value > exc.bound
+    assert exc.delta_raman == 123.0
+    if value is not None:
+        assert exc.value == pytest.approx(value, rel=1e-6)
+    for text in (invariant, f"{exc.value:.3e}", f"{exc.bound:.3e}", "123.0"):
+        assert text in str(exc)
+
+
 def test_pumping_strength_round_trip(rng):
     p = random_params(rng)
     s = pumping_strength(p)
