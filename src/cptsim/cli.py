@@ -11,6 +11,12 @@ command-line flags win over the config file.  Outputs are written
 atomically (temp file + rename) and are byte-reproducible for a given
 configuration.
 
+``sweep`` writes its samples as a ``delta_hz,rho_ee`` CSV only with
+``--out`` (without it, stdout gets the metrics JSON and no CSV is
+formatted), or as the ``samples`` of ``--format json``.  ``delta_hz`` is
+each angular detuning divided by 2*pi, and every CSV and JSON number is
+Python's shortest round-trip ``repr`` of the double.
+
 Exit codes: 0 success (possibly with per-item soft errors in analyze),
 2 configuration error, 3 computational error.
 """
@@ -30,15 +36,15 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, CptsimError
-from .lineshape import (PROBE_PUMPING_STRENGTH, Spacing, SweepSpec,
-                        calibrate_power_broadening, calibration_fwhm,
-                        default_sweep_spec, physical_contrast,
-                        resonance_metrics, sweep)
+from .lineshape import (PROBE_PUMPING_STRENGTH, Lineshape, Spacing, SweepSpec,
+                        _metrics, _sample, calibrate_power_broadening,
+                        calibration_fwhm, default_sweep_spec,
+                        physical_contrast)
 from .params import (Depolarization, ModelParams, angular_to_hz,
                      hz_to_angular, pumping_strength,
                      rabi_for_pumping_strength)
 from .scans import METRIC_COLUMNS, Scan, batch_metrics, load_scan
-from .steady_state import solve_steady_state
+from .steady_state import RationalLineshape, solve_steady_state
 from .vapor import ATOMIC_MASS_UNIT_KG, VaporParams, spin_exchange
 
 FIG1_PRESET_HZ = {
@@ -295,11 +301,20 @@ def _sweep_spec_from(opts: dict, params: ModelParams) -> SweepSpec:
                               opts["n_points"], spacing)
 
 
+def _sweep_csv(shape: Lineshape) -> str:
+    """The sweep CSV; each column converted once, each number its repr."""
+    hz = angular_to_hz(shape.deltas).tolist()
+    ys = shape.rho_ee.tolist()
+    return "delta_hz,rho_ee\n" + "".join(f"{d!r},{y!r}\n" for d, y in zip(hz, ys))
+
+
 def cmd_sweep(opts: dict) -> int:
     (params,) = _build_params(opts)
     spec = _sweep_spec_from(opts, params)
-    shape = sweep(params, spec)
-    metrics = resonance_metrics(params)
+    # one factorization serves the samples and the metrics
+    model = RationalLineshape(params)
+    shape = _sample(model, spec)
+    metrics = _metrics(model)
 
     metrics_block = {
         "params_hz": _params_hz_dict(params),
@@ -315,19 +330,16 @@ def cmd_sweep(opts: dict) -> int:
     out = opts.get("out")
     if opts["format"] == "json":
         payload = dict(metrics_block)
-        payload["samples"] = [[angular_to_hz(d), float(y)]
-                              for d, y in zip(shape.deltas, shape.rho_ee)]
+        payload["samples"] = np.column_stack(
+            (angular_to_hz(shape.deltas), shape.rho_ee)).tolist()
         _emit(out, _dump_json(payload))
         return 0
 
-    csv_text = "delta_hz,rho_ee\n" + "".join(
-        f"{_fmt(angular_to_hz(d))},{_fmt(float(y))}\n"
-        for d, y in zip(shape.deltas, shape.rho_ee))
     if out is None:
         # bulk samples go to files only; the summary is the console artifact
         sys.stdout.write(_dump_json(metrics_block))
     else:
-        _write_atomic(Path(out), csv_text)
+        _write_atomic(Path(out), _sweep_csv(shape))
         _write_atomic(_sidecar(Path(out), "_metrics.json"), _dump_json(metrics_block))
     return 0
 

@@ -132,11 +132,15 @@ def sweep(params: ModelParams, spec: SweepSpec) -> Lineshape:
     The linear grid is kept when the model has no dip, a crossing lies
     outside the span, or the linear grid already holds that many samples.
     """
-    model = RationalLineshape(params)
+    return _sample(RationalLineshape(params), spec)
+
+
+def _sample(model: RationalLineshape, spec: SweepSpec) -> Lineshape:
+    """``sweep`` of an already factorized model."""
     deltas = np.linspace(spec.delta_min, spec.delta_max, spec.n_points)
     if spec.spacing is Spacing.ADAPTIVE:
         deltas = _adaptive_grid(model, spec, deltas)
-    return Lineshape(deltas, model(deltas), params)
+    return Lineshape(deltas, model(deltas), model.params)
 
 
 def _adaptive_grid(model: RationalLineshape, spec: SweepSpec,
@@ -481,7 +485,11 @@ def resonance_metrics(params: ModelParams) -> ResonanceMetrics:
     system is solved and checked once, at delta = 0 and at every
     detuning these metrics use.
     """
-    model = RationalLineshape(params)
+    return _metrics(RationalLineshape(params))
+
+
+def _metrics(model: RationalLineshape) -> ResonanceMetrics:
+    """``resonance_metrics`` of an already factorized model."""
     dip = _model_dip(model, 20.0)
     t = _mirrored_offsets(dip.center, dip.lo, dip.hi, 200)
     _validated(model, dip, [0.0], t)

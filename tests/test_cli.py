@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cptsim
+from cptsim import cli
 from cptsim.cli import main
 
 from conftest import make_params
@@ -137,6 +138,84 @@ def test_sweep_sidecar_is_the_library_metrics(tmp_path, capsys, grid):
     for field in dataclasses.fields(metrics):
         assert sidecar[field.name] == getattr(metrics, field.name), field.name
     assert sidecar["n_samples"] == len(out.read_text().splitlines()) - 1
+
+
+@pytest.mark.parametrize("n_points", [301, 2001])
+@pytest.mark.parametrize("mode", ["none", "complete"])
+@pytest.mark.parametrize("spacing", list(cptsim.Spacing))
+def test_sweep_numbers_are_the_repr_of_the_library_doubles(tmp_path, capsys,
+                                                           spacing, mode, n_points):
+    # each number is repr(float) of the library sample: delta / 2pi and
+    # rho_ee, shortest round-trip text, in the CSV and in the JSON samples
+    base = make_params(mode=cptsim.Depolarization(mode))
+    params = base.replace(rabi=cptsim.rabi_for_pumping_strength(base, 8.9))
+    shape = cptsim.sweep(params, cptsim.default_sweep_spec(
+        params, 20.0, n_points, spacing))
+    hz, ys = shape.deltas / (2 * np.pi), shape.rho_ee
+    expected = [[repr(float(d)), repr(float(y))] for d, y in zip(hz, ys)]
+    argv = ("sweep", "--pumping-strength", "8.9", "--mode", mode,
+            "--spacing", spacing.value, "--n-points", str(n_points))
+
+    out = tmp_path / "shape.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "delta_hz,rho_ee"
+    assert [row.split(",") for row in rows] == expected
+    for row, d, y in zip(rows, hz, ys):
+        a, b = row.split(",")
+        assert float(a) == d and float(b) == y
+
+    json_out = tmp_path / "shape.json"
+    code, stdout, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    code, _, _ = run(capsys, *argv, "--format", "json", "--out", str(json_out))
+    assert code == 0
+    assert json_out.read_text() == stdout
+    # parse_float hands back each number's text as written
+    samples = json.loads(stdout, parse_float=str)["samples"]
+    assert samples == expected
+    assert json.loads(stdout)["samples"] == np.column_stack((hz, ys)).tolist()
+
+
+def test_sweep_without_out_formats_no_csv(monkeypatch, capsys):
+    argv = ("sweep", "--pumping-strength", "8.9", "--spacing", "linear",
+            "--n-points", "20001")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(shape):
+        raise AssertionError("the CSV was formatted without --out")
+
+    monkeypatch.setattr(cli, "_sweep_csv", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_sweep_factorizes_once_for_samples_and_metrics(monkeypatch, tmp_path, capsys):
+    built, calls = [], {"_sample": [], "_metrics": []}
+    real_init = cptsim.RationalLineshape.__init__
+
+    def counting_init(self, params):
+        built.append(self)
+        real_init(self, params)
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def wrapper(model, *args):
+            calls[name].append(model)
+            return real(model, *args)
+        return wrapper
+
+    monkeypatch.setattr(cptsim.RationalLineshape, "__init__", counting_init)
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    code, _, _ = run(capsys, "sweep", "--pumping-strength", "8.9", "--mode", "none",
+                     "--out", str(tmp_path / "shape.csv"))
+    assert code == 0
+    assert len(built) == 1
+    assert calls == {"_sample": built, "_metrics": built}
 
 
 # --------------------------------------------------------- contrast-ratio
@@ -334,7 +413,8 @@ def test_every_subcommand_runs_on_numpy_alone(tmp_path):
     write_scan(tmp_path / "s.csv")
     commands = [
         ["solve", "--preset", "fig1", "--mode", "both"],
-        ["sweep", "--pumping-strength", "8.9", "--n-points", "301"],
+        ["sweep", "--pumping-strength", "8.9", "--n-points", "301",
+         "--out", str(tmp_path / "sweep.csv")],
         ["contrast-ratio", "--pumping-strengths", "10,100"],
         ["power-broadening", "--mode", "complete"],
         ["spin-exchange"],
@@ -359,3 +439,4 @@ sys.exit(max([main(argv) for argv in {commands!r}]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep.csv").read_text().startswith("delta_hz,rho_ee\n")
