@@ -36,10 +36,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, CptsimError
-from .lineshape import (PROBE_PUMPING_STRENGTH, Lineshape, Spacing, SweepSpec,
-                        _metrics, _sample, calibrate_power_broadening,
-                        calibration_fwhm, default_sweep_spec,
-                        physical_contrast)
+from .lineshape import (Lineshape, Spacing, SweepSpec, _calibrate, _metrics,
+                        _sample, calibrate_power_broadening,
+                        default_sweep_spec, physical_contrast)
 from .params import (Depolarization, ModelParams, angular_to_hz,
                      hz_to_angular, pumping_strength,
                      rabi_for_pumping_strength)
@@ -384,11 +383,8 @@ def cmd_power_broadening(opts: dict) -> int:
     if mode == "both":
         raise ConfigError("mode 'both' is only supported by the solve command")
     base = _base_params(opts, Depolarization(mode)).replace(delta_raman=0.0)
-    rabi = calibrate_power_broadening(base, opts["multiple"])
+    rabi, w0, w = _calibrate(base, opts["multiple"])
     calibrated = base.replace(rabi=rabi)
-    w0 = calibration_fwhm(base.replace(
-        rabi=rabi_for_pumping_strength(base, PROBE_PUMPING_STRENGTH)))
-    w = calibration_fwhm(calibrated)
     block = {
         "multiple": opts["multiple"],
         "mode": mode,

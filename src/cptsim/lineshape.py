@@ -440,33 +440,82 @@ def calibrate_power_broadening(params: ModelParams, multiple: float = 3.0) -> fl
     The zero-power reference width is taken at the probe level
     V^2*lu = PROBE_PUMPING_STRENGTH * gamma_g; the returned V satisfies
     FWHM(V) = (1 + multiple) * FWHM(probe), both closed-form widths from
-    ``calibration_fwhm``.  Solved by bisection on log V to 1e-6 relative
-    within the CALIBRATION_BRACKET pumping strengths.
+    ``calibration_fwhm``.  Solved by Brent's bracketed root finder on
+    ln FWHM - ln target as a function of ln V, within the
+    CALIBRATION_BRACKET pumping strengths: the returned V is one whose
+    width was evaluated, and the root lies within 1e-6 of it in ln V.
+    Raises NotBracketed when the target width is not attainable there.
     """
+    return _calibrate(params, multiple)[0]
+
+
+def _calibrate(params: ModelParams, multiple: float) -> tuple[float, float, float]:
+    """``calibrate_power_broadening`` with the widths it evaluated:
+    (V, zero-power FWHM, FWHM at V), the widths in Hz as
+    ``calibration_fwhm`` gives them."""
     if multiple < 0:
         raise ParameterError("broadening multiple must be >= 0")
+    w0 = calibration_fwhm(params.replace(
+        rabi=rabi_for_pumping_strength(params, PROBE_PUMPING_STRENGTH)))
+    target = (1.0 + multiple) * (w0 * TWO_PI)
+    ln_target = math.log(target)
+    seen = {}  # ln V -> (V, FWHM in Hz) of every evaluated width
 
-    def width_at(v: float) -> float:
-        return calibration_fwhm(params.replace(rabi=v)) * TWO_PI
-
-    w0 = width_at(rabi_for_pumping_strength(params, PROBE_PUMPING_STRENGTH))
-    target = (1.0 + multiple) * w0
+    def evaluate(v: float, u: float) -> float:
+        seen[u] = v, calibration_fwhm(params.replace(rabi=v))
+        return math.log(seen[u][1] * TWO_PI) - ln_target
 
     lo, hi = (rabi_for_pumping_strength(params, s) for s in CALIBRATION_BRACKET)
-    w_lo, w_hi = width_at(lo), width_at(hi)
+    ln_lo, ln_hi = math.log(lo), math.log(hi)
+    g_lo, g_hi = evaluate(lo, ln_lo), evaluate(hi, ln_hi)
+    w_lo, w_hi = seen[ln_lo][1] * TWO_PI, seen[ln_hi][1] * TWO_PI
     if not (w_lo <= target <= w_hi):
         raise NotBracketed(
             f"target width {target:.6e} rad/s outside attainable "
             f"[{w_lo:.6e}, {w_hi:.6e}]")
+    v, w = seen[_brent_root(lambda u: evaluate(math.exp(u), u),
+                            ln_lo, ln_hi, g_lo, g_hi, 1e-6)]
+    return v, w0, w
 
-    ln_lo, ln_hi = math.log(lo), math.log(hi)
-    while ln_hi - ln_lo > 1e-6:
-        mid = 0.5 * (ln_lo + ln_hi)
-        if width_at(math.exp(mid)) < target:
-            ln_lo = mid
+
+def _brent_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """A root of f on [a, b], where fa = f(a) and fb = f(b) differ in sign
+    or vanish: Brent's method (inverse quadratic, secant or bisection
+    steps; Brent 1973, ch. 4).  Returns an evaluated point within xtol of
+    a sign change of f."""
+    c, fc = a, fa
+    d = e = b - a
+    tol = 0.5 * xtol
+    while True:
+        if fb * fc > 0.0:
+            c, fc = a, fa  # keep the sign change between b and c
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            ln_hi = mid
-    return math.exp(0.5 * (ln_lo + ln_hi))
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
 
 
 def qfactor(metrics: ResonanceMetrics) -> float:

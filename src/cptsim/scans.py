@@ -171,6 +171,9 @@ def _edge_affine(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _initial_guess(x: np.ndarray, y: np.ndarray):
+    """Starting theta from the edge baseline and the half-depth crossings
+    of the largest excursion, and the width between those crossings
+    (nan where one is missing)."""
     a0, b0 = _edge_affine(x, y)
     resid = y - (a0 + b0 * x)
     i0 = int(np.argmax(np.abs(resid)))
@@ -178,25 +181,28 @@ def _initial_guess(x: np.ndarray, y: np.ndarray):
     amp0 = abs(resid[i0])
     spacing = float(np.median(np.diff(x)))
     lo, hi = level_crossings(x, -sign * resid, i0, -amp0 / 2.0)
+    width = hi - lo
     if math.isnan(lo):
         lo = x[i0] - spacing
     if math.isnan(hi):
         hi = x[i0] + spacing
     w0 = max((hi - lo) / 2.0, spacing)
-    return np.array([a0, b0, sign * amp0, float(x[i0]), w0]), sign
+    return np.array([a0, b0, sign * amp0, float(x[i0]), w0]), width
 
 
 def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
     """Gauss-Newton with step halving on theta = (a, b, sA, x0, w).
 
     The signal is pre-scaled by a power of two so that rescaling the
-    input (by any power of two) reproduces bit-identical fit geometry.
+    input (by any power of two) reproduces bit-identical fit geometry;
+    for the same reason the half-depth width of the initial guess is the
+    direct width of the unscaled signal, and is returned as it is.
     """
     _, exp2 = math.frexp(float(np.abs(y_raw).max()) or 1.0)
     scale = math.ldexp(1.0, exp2)
     y = y_raw / scale
 
-    theta, _ = _initial_guess(x, y)
+    theta, width = _initial_guess(x, y)
 
     def model_of(t):
         a, b, sa, x0, w = t
@@ -242,17 +248,7 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
             break
     theta = theta.copy()
     theta[:3] *= scale  # offset, slope, amplitude back to input units (exact)
-    return theta, sse * scale * scale, iterations, converged
-
-
-def _direct_fwhm(x: np.ndarray, y: np.ndarray) -> float:
-    """Half-depth width read straight off the samples (no fit)."""
-    a0, b0 = _edge_affine(x, y)
-    resid = y - (a0 + b0 * x)
-    i0 = int(np.argmax(np.abs(resid)))
-    sign = 1 if resid[i0] >= 0 else -1
-    lo, hi = level_crossings(x, -sign * resid, i0, -abs(resid[i0]) / 2.0)
-    return hi - lo
+    return theta, sse * scale * scale, iterations, converged, width
 
 
 def _fit_asymmetry(x, y, a, b, x0, fwhm) -> float:
@@ -278,7 +274,7 @@ def fit_resonance(scan: Scan) -> FitReport:
     f_mid = 0.5 * (float(f[0]) + float(f[-1]))
     x = f - f_mid
 
-    theta, sse, iterations, converged = _fit_damped(x, y)
+    theta, sse, iterations, converged, direct_fwhm = _fit_damped(x, y)
     a, b, sa, x0, w = (float(t) for t in theta)
     sign = 1 if sa >= 0 else -1
     amp = abs(sa)
@@ -314,7 +310,7 @@ def fit_resonance(scan: Scan) -> FitReport:
                      half_width_hz=w, amplitude=amp, sign=sign)
     return FitReport(model=model, metrics=metrics, rms_residual=rms,
                      iterations=iterations, converged=converged,
-                     fwhm_direct_hz=_direct_fwhm(x, y))
+                     fwhm_direct_hz=direct_fwhm)
 
 
 METRIC_COLUMNS = ("baseline", "amplitude", "contrast", "fwhm_hz", "center_hz",

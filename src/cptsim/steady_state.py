@@ -70,7 +70,7 @@ POPULATION_TOL = 1e-12     # allowed negative excursion of ground populations
 TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
 RESIDUAL_TOL = 1e-10       # residual bound, relative to max(1, gamma_g)
 EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
-_CHECKS = ("residual", "trace", "positivity")  # rows of RationalLineshape._bounds
+_CHECKS = ("residual", "trace", "positivity")  # order of RationalLineshape._bounds
 
 
 @dataclass(frozen=True)
@@ -340,8 +340,8 @@ class RationalLineshape:
         self.p0 = g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0)
 
         self._A0, self._b = A0, b
-        self._bounds = np.array([[RESIDUAL_TOL * max(1.0, params.gamma_g)],
-                                 [TRACE_TOL], [POPULATION_TOL]])
+        self._bounds = (RESIDUAL_TOL * max(1.0, params.gamma_g), TRACE_TOL,
+                        POPULATION_TOL)
 
     def excess(self, deltas):
         """Closed-form rho_ee(delta) - c0 at a detuning or an array of
@@ -351,6 +351,19 @@ class RationalLineshape:
     def __call__(self, deltas: np.ndarray) -> np.ndarray:
         """rho_ee at each detuning, each sample solved and checked."""
         deltas = np.asarray(deltas, dtype=float).ravel()
+        xs, resid = self._solve(deltas)
+        pops = xs[:, :8]
+        trace = np.abs(pops.sum(axis=1) - 1.0)
+        # elementwise against the bounds: the same verdicts as the per-point
+        # max and min, which are only formed to name a broken invariant
+        res_tol, trace_tol, pop_tol = self._bounds
+        if (resid > res_tol).any() or (trace > trace_tol).any() or (pops < -pop_tol).any():
+            raise self._first_broken(deltas, resid, trace, pops)
+        return pops @ self.w_pop + xs[:, 8] * self.w_coh
+
+    def _solve(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The full 10-vector at each detuning and the absolute residual
+        of each row of A(delta); SingularSystem if one is not finite."""
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
         a = s00 + deltas
@@ -371,17 +384,16 @@ class RationalLineshape:
         resid -= self._b
         resid[:, 8:] += deltas[:, None] * xs[:, 8:]
         np.abs(resid, out=resid)
-        pops = xs[:, :8]
-        values = np.empty((3, deltas.size))
-        resid.max(axis=1, out=values[0])
-        np.abs(pops.sum(axis=1) - 1.0, out=values[1])
-        np.negative(pops.min(axis=1), out=values[2])
-        bad = values > self._bounds
-        if bad.any():
-            c = int(np.argmax(bad.any(axis=1)))
-            i = int(np.argmax(bad[c]))
-            raise _broken(_CHECKS[c], values[c, i], self._bounds[c, 0], deltas[i])
-        return pops @ self.w_pop + xs[:, 8] * self.w_coh
+        return xs, resid
+
+    def _first_broken(self, deltas, resid, trace, pops) -> InvariantViolation:
+        """The error for the first check, in ``_CHECKS`` order, that some
+        sample breaks, at the first detuning that breaks it."""
+        values = np.stack([resid.max(axis=1), trace, -pops.min(axis=1)])
+        bad = values > np.array(self._bounds)[:, None]
+        c = int(np.argmax(bad.any(axis=1)))
+        i = int(np.argmax(bad[c]))
+        return _broken(_CHECKS[c], values[c, i], self._bounds[c], deltas[i])
 
     def check_limit(self) -> None:
         """Check the delta -> inf state (ground populations y0, no

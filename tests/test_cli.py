@@ -250,6 +250,38 @@ def test_power_broadening_round_trip(capsys):
     assert data["fwhm_hz"] == pytest.approx(4 * data["fwhm0_hz"], rel=0.01)
 
 
+@pytest.mark.parametrize("mode", ["none", "complete"])
+def test_power_broadening_prints_the_calibration_widths(monkeypatch, capsys, mode):
+    # the printed widths are the ones the calibration evaluated, and no
+    # factorization is made beyond it
+    built, calibrations = [], []
+    real_init = cptsim.RationalLineshape.__init__
+    real_calibrate = cli._calibrate
+
+    def counting_init(self, params):
+        built.append(self)
+        real_init(self, params)
+
+    def recording(params, multiple):
+        calibrations.append((params, real_calibrate(params, multiple), len(built)))
+        return calibrations[-1][1]
+
+    monkeypatch.setattr(cptsim.RationalLineshape, "__init__", counting_init)
+    monkeypatch.setattr(cli, "_calibrate", recording)
+    code, out, _ = run(capsys, "power-broadening", "--preset", "fig1",
+                       "--mode", mode, "--multiple", "3", "--format", "json")
+    assert code == 0
+    [(base, (rabi, w0, w), n_built)] = calibrations
+    assert len(built) == n_built
+    data = json.loads(out)
+    assert (data["fwhm0_hz"], data["fwhm_hz"]) == (w0, w)
+    monkeypatch.undo()
+    probe = base.replace(rabi=cptsim.rabi_for_pumping_strength(base, 1e-3))
+    assert w0 == cptsim.lineshape.calibration_fwhm(probe)
+    assert w == cptsim.lineshape.calibration_fwhm(base.replace(rabi=rabi))
+    assert data["rabi_hz"] == cptsim.angular_to_hz(rabi)
+
+
 # ----------------------------------------------------------- spin-exchange
 
 def test_spin_exchange_monotone_width(capsys):

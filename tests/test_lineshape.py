@@ -436,10 +436,71 @@ def test_fwhm_monotone_in_rabi():
     assert all(b > a for a, b in zip(widths, widths[1:]))
 
 
+CALIBRATION_GEOMETRIES = [{}, {"delta_opt": 300e6, "gamma_opt": 3e9},
+                          {"delta_opt": -150e6, "gamma_opt": 5e8, "gamma_g": 1e3}]
+CALIBRATION_MULTIPLES = (0.1, 1.0, 3.0, 10.0, 100.0)
+
+
+def _calibration_bases():
+    return [make_params(mode=mode, **geometry) for geometry in CALIBRATION_GEOMETRIES
+            for mode in (Depolarization.NONE, Depolarization.COMPLETE)]
+
+
+def test_calibration_brackets_the_target_within_its_tolerance():
+    # the root lies within 1e-6 of ln V: the target width sits between the
+    # widths at V * exp(-1e-6) and V * exp(+1e-6)
+    for base in _calibration_bases():
+        w0 = calibration_fwhm(base.replace(rabi=rabi_for_pumping_strength(base, 1e-3)))
+        for multiple in CALIBRATION_MULTIPLES:
+            v = calibrate_power_broadening(base, multiple)
+            below, above = (calibration_fwhm(base.replace(rabi=v * math.exp(k)))
+                            for k in (-1e-6, 1e-6))
+            assert below <= (1.0 + multiple) * w0 <= above
+
+
 def test_calibration_unreachable_multiple():
-    base = make_params(mode=Depolarization.COMPLETE)
-    with pytest.raises(NotBracketed):
-        calibrate_power_broadening(base, 1e4)
+    for base in _calibration_bases():
+        for multiple in (1e4, 1e6):
+            with pytest.raises(NotBracketed, match="outside attainable"):
+                calibrate_power_broadening(base, multiple)
+
+
+def test_calibration_returns_an_evaluated_width(monkeypatch):
+    seen = []
+    real = lineshape_mod.calibration_fwhm
+
+    def recording(params):
+        seen.append((params.rabi, real(params)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(lineshape_mod, "calibration_fwhm", recording)
+    base = make_params(mode=Depolarization.NONE)
+    v, w0, w = lineshape_mod._calibrate(base, 3.0)
+    assert seen[0] == (rabi_for_pumping_strength(base, 1e-3), w0)
+    assert (v, w) in seen[1:]
+    assert w == real(base.replace(rabi=v))
+
+
+def test_calibration_factorization_count(monkeypatch):
+    # Brent's method on ln V: about 10 checked factorizations per
+    # calibration, probe and bracket widths included; a bisection of the
+    # bracket to the same tolerance takes 27
+    count = [0]
+    real_init = RationalLineshape.__init__
+
+    def counting_init(self, params):
+        count[0] += 1
+        real_init(self, params)
+
+    monkeypatch.setattr(RationalLineshape, "__init__", counting_init)
+    counts = []
+    for base in _calibration_bases():
+        for multiple in CALIBRATION_MULTIPLES:
+            count[0] = 0
+            calibrate_power_broadening(base, multiple)
+            counts.append(count[0])
+    assert np.mean(counts) <= 12
+    assert max(counts) <= 16
 
 
 # ---------------------------------------------------------------- qfactor

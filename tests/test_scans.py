@@ -11,6 +11,8 @@ from cptsim import (Depolarization, MonotonicityError, NoResonance,
                     default_sweep_spec, fit_resonance, fwhm, load_scan,
                     rabi_for_pumping_strength, sweep, write_scan_csv)
 
+from cptsim.lineshape import level_crossings
+
 from conftest import make_params
 from oracles import lorentzian_scan
 
@@ -190,6 +192,41 @@ def test_direct_halfdepth_cross_check():
     f, y, truth = lorentzian_scan(rng, noise_frac=0.0)
     report = fit_resonance(Scan(f, y))
     assert report.fwhm_direct_hz == pytest.approx(truth["fwhm_hz"], rel=0.02)
+
+
+def _direct_fwhm_reference(f, y):
+    """Half-depth width read straight off the unscaled samples: the edge
+    baseline, the largest excursion and its linear half-depth crossings."""
+    x = f - 0.5 * (float(f[0]) + float(f[-1]))
+    n_edge = max(3, x.size // 10)
+    xl, yl = float(np.mean(x[:n_edge])), float(np.median(y[:n_edge]))
+    xr, yr = float(np.mean(x[-n_edge:])), float(np.median(y[-n_edge:]))
+    slope = (yr - yl) / (xr - xl)
+    resid = y - ((yl - slope * xl) + slope * x)
+    i0 = int(np.argmax(np.abs(resid)))
+    sign = 1 if resid[i0] >= 0 else -1
+    lo, hi = level_crossings(x, -sign * resid, i0, -abs(resid[i0]) / 2.0)
+    return hi - lo
+
+
+@pytest.mark.parametrize("exp2", [-7, 0, 3, 40])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_direct_width_is_the_unscaled_half_depth_width(exp2, sign):
+    # the fit reads the direct width off its power-of-two scaled guess;
+    # that is the same double as the width of the unscaled signal
+    rng = np.random.default_rng(23)
+    cases = [lorentzian_scan(rng, center_hz=c, sign=sign, noise_frac=nf, slope=sl)[:2]
+             for c, nf, sl in [(0.0, 0.0, 0.0), (-1234.5, 0.01, 1e-6),
+                               (2500.0, 0.03, -3e-6)]]
+    # a peak at the scan's edge: no crossing on its right, width nan
+    f = np.linspace(-5000.0, 5000.0, 401)
+    cases.append((f, 1.0 + sign * 0.05 * 50.0**2 / ((f - 4975.0) ** 2 + 50.0**2)))
+    for f, y in cases:
+        y = math.ldexp(1.0, exp2) * y
+        direct = fit_resonance(Scan(f, y)).fwhm_direct_hz
+        reference = _direct_fwhm_reference(f, y)
+        assert direct == reference or math.isnan(direct) and math.isnan(reference)
+    assert math.isnan(direct)
 
 
 def test_converged_fit_beats_affine_baseline():

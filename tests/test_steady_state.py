@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cptsim.steady_state as steady_state_mod
+from cptsim.steady_state import POPULATION_TOL, RESIDUAL_TOL, TRACE_TOL
 from cptsim import (Depolarization, InvariantViolation, ParameterError,
                     RationalLineshape, SingularSystem,
                     assemble_linear_system, default_sweep_spec,
@@ -349,6 +350,100 @@ def test_batched_rho_ee_names_the_broken_invariant():
     for text in (exc.invariant, f"{exc.value:.3e}", f"{exc.bound:.3e}",
                  repr(exc.delta_raman)):
         assert text in str(exc)
+
+
+def _checked_reference(model, deltas):
+    """The three checks of a checked call, one detuning at a time on the
+    samples ``_solve`` gives: the first check, in order, that some sample
+    breaks, as (invariant, value, bound, delta) at the first detuning
+    that breaks it; else the rho_ee of every sample."""
+    xs, resid = model._solve(deltas)
+    checks = [("residual", lambda i: max(resid[i]),
+               RESIDUAL_TOL * max(1.0, model.params.gamma_g)),
+              ("trace", lambda i: abs(xs[i, :8].sum() - 1.0), TRACE_TOL),
+              ("positivity", lambda i: -min(xs[i, :8]), POPULATION_TOL)]
+    for name, value_at, bound in checks:
+        for i, delta in enumerate(deltas):
+            if not value_at(i) <= bound:
+                return name, float(value_at(i)), bound, float(delta)
+    return xs[:, :8] @ model.w_pop + xs[:, 8] * model.w_coh
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(deadline=None, max_examples=150)
+@given(gamma_opt=_log_uniform(1e7, 1e10), gamma_nat=_log_uniform(1e5, 3e7),
+       gamma_g=_log_uniform(0.1, 1e4), omega_e=_log_uniform(1e7, 3e9),
+       delta_opt=st.floats(-2e9, 2e9), strength=_log_uniform(1e-4, 1e7),
+       mode=st.sampled_from([Depolarization.NONE, Depolarization.COMPLETE]),
+       offsets=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
+def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_g,
+                                                     omega_e, delta_opt, strength,
+                                                     mode, offsets):
+    # over the fuzz range, stiff points included: the call accepts exactly
+    # when the per-point checks do, with the same doubles, and rejects
+    # with the same invariant, value, bound and detuning
+    base = make_params(mode=mode, gamma_opt=gamma_opt, gamma_nat=gamma_nat,
+                       gamma_g=gamma_g, omega_e=omega_e, delta_opt=delta_opt)
+    model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, strength)))
+    hw = model.params.gamma_g + model.q0**0.5  # of the order of the dip's half width
+    deltas = hw * np.array([0.0, *offsets])
+    expected = _checked_reference(model, deltas)
+    if isinstance(expected, tuple):
+        with pytest.raises(InvariantViolation) as info:
+            model(deltas)
+        exc = info.value
+        assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
+    else:
+        np.testing.assert_array_equal(model(deltas), expected)
+
+
+def test_checked_call_names_the_first_check_at_its_first_detuning():
+    # five samples, each break less than twice its bound: positivity at
+    # delta 1, trace at 2, residual and positivity at 3, residual and
+    # trace at 4
+    model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
+    res_tol = RESIDUAL_TOL * max(1.0, model.params.gamma_g)
+    deltas = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+
+    def batch(residual=True, trace=True, positivity=True):
+        xs = np.zeros((5, 10))
+        xs[:, :8] = 0.125
+        resid = np.zeros((5, 10))
+        if residual:
+            resid[3, [2, 7]] = [1.2 * res_tol, 1.5 * res_tol]
+            resid[4, 0] = 1.8 * res_tol
+        if trace:
+            xs[2, :8] *= 1.0 + 1.5e-10
+            xs[4, :8] *= 1.0 + 1.8e-10
+        # off by -1.5e-13 within bounds, else by the positivity breaks
+        neg = (1.5e-12, 1.8e-12) if positivity else (1.5e-13, 1.5e-13)
+        xs[1, :2] = [-neg[0], 0.25 + neg[0]]
+        xs[3, :2] = [-neg[1], 0.25 + neg[1]]
+        model._solve = lambda d: (xs, resid)
+
+    def expect(invariant, value, bound, delta):
+        with pytest.raises(InvariantViolation) as info:
+            model(deltas)
+        exc = info.value
+        assert (exc.invariant, exc.bound, exc.delta_raman) == (invariant, bound, delta)
+        assert exc.value == pytest.approx(value, rel=1e-3)
+        assert _checked_reference(model, deltas) == (invariant, exc.value, bound, delta)
+
+    batch()
+    expect("residual", 1.5 * res_tol, res_tol, 3.0)
+    batch(trace=False, positivity=False)
+    expect("residual", 1.5 * res_tol, res_tol, 3.0)
+    batch(residual=False)
+    expect("trace", 1.5e-10, TRACE_TOL, 2.0)
+    batch(residual=False, positivity=False)
+    expect("trace", 1.5e-10, TRACE_TOL, 2.0)
+    batch(residual=False, trace=False)
+    expect("positivity", 1.5e-12, POPULATION_TOL, 1.0)
+    batch(residual=False, trace=False, positivity=False)
+    assert np.array_equal(model(deltas), _checked_reference(model, deltas))
 
 
 UNIFORM = np.full(8, 0.125)
