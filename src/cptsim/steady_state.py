@@ -164,6 +164,13 @@ def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     return A, b
 
 
+def _excitation_prefactor(params: ModelParams) -> np.ndarray:
+    """2 V^2 l_e / gamma of each excited sublevel, in EXCITED_LEVELS order."""
+    lf = lorentz_factors(params)
+    l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
+    return 2.0 * params.rabi**2 * l_e / params.gamma_nat
+
+
 def excited_from_ground(ground: np.ndarray, coherence: complex,
                         params: ModelParams) -> np.ndarray:
     """Excited-state populations implied by a ground-state configuration.
@@ -174,116 +181,13 @@ def excited_from_ground(ground: np.ndarray, coherence: complex,
     sublevels carry the dark-state bracket with -2*Re(rho21).
     """
     ground = np.asarray(ground, dtype=float)
-    lf = lorentz_factors(params)
-    l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
-    prefac = 2.0 * params.rabi**2 * l_e / params.gamma_nat
-    return prefac * (_A_EXC @ ground + _W_EXC * coherence.real)
+    return _excitation_prefactor(params) * (_A_EXC @ ground + _W_EXC * coherence.real)
 
 
 def depolarize(excited: np.ndarray) -> np.ndarray:
     """Replace every sublevel population with the arithmetic mean of all 8."""
     excited = np.asarray(excited, dtype=float)
     return np.full_like(excited, excited.mean())
-
-
-def equation_residuals(params: ModelParams, ground: np.ndarray,
-                       coherence: complex) -> np.ndarray:
-    """Evaluate the steady-state equations term by term at a candidate solution.
-
-    Returns the 10 residuals (8 population equations in GROUND_LEVELS
-    order, then Re and Im of the coherence equation), each written as
-    (right-hand side) - (left-hand side) of the balance form.  Unlike
-    :func:`assemble_linear_system` this path goes through the explicit
-    excited-state populations and the gamma-feed terms, so it exercises
-    the equations in their original shape.
-    """
-    ground = np.asarray(ground, dtype=float)
-    lf = lorentz_factors(params)
-    gg = params.gamma_g
-    v2 = params.rabi**2
-
-    excited = excited_from_ground(ground, coherence, params)
-    if params.depolarization is Depolarization.COMPLETE:
-        fed = depolarize(excited)
-    else:
-        fed = excited
-
-    res = np.zeros(10)
-    for gi, g in enumerate(GROUND_LEVELS):
-        pump_out = 0.0
-        for e, c in TABLES.pump[g]:
-            l_e = lf.lu if e[0] == 2 else lf.ld
-            pump_out += float(c) * v2 * l_e
-        feed = 0.0
-        for e, rows in TABLES.branch.items():
-            for gt, bfrac in rows:
-                if gt == g:
-                    feed += float(bfrac) * fed[EXCITED_INDEX[e]]
-        res[gi] = (gg / 8.0 + params.gamma_nat * feed
-                   - (gg + pump_out) * ground[gi])
-
-    # Coherence cross terms in the two working-population equations.
-    r, j = coherence.real, coherence.imag
-    cu = v2 * lf.lu
-    cd = v2 * lf.ld
-    res[_I20] += 0.5 * (lf.du * j + cu * r) + (lf.dd * j + cd * r) / 6.0
-    res[_I10] += -0.5 * (lf.du * j - cu * r) - (lf.dd * j - cd * r) / 6.0
-
-    # Coherence equation.
-    P = v2 * (lf.lu + lf.ld / 3.0)
-    D = lf.du + lf.dd / 3.0
-    s = ground[_I20] + ground[_I10]
-    d = ground[_I20] - ground[_I10]
-    lhs = (params.delta_raman + 1j * (gg + P / 2.0)) * coherence
-    rhs = 0.25j * P * s + 0.25 * D * d
-    res[8] = (rhs - lhs).real
-    res[9] = (rhs - lhs).imag
-    return res
-
-
-def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
-    """Solve the steady-state system by dense LU with partial pivoting.
-
-    Raises SingularSystem if the matrix cannot be factorized.  Raises
-    InvariantViolation, naming the invariant, its value, its bound and
-    the detuning, if the solution is not finite, a ground population
-    lies outside [0, 1] beyond POPULATION_TOL, the trace is off by more
-    than TRACE_TOL, an excited population lies below -EXCITED_NEG_TOL,
-    or the residual exceeds RESIDUAL_TOL * max(1, gamma_g).
-    """
-    A, b = assemble_linear_system(params)
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"steady-state matrix is singular: {exc}") from exc
-    delta = params.delta_raman
-    _check(delta, ("finite", np.count_nonzero(~np.isfinite(x)), 0.0))
-    ground = x[:8].copy()
-    _check(delta, ("positivity", -ground.min(), POPULATION_TOL),
-           # max - 1 and (1 + tol) - 1 are exact: the same test as max > 1 + tol
-           ("population", ground.max() - 1.0, (1.0 + POPULATION_TOL) - 1.0),
-           ("trace", abs(ground.sum() - 1.0), TRACE_TOL))
-
-    coherence = complex(x[8], x[9])
-    excited = excited_from_ground(ground, coherence, params)
-    _check(delta, ("excited", -excited.min(), EXCITED_NEG_TOL))
-    if params.depolarization is Depolarization.COMPLETE:
-        effective = depolarize(excited)
-    else:
-        effective = excited.copy()
-
-    residual_norm = float(np.abs(equation_residuals(params, ground, coherence)).max())
-    _check(delta, ("residual", residual_norm, RESIDUAL_TOL * max(1.0, params.gamma_g)))
-
-    return SteadyStateSolution(
-        params=params,
-        ground=ground,
-        coherence=coherence,
-        excited_bare=excited,
-        excited_effective=effective,
-        rho_ee=float(excited.sum()),
-        residual_norm=residual_norm,
-    )
 
 
 class RationalLineshape:
@@ -306,7 +210,8 @@ class RationalLineshape:
     with q1 = tr S, q0 = det S, p1 = g.r and p0 = g.adj(S).r, where
     g = (w_coh, 0) - Z^T w_pop and c0 = w_pop.y0 is the delta -> inf
     limit.  :meth:`excess` evaluates the closed form; calling the object
-    solves and checks every detuning (see :func:`rho_ee_many`), and
+    solves and checks every detuning (see :func:`rho_ee_many` and
+    :func:`solve_steady_state`), and
     :meth:`check_limit` checks the delta -> inf state.
     """
 
@@ -326,9 +231,7 @@ class RationalLineshape:
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
 
-        lf = lorentz_factors(params)
-        l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
-        prefac = 2.0 * params.rabi**2 * l_e / params.gamma_nat
+        prefac = _excitation_prefactor(params)
         self.w_pop = _A_EXC.T @ prefac
         self.w_coh = float(_W_EXC @ prefac)
 
@@ -350,7 +253,12 @@ class RationalLineshape:
 
     def __call__(self, deltas: np.ndarray) -> np.ndarray:
         """rho_ee at each detuning, each sample solved and checked."""
-        deltas = np.asarray(deltas, dtype=float).ravel()
+        xs, _ = self._checked(np.asarray(deltas, dtype=float).ravel())
+        return xs[:, :8] @ self.w_pop + xs[:, 8] * self.w_coh
+
+    def _checked(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_solve` at each detuning, after the residual, trace and
+        positivity checks of every sample."""
         xs, resid = self._solve(deltas)
         pops = xs[:, :8]
         trace = np.abs(pops.sum(axis=1) - 1.0)
@@ -359,7 +267,7 @@ class RationalLineshape:
         res_tol, trace_tol, pop_tol = self._bounds
         if (resid > res_tol).any() or (trace > trace_tol).any() or (pops < -pop_tol).any():
             raise self._first_broken(deltas, resid, trace, pops)
-        return pops @ self.w_pop + xs[:, 8] * self.w_coh
+        return xs, resid
 
     def _solve(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The full 10-vector at each detuning and the absolute residual
@@ -401,6 +309,45 @@ class RationalLineshape:
         populations above -POPULATION_TOL."""
         _check(math.inf, ("trace", abs(self.y0.sum() - 1.0), TRACE_TOL),
                ("positivity", -self.y0.min(), POPULATION_TOL))
+
+
+def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
+    """Solve the steady-state system at ``params.delta_raman``.
+
+    The solve is the checked call of :class:`RationalLineshape` at that
+    one detuning: one factorization of the delta-free population block,
+    then the 2x2 coherence solve and the back-substitution.  The checks
+    run in the order residual (every row of |A(delta) x - b| within
+    RESIDUAL_TOL * max(1, gamma_g)), trace (within TRACE_TOL), positivity
+    (ground populations above -POPULATION_TOL), population (none above
+    1 + POPULATION_TOL) and excited (none below -EXCITED_NEG_TOL).  The
+    first broken check raises InvariantViolation naming the invariant,
+    its value, its bound and the detuning.  A singular population block
+    raises SingularSystem, and so does a non-finite solution, naming the
+    detuning.  ``residual_norm`` is the max of |A(delta) x - b|.
+    """
+    delta = params.delta_raman
+    xs, resid = RationalLineshape(params)._checked(np.array([delta]))
+    ground = xs[0, :8]
+    coherence = complex(xs[0, 8], xs[0, 9])
+    excited = excited_from_ground(ground, coherence, params)
+    # max - 1 and (1 + tol) - 1 are exact: the same test as max > 1 + tol
+    _check(delta, ("population", ground.max() - 1.0, (1.0 + POPULATION_TOL) - 1.0),
+           ("excited", -excited.min(), EXCITED_NEG_TOL))
+    if params.depolarization is Depolarization.COMPLETE:
+        effective = depolarize(excited)
+    else:
+        effective = excited.copy()
+
+    return SteadyStateSolution(
+        params=params,
+        ground=ground,
+        coherence=coherence,
+        excited_bare=excited,
+        excited_effective=effective,
+        rho_ee=float(excited.sum()),
+        residual_norm=float(resid.max()),
+    )
 
 
 def _check(delta, *checks) -> None:

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cptsim.steady_state as steady_state_mod
-from cptsim.steady_state import POPULATION_TOL, RESIDUAL_TOL, TRACE_TOL
+from cptsim.steady_state import (EXCITED_NEG_TOL, POPULATION_TOL, RESIDUAL_TOL,
+                                 TRACE_TOL)
 from cptsim import (Depolarization, InvariantViolation, ParameterError,
                     RationalLineshape, SingularSystem,
                     assemble_linear_system, default_sweep_spec,
-                    depolarize, equation_residuals, excited_from_ground, fwhm,
+                    depolarize, excited_from_ground, fwhm,
                     hz_to_angular, lorentz_factors, pumping_strength,
                     rabi_for_pumping_strength, rho_ee_many,
                     solve_steady_state, sweep)
@@ -170,11 +171,25 @@ def test_solution_matches_full_unreduced_system(mode, rng):
 
 
 def test_residual_norm_is_reported_and_small(rng):
-    p = random_params(rng)
-    sol = solve_steady_state(p)
-    assert 0 <= sol.residual_norm < 1e-10 * max(1.0, p.gamma_g)
-    own = np.abs(equation_residuals(p, sol.ground, sol.coherence)).max()
-    assert own == pytest.approx(sol.residual_norm)
+    # residual_norm is max|A(delta) x - b| of the full system at the
+    # solution: the checked call's residual, and, evaluated here in
+    # another order, the same to within eps * (|A|_inf |x|_inf + |b|_inf)
+    # (measured <= 0.05 of it over 2000 draws); the verbatim equations
+    # hold at the solution
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        p = random_params(rng)
+        sol = solve_steady_state(p)
+        checked = RationalLineshape(p)._solve(np.array([p.delta_raman]))[1]
+        assert sol.residual_norm == checked.max()
+        A, b = assemble_linear_system(p)
+        x = np.array([*sol.ground, sol.coherence.real, sol.coherence.imag])
+        own = np.abs(A @ x - b).max()
+        unit = eps * (np.abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+        assert abs(sol.residual_norm - own) <= unit
+        assert 0 <= sol.residual_norm < 1e-10 * max(1.0, p.gamma_g)
+        verbatim = np.abs(residual_verbatim(p, sol.ground, sol.coherence)).max()
+        assert verbatim < 1e-10 * max(1.0, p.gamma_g)
 
 
 def test_depolarization_preserves_total_excited(rng):
@@ -369,6 +384,25 @@ def _checked_reference(model, deltas):
     return xs[:, :8] @ model.w_pop + xs[:, 8] * model.w_coh
 
 
+def _solve_reference(model, delta):
+    """solve_steady_state at ``delta`` check by check on the sample
+    ``_solve`` gives there: the checked call's verdict, then population
+    and excited, as (invariant, value, bound, delta); else the ground
+    populations and the coherence."""
+    deltas = np.array([delta])
+    expected = _checked_reference(model, deltas)
+    if isinstance(expected, tuple):
+        return expected
+    x = model._solve(deltas)[0][0]
+    ground, coherence = x[:8], complex(x[8], x[9])
+    excited = excited_from_ground(ground, coherence, model.params)
+    for name, value, bound in [("population", ground.max() - 1.0, (1.0 + POPULATION_TOL) - 1.0),
+                               ("excited", -excited.min(), EXCITED_NEG_TOL)]:
+        if not value <= bound:
+            return name, float(value), bound, delta
+    return ground, coherence
+
+
 def _log_uniform(lo, hi):
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
 
@@ -384,7 +418,8 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
                                                      mode, offsets):
     # over the fuzz range, stiff points included: the call accepts exactly
     # when the per-point checks do, with the same doubles, and rejects
-    # with the same invariant, value, bound and detuning
+    # with the same invariant, value, bound and detuning; so does
+    # solve_steady_state at the first detuning, with its two extra checks
     base = make_params(mode=mode, gamma_opt=gamma_opt, gamma_nat=gamma_nat,
                        gamma_g=gamma_g, omega_e=omega_e, delta_opt=delta_opt)
     model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, strength)))
@@ -398,6 +433,17 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
         assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
     else:
         np.testing.assert_array_equal(model(deltas), expected)
+
+    expected = _solve_reference(model, float(deltas[0]))
+    if isinstance(expected[0], str):
+        with pytest.raises(InvariantViolation) as info:
+            solve_steady_state(model.params.replace(delta_raman=deltas[0]))
+        exc = info.value
+        assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
+    else:
+        sol = solve_steady_state(model.params.replace(delta_raman=deltas[0]))
+        np.testing.assert_array_equal(sol.ground, expected[0])
+        assert sol.coherence == expected[1]
 
 
 def test_checked_call_names_the_first_check_at_its_first_detuning():
@@ -450,26 +496,25 @@ UNIFORM = np.full(8, 0.125)
 
 
 BROKEN_SOLUTIONS = [
-    # value: the count of non-finite unknowns, however far the LU spreads them
-    ("finite", [np.nan, *UNIFORM[1:], 0.0, 0.0], None),
-    ("positivity", [-1e-9, 0.125 + 1e-9, *UNIFORM[2:], 0.0, 0.0], 1e-9),
-    # also off trace: the upper population bound is checked first
-    ("population", [1.0 + 1e-9, *np.zeros(7), 0.0, 0.0], 1e-9),
-    ("trace", [*(UNIFORM * (1.0 + 1e-9)), 0.0, 0.0], 1e-9),
+    # (invariant, x, residual in units of its bound, value)
+    ("residual", [*UNIFORM, 0.0, 0.0], 1.5, None),
+    ("trace", [*(UNIFORM * (1.0 + 1e-9)), 0.0, 0.0], 0.0, 1e-9),
+    ("positivity", [-1e-9, 0.25 + 1e-9, *UNIFORM[2:], 0.0, 0.0], 0.0, 1e-9),
+    # on trace and positive: only the upper population bound is broken
+    ("population", [1.0 + 5e-11, *np.zeros(7), 0.0, 0.0], 0.0, 5e-11),
     # Re(rho21) = 1 drives the dark-state brackets of the m=+1 sublevels negative
-    ("excited", [*UNIFORM, 1.0, 0.0], None),
-    # a uniform ground state does not balance the pump
-    ("residual", [*UNIFORM, 0.0, 0.0], None),
+    ("excited", [*UNIFORM, 1.0, 0.0], 0.0, None),
 ]
 
 
-@pytest.mark.parametrize("invariant, x, value", BROKEN_SOLUTIONS,
+@pytest.mark.parametrize("invariant, x, residual, value", BROKEN_SOLUTIONS,
                          ids=[case[0] for case in BROKEN_SOLUTIONS])
-def test_solve_names_each_broken_invariant(monkeypatch, invariant, x, value):
+def test_solve_names_each_broken_invariant(monkeypatch, invariant, x, residual, value):
+    # every sample the checked call solves is x, with the given residual
     p = make_params(rabi=hz_to_angular(1e5), delta_raman=123.0)
-    # the identity system makes the linear solve return x as it is
-    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
-                        lambda params: (np.eye(10), np.array(x)))
+    res_tol = RESIDUAL_TOL * max(1.0, p.gamma_g)
+    monkeypatch.setattr(RationalLineshape, "_solve", lambda self, deltas: (
+        np.array([x]), np.full((1, 10), residual * res_tol)))
     with pytest.raises(InvariantViolation) as info:
         solve_steady_state(p)
     exc = info.value
@@ -480,6 +525,17 @@ def test_solve_names_each_broken_invariant(monkeypatch, invariant, x, value):
         assert exc.value == pytest.approx(value, rel=1e-6)
     for text in (invariant, f"{exc.value:.3e}", f"{exc.bound:.3e}", "123.0"):
         assert text in str(exc)
+
+
+def test_solve_non_finite_solution_is_singular(monkeypatch):
+    # coherence rows coupled only to each other, with det(S + delta*I)
+    # = delta^2 - 123^2 and r = 0: the 2x2 solve is 0/0 at delta = 123
+    A = np.eye(10)
+    A[8, 9] = A[9, 8] = 123.0
+    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
+                        lambda params: (A.copy(), np.array([*UNIFORM, 0.0, 0.0])))
+    with pytest.raises(SingularSystem, match=r"delta_raman=123\.0 rad/s"):
+        solve_steady_state(make_params(rabi=hz_to_angular(1e5), delta_raman=123.0))
 
 
 def test_pumping_strength_round_trip(rng):
