@@ -42,7 +42,7 @@ from .lineshape import (Lineshape, Spacing, SweepSpec, _calibrate, _metrics,
 from .params import (Depolarization, ModelParams, angular_to_hz,
                      hz_to_angular, pumping_strength,
                      rabi_for_pumping_strength)
-from .scans import METRIC_COLUMNS, Scan, batch_metrics, load_scan
+from .scans import METRIC_COLUMNS, Scan, batch_metrics, failed_row, load_scan
 from .steady_state import RationalLineshape, solve_steady_state
 from .vapor import ATOMIC_MASS_UNIT_KG, VaporParams, spin_exchange
 
@@ -206,12 +206,9 @@ def _base_params(opts: dict, depolarization=Depolarization.COMPLETE) -> ModelPar
     )
 
 
-def _build_params(opts: dict, allow_both: bool = False):
+def _build_params(opts: dict):
     """ModelParams (or a pair for mode=both) from Hz-denominated options."""
     mode = opts["mode"]
-    if mode == "both" and not allow_both:
-        raise ConfigError("mode 'both' is only supported by the solve command")
-
     base = _base_params(opts)
     rabi_hz = opts.get("rabi_hz")
     strength = opts.get("pumping_strength")
@@ -256,7 +253,7 @@ def _level_name(level) -> str:
 # ------------------------------------------------------------- subcommands
 
 def cmd_solve(opts: dict) -> int:
-    params_list = _build_params(opts, allow_both=True)
+    params_list = _build_params(opts)
     blocks = {}
     for p in params_list:
         sol = solve_steady_state(p)
@@ -370,18 +367,12 @@ def cmd_contrast_ratio(opts: dict) -> int:
     if opts["format"] == "json":
         _emit(opts.get("out"), _dump_json({"rows": rows}))
     else:
-        lines = ["pumping_strength,contrast_none,contrast_complete,ratio"]
-        lines += [",".join(_fmt(r[k]) for k in
-                           ("pumping_strength", "contrast_none",
-                            "contrast_complete", "ratio")) for r in rows]
-        _emit(opts.get("out"), "\n".join(lines) + "\n")
+        _emit(opts.get("out"), _table_csv(rows, list(rows[0])))
     return 0
 
 
 def cmd_power_broadening(opts: dict) -> int:
     mode = opts["mode"]
-    if mode == "both":
-        raise ConfigError("mode 'both' is only supported by the solve command")
     base = _base_params(opts, Depolarization(mode)).replace(delta_raman=0.0)
     rabi, w0, w = _calibrate(base, opts["multiple"])
     calibrated = base.replace(rabi=rabi)
@@ -428,10 +419,7 @@ def cmd_spin_exchange(opts: dict) -> int:
     if opts["format"] == "json":
         _emit(opts.get("out"), _dump_json({"rows": rows}))
     else:
-        cols = ("temperature_C", "n_cm3", "vr_cm_s", "gamma_se_rad_s", "width_hz")
-        lines = [",".join(cols)]
-        lines += [",".join(_fmt(r[c]) for c in cols) for r in rows]
-        _emit(opts.get("out"), "\n".join(lines) + "\n")
+        _emit(opts.get("out"), _table_csv(rows, list(rows[0])))
     return 0
 
 
@@ -469,20 +457,11 @@ def cmd_analyze(opts: dict) -> int:
             scans.append(scan)
             entries.append(("scan", scan))
         except Exception as exc:
-            entries.append(("error", {"file": p.name,
-                                      "status": f"{type(exc).__name__}: {exc}"}))
+            entries.append(("error", failed_row({"file": p.name}, exc)))
 
     batch = batch_metrics(scans, vary=opts["vary"])
     fit_rows = iter(batch.rows)
-    rows = []
-    for kind, payload in entries:
-        if kind == "scan":
-            rows.append(next(fit_rows))
-        else:
-            row = dict(payload)
-            for col in METRIC_COLUMNS:
-                row[col] = None
-            rows.append(row)
+    rows = [next(fit_rows) if kind == "scan" else payload for kind, payload in entries]
 
     meta_keys = sorted({k for row in rows for k in row}
                        - set(METRIC_COLUMNS) - {"status"})

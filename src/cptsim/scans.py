@@ -22,7 +22,6 @@ full peak).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,8 @@ import numpy as np
 
 from .errors import (MonotonicityError, NoResonance, ParseError,
                      TooFewSamples)
-from .lineshape import ResonanceMetrics, level_crossings
+from .lineshape import (ResonanceMetrics, _antisymmetric_fraction,
+                        _mirrored_offsets, level_crossings)
 
 MIN_SAMPLES = 16
 MAX_ITERATIONS = 200
@@ -83,7 +83,7 @@ def load_scan(source) -> Scan:
         # utf-8-sig: files saved with a byte-order mark parse as without one
         with open(source, "r", encoding="utf-8-sig") as fh:
             return _parse_lines(fh)
-    if isinstance(source, io.TextIOBase) or hasattr(source, "__iter__"):
+    if hasattr(source, "__iter__"):
         return _parse_lines(source)
     raise TypeError(f"cannot read a scan from {type(source).__name__}")
 
@@ -251,17 +251,6 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
     return theta, sse * scale * scale, iterations, converged, width
 
 
-def _fit_asymmetry(x, y, a, b, x0, fwhm) -> float:
-    """Antisymmetric fraction of the baseline-removed data over the FWHM window."""
-    resid = y - (a + b * x)
-    xs = np.linspace(0.0, fwhm / 2.0, 101)
-    up = np.interp(x0 + xs, x, resid)
-    dn = np.interp(x0 - xs, x, resid)
-    num = float(np.sqrt(np.sum((up - dn) ** 2)))
-    den = float(np.sqrt(np.sum(up**2) + np.sum(dn**2)))
-    return num / den if den else 0.0
-
-
 def fit_resonance(scan: Scan) -> FitReport:
     """Fit baseline + Lorentzian to a scan and extract metrics.
 
@@ -297,13 +286,15 @@ def fit_resonance(scan: Scan) -> FitReport:
     peak_level = baseline_at_center + sign * amp
     contrast = amp / peak_level
     fwhm_hz = 2.0 * w
+    # the baseline-removed data at mirrored offsets across the FWHM window
+    mirrored = np.interp(_mirrored_offsets(x0, 0.0, fwhm_hz, 100), x, y - (a + b * x))
     metrics = ResonanceMetrics(
         baseline=baseline_at_center,
         amplitude=amp,
         physical_contrast=contrast,
         fwhm_hz=fwhm_hz,
         center_hz=f_mid + x0,
-        asymmetry=_fit_asymmetry(x, y, a, b, x0, fwhm_hz),
+        asymmetry=_antisymmetric_fraction(mirrored, 0.0),
         qfactor=contrast / fwhm_hz,
     )
     model = FitModel(offset=a - b * f_mid, slope=b, center_hz=f_mid + x0,
@@ -345,6 +336,13 @@ def _row_from_report(metadata: dict, report: FitReport) -> dict:
     return row
 
 
+def failed_row(metadata: dict, exc: Exception) -> dict:
+    """The table row of a scan that failed with ``exc``: its metadata,
+    the error as ``status``, and every metric column empty."""
+    return {**metadata, "status": f"{type(exc).__name__}: {exc}",
+            **dict.fromkeys(METRIC_COLUMNS)}
+
+
 def batch_metrics(scans: Sequence[Scan], vary: str = "intensity_mW_cm2",
                   ignore_keys: Sequence[str] = ("file",)) -> BatchResult:
     """Fit every scan and tabulate metrics alongside its metadata.
@@ -362,11 +360,7 @@ def batch_metrics(scans: Sequence[Scan], vary: str = "intensity_mW_cm2",
         try:
             report = fit_resonance(scan)
         except Exception as exc:  # collected, not fatal to the batch
-            row = dict(scan.metadata)
-            row["status"] = f"{type(exc).__name__}: {exc}"
-            for col in METRIC_COLUMNS:
-                row[col] = None
-            rows.append(row)
+            rows.append(failed_row(scan.metadata, exc))
             continue
         rows.append(_row_from_report(scan.metadata, report))
 

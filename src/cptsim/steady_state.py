@@ -70,7 +70,6 @@ POPULATION_TOL = 1e-12     # allowed negative excursion of ground populations
 TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
 RESIDUAL_TOL = 1e-10       # residual bound, relative to max(1, gamma_g)
 EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
-_CHECKS = ("residual", "trace", "positivity")  # order of RationalLineshape._bounds
 
 
 @dataclass(frozen=True)
@@ -243,8 +242,6 @@ class RationalLineshape:
         self.p0 = g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0)
 
         self._A0, self._b = A0, b
-        self._bounds = (RESIDUAL_TOL * max(1.0, params.gamma_g), TRACE_TOL,
-                        POPULATION_TOL)
 
     def excess(self, deltas):
         """Closed-form rho_ee(delta) - c0 at a detuning or an array of
@@ -257,16 +254,17 @@ class RationalLineshape:
         return xs[:, :8] @ self.w_pop + xs[:, 8] * self.w_coh
 
     def _checked(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_solve` at each detuning, after the residual, trace and
-        positivity checks of every sample."""
+        """:meth:`_solve` at each detuning, after one :func:`_screen` of
+        every sample: residual (every row of |A(delta) x - b| within
+        RESIDUAL_TOL * max(1, gamma_g)), trace (within TRACE_TOL), then
+        positivity (ground populations above -POPULATION_TOL).  A NaN
+        value breaks its check."""
         xs, resid = self._solve(deltas)
         pops = xs[:, :8]
-        trace = np.abs(pops.sum(axis=1) - 1.0)
-        # elementwise against the bounds: the same verdicts as the per-point
-        # max and min, which are only formed to name a broken invariant
-        res_tol, trace_tol, pop_tol = self._bounds
-        if (resid > res_tol).any() or (trace > trace_tol).any() or (pops < -pop_tol).any():
-            raise self._first_broken(deltas, resid, trace, pops)
+        _screen(deltas,
+                ("residual", resid, RESIDUAL_TOL * max(1.0, self.params.gamma_g)),
+                ("trace", np.abs(pops.sum(axis=1) - 1.0), TRACE_TOL),
+                ("positivity", -pops, POPULATION_TOL))
         return xs, resid
 
     def _solve(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,21 +292,35 @@ class RationalLineshape:
         np.abs(resid, out=resid)
         return xs, resid
 
-    def _first_broken(self, deltas, resid, trace, pops) -> InvariantViolation:
-        """The error for the first check, in ``_CHECKS`` order, that some
-        sample breaks, at the first detuning that breaks it."""
-        values = np.stack([resid.max(axis=1), trace, -pops.min(axis=1)])
-        bad = values > np.array(self._bounds)[:, None]
-        c = int(np.argmax(bad.any(axis=1)))
-        i = int(np.argmax(bad[c]))
-        return _broken(_CHECKS[c], values[c, i], self._bounds[c], deltas[i])
-
     def check_limit(self) -> None:
         """Check the delta -> inf state (ground populations y0, no
-        coherence), whose rho_ee is c0: trace within TRACE_TOL and
-        populations above -POPULATION_TOL."""
-        _check(math.inf, ("trace", abs(self.y0.sum() - 1.0), TRACE_TOL),
-               ("positivity", -self.y0.min(), POPULATION_TOL))
+        coherence), whose rho_ee is c0, as a one-sample :func:`_screen`
+        at delta = inf: trace within TRACE_TOL, then populations above
+        -POPULATION_TOL.  A NaN value breaks its check."""
+        _screen(np.array([math.inf]),
+                ("trace", np.abs(self.y0.sum(keepdims=True) - 1.0), TRACE_TOL),
+                ("positivity", -self.y0, POPULATION_TOL))
+
+
+def _screen(deltas: np.ndarray, *checks) -> None:
+    """Raise InvariantViolation for the first of the (name, values, bound)
+    checks, in the order given, that some sample breaks.
+
+    ``values`` holds one row of values per detuning in ``deltas``; a value
+    that is not <= bound breaks the check, NaN included.  The error names
+    the first detuning that breaks it, with that row's max as the value.
+    """
+    for name, values, bound in checks:
+        # one reduction screens; the row mask is formed only on failure
+        if (values <= bound).all():
+            continue
+        rows = values.reshape(deltas.size, -1)
+        i = int(np.argmax(~(rows <= bound).all(axis=1)))
+        value, bound, delta = float(rows[i].max()), float(bound), float(deltas[i])
+        raise InvariantViolation(
+            f"{name} invariant broken at delta_raman={delta!r} rad/s: "
+            f"{value:.3e} exceeds bound {bound:.3e}",
+            invariant=name, value=value, bound=bound, delta_raman=delta)
 
 
 def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
@@ -316,24 +328,23 @@ def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
 
     The solve is the checked call of :class:`RationalLineshape` at that
     one detuning: one factorization of the delta-free population block,
-    then the 2x2 coherence solve and the back-substitution.  The checks
-    run in the order residual (every row of |A(delta) x - b| within
-    RESIDUAL_TOL * max(1, gamma_g)), trace (within TRACE_TOL), positivity
-    (ground populations above -POPULATION_TOL), population (none above
-    1 + POPULATION_TOL) and excited (none below -EXCITED_NEG_TOL).  The
-    first broken check raises InvariantViolation naming the invariant,
-    its value, its bound and the detuning.  A singular population block
-    raises SingularSystem, and so does a non-finite solution, naming the
-    detuning.  ``residual_norm`` is the max of |A(delta) x - b|.
+    then the 2x2 coherence solve and the back-substitution.  Its residual,
+    trace and positivity checks are followed by one more :func:`_screen`:
+    population (none above 1 + POPULATION_TOL), then excited (none below
+    -EXCITED_NEG_TOL).  The first broken check, a NaN value included,
+    raises InvariantViolation naming the invariant, its value, its bound
+    and the detuning.  A singular population block raises SingularSystem,
+    and so does a non-finite solution, naming the detuning.
+    ``residual_norm`` is the max of |A(delta) x - b|.
     """
-    delta = params.delta_raman
-    xs, resid = RationalLineshape(params)._checked(np.array([delta]))
+    deltas = np.array([params.delta_raman])
+    xs, resid = RationalLineshape(params)._checked(deltas)
     ground = xs[0, :8]
     coherence = complex(xs[0, 8], xs[0, 9])
     excited = excited_from_ground(ground, coherence, params)
-    # max - 1 and (1 + tol) - 1 are exact: the same test as max > 1 + tol
-    _check(delta, ("population", ground.max() - 1.0, (1.0 + POPULATION_TOL) - 1.0),
-           ("excited", -excited.min(), EXCITED_NEG_TOL))
+    # g - 1 (exact for g in [1/2, 2]) against (1 + tol) - 1: the test g > 1 + tol
+    _screen(deltas, ("population", ground - 1.0, (1.0 + POPULATION_TOL) - 1.0),
+            ("excited", -excited, EXCITED_NEG_TOL))
     if params.depolarization is Depolarization.COMPLETE:
         effective = depolarize(excited)
     else:
@@ -350,22 +361,6 @@ def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
     )
 
 
-def _check(delta, *checks) -> None:
-    """Raise the first of the (name, value, bound) checks whose value
-    is not within its bound, for the sample at detuning ``delta``."""
-    for name, value, bound in checks:
-        if not value <= bound:
-            raise _broken(name, value, bound, delta)
-
-
-def _broken(name: str, value, bound, delta) -> InvariantViolation:
-    value, bound, delta = float(value), float(bound), float(delta)
-    return InvariantViolation(
-        f"{name} invariant broken at delta_raman={delta!r} rad/s: "
-        f"{value:.3e} exceeds bound {bound:.3e}",
-        invariant=name, value=value, bound=bound, delta_raman=delta)
-
-
 def rho_ee_many(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
     """Total excited population at each Raman detuning, batched.
 
@@ -373,9 +368,10 @@ def rho_ee_many(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
     costs a closed-form 2x2 solve and an 8x2 back-substitution,
     vectorized over all detunings.  Every sample is rebuilt as a full
     10-vector and checked against the full system A(delta): finite
-    (else SingularSystem), residual within RESIDUAL_TOL * max(1, gamma_g),
-    trace within TRACE_TOL, and ground populations above
-    -POPULATION_TOL.  A broken check raises InvariantViolation naming
-    the invariant, its value, its bound and the first offending detuning.
+    (else SingularSystem), then one :func:`_screen` of the residual
+    within RESIDUAL_TOL * max(1, gamma_g), the trace within TRACE_TOL
+    and the ground populations above -POPULATION_TOL.  The first broken
+    check, a NaN value included, raises InvariantViolation naming the
+    invariant, its value, its bound and the first offending detuning.
     """
     return RationalLineshape(params)(deltas)

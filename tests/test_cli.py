@@ -86,9 +86,17 @@ def test_hz_round_trip_full_precision(capsys):
     assert data["params_hz"]["rabi_hz"] == float(rabi)
 
 
-def test_mode_both_rejected_outside_solve(capsys):
-    code, _, err = run(capsys, "sweep", "--rabi-hz", "1e6", "--mode", "both")
-    assert code == 2
+def test_mode_both_rejected_outside_solve(capsys, tmp_path):
+    # argparse's --mode choices, and the same choices for a config file,
+    # refuse 'both' before a subcommand other than solve runs
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("mode = both\n")
+    for argv in (["sweep", "--rabi-hz", "1e6", "--mode", "both"],
+                 ["power-broadening", "--mode", "both"],
+                 ["power-broadening", "--config", str(cfg)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+    assert "config key 'mode': 'both' not in" in err
 
 
 # ------------------------------------------------------------------ sweep

@@ -291,6 +291,12 @@ def test_contrast_checks_the_far_detuned_state(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         model.check_limit()
     assert (err.value.invariant, err.value.delta_raman) == ("positivity", math.inf)
+    model.y0 = y0.copy()
+    model.y0[3] = np.nan  # a NaN value breaks its check
+    with pytest.raises(InvariantViolation) as err:
+        model.check_limit()
+    assert (err.value.invariant, err.value.delta_raman) == ("trace", math.inf)
+    assert math.isnan(err.value.value)
 
     class OffTrace(RationalLineshape):
         def __call__(self, deltas):
