@@ -451,9 +451,9 @@ def cmd_analyze(opts: dict) -> int:
     scans: list[Scan] = []
     for p in paths:
         try:
-            raw = load_scan(p)
-            scan = Scan(raw.frequency, raw.signal,
-                        {**raw.metadata, "file": p.name})
+            scan = load_scan(p)
+            # the loaded scan owns a fresh dict; a "# file = ..." line keeps its key's place
+            scan.metadata["file"] = p.name
             scans.append(scan)
             entries.append(("scan", scan))
         except Exception as exc:

@@ -5,6 +5,12 @@ Scan file format (CSV, UTF-8): optional leading comment lines
 header, then exactly two numeric columns per row.  Frequencies must be
 strictly increasing after sorting (duplicates are rejected).
 
+Parsing converts the whole data block at once: one ``float`` per field
+of the joined rows.  Text that this bulk pass does not take (a comment
+line among the data, a wrong column count, a non-numeric or non-finite
+field) is parsed again line by line; that loop is the format's
+definition and names the failing line.
+
 Fitting uses an affine baseline plus a Lorentzian peak or dip:
 
     model(f) = offset + slope*f + sign * A * w^2 / ((f - f0)^2 + w^2)
@@ -23,7 +29,9 @@ full peak).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from operator import methodcaller
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -74,27 +82,56 @@ def _parse_metadata_value(raw: str):
 
 
 def load_scan(source) -> Scan:
-    """Parse a scan from a path or a line iterable.
+    """Parse a scan from a path (``str`` or any ``os.PathLike``) or a
+    line iterable.
 
     Raises ParseError (with 1-based line number), MonotonicityError, or
     TooFewSamples.
     """
-    if isinstance(source, (str, Path)):
-        # utf-8-sig: files saved with a byte-order mark parse as without one
+    if isinstance(source, (str, os.PathLike)):
+        # utf-8-sig: files saved with a byte-order mark parse as without one.
+        # Universal newlines turn "\r\n" and "\r" into "\n"; split on that
+        # alone, as line iteration does (str.splitlines also splits on
+        # "\x0c", "\x85", "\u2028" and others, which would renumber lines).
         with open(source, "r", encoding="utf-8-sig") as fh:
-            return _parse_lines(fh)
+            return _parse_lines(fh.read().split("\n"))
     if hasattr(source, "__iter__"):
         return _parse_lines(source)
     raise TypeError(f"cannot read a scan from {type(source).__name__}")
 
 
+_comma_count = methodcaller("count", ",")
+
+
+def _bulk_columns(body: list[str]):
+    """Frequency and signal columns of ``body``, the stripped lines from
+    the first data line on, converted in one pass; None unless every
+    non-blank line holds exactly one comma and every field is a finite
+    number.  A comment line among the data fails the conversion (no
+    number contains ``#``), so its metadata is left to the per-line loop.
+    """
+    body = list(filter(None, body))
+    if set(map(_comma_count, body)) != {1}:
+        return None
+    try:
+        values = np.array(list(map(float, ",".join(body).split(","))))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values[0::2], values[1::2]
+
+
 def _parse_lines(lines: Iterable[str]) -> Scan:
+    """The scan format's one definition.  At the first data line the rest
+    of the lines are tried in one bulk conversion; any text that fails it
+    is parsed line by line below, which names the failing line."""
+    lines = list(map(str.strip, lines))
     metadata: dict = {}
     freqs: list[float] = []
     sigs: list[float] = []
     header_allowed = True
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         if line.startswith("#"):
@@ -107,6 +144,10 @@ def _parse_lines(lines: Iterable[str]) -> Scan:
             header_allowed = False
             continue
         header_allowed = False
+        if not freqs:  # the first data line: try the rest in one pass
+            columns = _bulk_columns(lines[lineno - 1:])
+            if columns is not None:
+                return Scan(*columns, metadata)
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"expected 2 comma-separated columns, got {len(parts)}",
@@ -172,8 +213,8 @@ def _edge_affine(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def _initial_guess(x: np.ndarray, y: np.ndarray):
     """Starting theta from the edge baseline and the half-depth crossings
-    of the largest excursion, and the width between those crossings
-    (nan where one is missing)."""
+    of the largest excursion, the width between those crossings (nan
+    where one is missing), and the median sample spacing."""
     a0, b0 = _edge_affine(x, y)
     resid = y - (a0 + b0 * x)
     i0 = int(np.argmax(np.abs(resid)))
@@ -187,7 +228,7 @@ def _initial_guess(x: np.ndarray, y: np.ndarray):
     if math.isnan(hi):
         hi = x[i0] + spacing
     w0 = max((hi - lo) / 2.0, spacing)
-    return np.array([a0, b0, sign * amp0, float(x[i0]), w0]), width
+    return np.array([a0, b0, sign * amp0, float(x[i0]), w0]), width, spacing
 
 
 def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
@@ -196,45 +237,41 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
     The signal is pre-scaled by a power of two so that rescaling the
     input (by any power of two) reproduces bit-identical fit geometry;
     for the same reason the half-depth width of the initial guess is the
-    direct width of the unscaled signal, and is returned as it is.
+    direct width of the unscaled signal, and is returned as it is, with
+    the median sample spacing.
     """
     _, exp2 = math.frexp(float(np.abs(y_raw).max()) or 1.0)
     scale = math.ldexp(1.0, exp2)
     y = y_raw / scale
 
-    theta, width = _initial_guess(x, y)
+    theta, width, spacing = _initial_guess(x, y)
 
-    def model_of(t):
+    def evaluate(t):
+        """Lorentzian factor, residual and squared residual at ``t``."""
         a, b, sa, x0, w = t
         lor = w**2 / ((x - x0) ** 2 + w**2)
-        return a + b * x + sa * lor, lor
+        r = y - (a + b * x + sa * lor)
+        return lor, r, float(r @ r)
 
-    def sse_of(t):
-        m, _ = model_of(t)
-        r = y - m
-        return float(r @ r)
-
-    sse = sse_of(theta)
+    lor, r, sse = evaluate(theta)
+    jac = np.empty((x.size, 5))
+    jac[:, 0] = 1.0
+    jac[:, 1] = x
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        a, b, sa, x0, w = theta
-        m, lor = model_of(theta)
-        r = y - m
+        _, _, sa, x0, w = theta
         dx = x - x0
-        jac = np.column_stack([
-            np.ones_like(x),
-            x,
-            lor,
-            sa * 2.0 * dx * lor**2 / w**2,
-            sa * 2.0 * dx**2 * lor**2 / w**3,
-        ])
+        lor2 = lor**2
+        jac[:, 2] = lor
+        jac[:, 3] = sa * 2.0 * dx * lor2 / w**2
+        jac[:, 4] = sa * 2.0 * dx**2 * lor2 / w**3
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         accepted = False
         for _ in range(40):
             trial = theta + step
             if trial[4] > 0 and np.all(np.isfinite(trial)):
-                new_sse = sse_of(trial)
+                trial_lor, trial_r, new_sse = evaluate(trial)
                 if math.isfinite(new_sse) and new_sse <= sse:
                     accepted = True
                     break
@@ -242,13 +279,13 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
         if not accepted:
             break
         change = sse - new_sse
-        theta, sse = trial, new_sse
+        theta, lor, r, sse = trial, trial_lor, trial_r, new_sse
         if change <= SSE_RTOL * max(sse, 1e-300):
             converged = True
             break
     theta = theta.copy()
     theta[:3] *= scale  # offset, slope, amplitude back to input units (exact)
-    return theta, sse * scale * scale, iterations, converged, width
+    return theta, sse * scale * scale, iterations, converged, width, spacing
 
 
 def fit_resonance(scan: Scan) -> FitReport:
@@ -263,7 +300,7 @@ def fit_resonance(scan: Scan) -> FitReport:
     f_mid = 0.5 * (float(f[0]) + float(f[-1]))
     x = f - f_mid
 
-    theta, sse, iterations, converged, direct_fwhm = _fit_damped(x, y)
+    theta, sse, iterations, converged, direct_fwhm, spacing = _fit_damped(x, y)
     a, b, sa, x0, w = (float(t) for t in theta)
     sign = 1 if sa >= 0 else -1
     amp = abs(sa)
@@ -272,7 +309,7 @@ def fit_resonance(scan: Scan) -> FitReport:
     if amp <= 3.0 * rms:
         raise NoResonance(
             f"fitted amplitude {amp:.3e} not above 3x residual rms {rms:.3e}")
-    if w < float(np.median(np.diff(x))):
+    if w < spacing:
         # narrower than the sampling: a noise spike, not a resonance
         raise NoResonance(
             f"fitted half width {w:.3e} Hz below the sample spacing")

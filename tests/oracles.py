@@ -10,11 +10,19 @@ code with the package.  Two routes are provided:
   (8 ground + 8 excited + Re/Im coherence) with the excited-state
   populations kept as explicit unknowns.
 
+parse_lines_verbatim is the scan format's line-by-line parser, kept as
+the reference for the package's bulk conversion.
+
 Ground ordering matches the package: (2,-2), (2,-1), (2,0), (2,1),
 (2,2), (1,-1), (1,0), (1,1); excited ordering u(-2..2) then d(-1..1).
 """
 
+import math
+
 import numpy as np
+
+from cptsim.errors import ParseError
+from cptsim.scans import CSV_HEADER, Scan, _parse_metadata_value
 
 
 def _rates(params):
@@ -258,3 +266,41 @@ def lorentzian_scan(rng, n=401, span_hz=10_000.0, center_hz=0.0,
     noisy = clean + rng.normal(0.0, noise_frac * abs(amp), n)
     return f, noisy, {"amplitude": abs(amp), "center_hz": center_hz,
                       "fwhm_hz": fwhm_hz, "contrast": contrast}
+
+
+def parse_lines_verbatim(lines):
+    """Scan parser, one line at a time: blank lines skipped, ``# key =
+    value`` comment lines as metadata, an optional header before the
+    first data line, then two finite comma-separated numbers per row."""
+    metadata: dict = {}
+    freqs: list[float] = []
+    sigs: list[float] = []
+    header_allowed = True
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = _parse_metadata_value(value)
+            continue
+        if header_allowed and line.replace(" ", "").lower() == CSV_HEADER:
+            header_allowed = False
+            continue
+        header_allowed = False
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 comma-separated columns, got {len(parts)}",
+                             line=lineno)
+        try:
+            f = float(parts[0])
+            y = float(parts[1])
+        except ValueError:
+            raise ParseError(f"non-numeric value in {line!r}", line=lineno) from None
+        if not (math.isfinite(f) and math.isfinite(y)):
+            raise ParseError(f"non-finite value in {line!r}", line=lineno)
+        freqs.append(f)
+        sigs.append(y)
+    return Scan(np.array(freqs), np.array(sigs), metadata)

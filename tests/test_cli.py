@@ -361,6 +361,45 @@ def test_analyze_directory(tmp_path, capsys):
     assert mirror["qmax"][0]["intensity_mW_cm2"] == 0.3
 
 
+def test_analyze_tables_each_scan_once_under_its_path_name(tmp_path, capsys):
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    # a "# file = ..." line comes first in the file, and so first in the row
+    write_scan(scans / "a.csv", seed=1, contrast=0.04,
+               meta={"file": "other.csv", "gas": "Ne", "intensity_mW_cm2": 0.1})
+    write_scan(scans / "b.csv", seed=2, contrast=0.06, sign=-1,
+               meta={"gas": "N2", "intensity_mW_cm2": 0.2})
+    (scans / "c_text.csv").write_text("frequency_hz,signal\n1,2\nbad\n")
+    (scans / "d_short.csv").write_text("".join(f"{i}.0,1.0\n" for i in range(15)))
+    out = tmp_path / "table.csv"
+    code, _, _ = run(capsys, "analyze", str(scans), "--out", str(out))
+    assert code == 0
+
+    # expected: each path loaded and fitted on its own, tabled under its name
+    rows, fitted = [], []
+    for path in sorted(scans.glob("*.csv")):
+        try:
+            raw = cptsim.load_scan(path)
+        except cptsim.CptsimError as exc:
+            rows.append(cptsim.scans.failed_row({"file": path.name}, exc))
+            continue
+        scan = cptsim.Scan(raw.frequency, raw.signal, {**raw.metadata, "file": path.name})
+        fitted.append(scan)
+        rows.append(cptsim.batch_metrics([scan]).rows[0])
+    columns = ["file", "gas", "intensity_mW_cm2", "status", *cptsim.scans.METRIC_COLUMNS]
+    assert [row["file"] for row in rows] == ["a.csv", "b.csv", "c_text.csv", "d_short.csv"]
+    assert [row["status"] for row in rows] == [
+        "ok", "ok", "ParseError: line 3: expected 2 comma-separated columns, got 1",
+        "TooFewSamples: scan has 15 samples, need >= 16"]
+    assert out.read_text() == cli._table_csv(rows, columns)
+    assert (tmp_path / "table_qmax.csv").read_text() == cli._table_csv(
+        cptsim.batch_metrics(fitted).qmax, columns)
+    mirror = (tmp_path / "table.json").read_text()
+    assert mirror == cli._dump_json({"rows": rows, "qmax": cptsim.batch_metrics(fitted).qmax})
+    assert list(json.loads(mirror)["rows"][0])[:4] == ["file", "gas", "intensity_mW_cm2",
+                                                       "status"]
+
+
 def test_analyze_total_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("frequency_hz,signal\n1,2\n")

@@ -2,9 +2,12 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptsim import (Depolarization, MonotonicityError, NoResonance,
                     ParseError, Scan, TooFewSamples, batch_metrics,
@@ -12,9 +15,10 @@ from cptsim import (Depolarization, MonotonicityError, NoResonance,
                     rabi_for_pumping_strength, sweep, write_scan_csv)
 
 from cptsim.lineshape import level_crossings
+from cptsim.scans import CSV_HEADER
 
 from conftest import make_params
-from oracles import lorentzian_scan
+from oracles import lorentzian_scan, parse_lines_verbatim
 
 
 def scan_text(rows, header=True, meta=()):
@@ -101,6 +105,96 @@ def test_load_file_with_byte_order_mark(tmp_path, meta):
     scan = load_scan(path)
     assert scan.frequency.size == 20
     assert scan.metadata == dict((k, float(v)) for k, v in meta)
+
+
+def test_load_scan_accepts_any_path_like(tmp_path):
+    write_scan_csv(tmp_path / "scan.csv", np.arange(20.0), np.linspace(1, 2, 20),
+                   {"cell": "A1"})
+    with os.scandir(tmp_path) as entries:
+        (entry,) = entries
+        scan = load_scan(entry)
+    expected = load_scan(str(tmp_path / "scan.csv"))
+    np.testing.assert_array_equal(scan.frequency, expected.frequency)
+    np.testing.assert_array_equal(scan.signal, expected.signal)
+    assert scan.metadata == expected.metadata == {"cell": "A1"}
+
+
+# whitespace that str.strip drops, some of which str.splitlines would also
+# treat as a line break; float() accepts all but "\x1c" around a number
+_PAD = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+_VALUE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_FAULTY_ROWS = ("dup", "blank", "comment", "one", "three", "text", "nan", "inf",
+                "header")
+
+
+@st.composite
+def scan_lines(draw):
+    """Lines of a scan file, without line endings: metadata and comment
+    lines, an optional header in any accepted spelling, then data rows,
+    well formed but for a few kinds of faulty row."""
+    lines = [draw(st.sampled_from(["# {} = {}", "#{}={}", "## {} = {}", "# {} {}"]))
+             .format(draw(st.sampled_from(["gas", "temperature_C", "file"])),
+                     draw(st.sampled_from(["Ne", " 65 ", "1e-3", "nan", "a = b", ""])))
+             for _ in range(draw(st.integers(0, 3)))]
+    lines += draw(st.lists(st.sampled_from(["", "  ", "# note"]), max_size=2))
+    header = draw(st.sampled_from([None, "frequency_hz,signal", "frequency_hz , signal",
+                                   "FREQUENCY_HZ,SIGNAL", " Frequency_Hz,Signal "]))
+    if header is not None:
+        lines.append(header)
+    kinds = ("row",) * 8 + tuple(draw(st.lists(st.sampled_from(_FAULTY_ROWS), max_size=2)))
+    pads = st.sampled_from(["", *draw(st.lists(_PAD, max_size=2))])
+    start = draw(st.sampled_from([0.0, -1e3, 6.834682610904e9]))
+    step = draw(st.sampled_from([1.0, 0.1, -3.0]))
+    for i in range(draw(st.integers(0, 15) | st.integers(16, 40))):
+        kind = draw(st.sampled_from(kinds))
+        f = repr(start + step * (i - (kind == "dup")))
+        y = draw(_VALUE)
+        fields = {"row": (f, y), "dup": (f, y), "one": (f,), "three": (f, y, y),
+                  "text": (f, "oops"), "nan": (f, "nan"), "inf": ("-inf", y)}.get(kind)
+        if fields is None:
+            lines.append({"blank": draw(pads), "comment": "# k = 1",
+                          "header": CSV_HEADER}[kind])
+        else:
+            lines.append(",".join(draw(pads) + v + draw(pads) for v in fields))
+    return lines
+
+
+def _outcome(parse, source):
+    """Bit patterns and metadata of a parsed scan, or its error."""
+    try:
+        scan = parse(source)
+    except (ParseError, MonotonicityError, TooFewSamples) as exc:
+        return type(exc), str(exc), exc.line if isinstance(exc, ParseError) else None
+    return (scan.frequency.tobytes(), scan.signal.tobytes(),
+            repr(list(scan.metadata.items())))
+
+
+_ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@settings(deadline=None, max_examples=200)
+@given(lines=scan_lines(), endings=st.data())
+def test_bulk_parse_of_line_list_matches_per_line_reference(lines, endings):
+    source = [line + endings.draw(_ENDING) for line in lines]
+    assert _outcome(load_scan, source) == _outcome(parse_lines_verbatim, source)
+
+
+@settings(deadline=None, max_examples=200)
+@given(lines=scan_lines(), endings=st.data(), final_newline=st.booleans(),
+       encoding=st.sampled_from(["utf-8", "utf-8-sig"]))
+def test_bulk_parse_of_file_matches_per_line_reference(tmp_path_factory, lines, endings,
+                                                       final_newline, encoding):
+    text = "".join(line + endings.draw(_ENDING) for line in lines)
+    if lines and not final_newline:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("scan") / "scan.csv"
+    path.write_bytes(text.encode(encoding))
+
+    def reference(p):
+        with open(p, "r", encoding="utf-8-sig") as fh:
+            return parse_lines_verbatim(fh)
+
+    assert _outcome(load_scan, path) == _outcome(reference, path)
 
 
 # ---------------------------------------------------------------- fitting
