@@ -30,6 +30,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .params import (Depolarization, ModelParams, angular_to_hz,
                      hz_to_angular, pumping_strength,
                      rabi_for_pumping_strength)
 from .scans import METRIC_COLUMNS, Scan, batch_metrics, failed_row, load_scan
-from .steady_state import RationalLineshape, solve_steady_state
+from .steady_state import BLOCK_SIZE, RationalLineshape, solve_steady_state
 from .vapor import ATOMIC_MASS_UNIT_KG, VaporParams, spin_exchange
 
 FIG1_PRESET_HZ = {
@@ -100,8 +101,9 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, default=_jsonable) + "\n"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a unique temp file in the same directory, then rename.
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the str ``chunks`` in order through a unique temp file in the
+    same directory, then rename; a large output streams, chunk by chunk.
 
     The temp file is removed on failure.  An unwritable destination is a
     ConfigError (exit code 2).
@@ -112,7 +114,7 @@ def _write_atomic(path: Path, text: str) -> None:
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
                                    dir=path.parent)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -137,7 +139,7 @@ def _emit(out, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(Path(out), text)
+        _write_atomic(Path(out), [text])
 
 
 # ----------------------------------------------------------------- config
@@ -297,11 +299,16 @@ def _sweep_spec_from(opts: dict, params: ModelParams) -> SweepSpec:
                               opts["n_points"], spacing)
 
 
-def _sweep_csv(shape: Lineshape) -> str:
-    """The sweep CSV; each column converted once, each number its repr."""
-    hz = angular_to_hz(shape.deltas).tolist()
-    ys = shape.rho_ee.tolist()
-    return "delta_hz,rho_ee\n" + "".join(f"{d!r},{y!r}\n" for d, y in zip(hz, ys))
+def _sweep_csv(shape: Lineshape) -> Iterator[str]:
+    """The sweep CSV in chunks of BLOCK_SIZE rows, so no more than one
+    block of lines is held at once; each column converted once per block,
+    each number its repr."""
+    yield "delta_hz,rho_ee\n"
+    for start in range(0, shape.deltas.size, BLOCK_SIZE):
+        block = slice(start, start + BLOCK_SIZE)
+        hz = angular_to_hz(shape.deltas[block]).tolist()
+        ys = shape.rho_ee[block].tolist()
+        yield "".join(f"{d!r},{y!r}\n" for d, y in zip(hz, ys))
 
 
 def cmd_sweep(opts: dict) -> int:
@@ -336,7 +343,7 @@ def cmd_sweep(opts: dict) -> int:
         sys.stdout.write(_dump_json(metrics_block))
     else:
         _write_atomic(Path(out), _sweep_csv(shape))
-        _write_atomic(_sidecar(Path(out), "_metrics.json"), _dump_json(metrics_block))
+        _write_atomic(_sidecar(Path(out), "_metrics.json"), [_dump_json(metrics_block)])
     return 0
 
 
@@ -477,9 +484,9 @@ def cmd_analyze(opts: dict) -> int:
         else:
             sys.stdout.write(csv_text)
     else:
-        _write_atomic(Path(out), csv_text)
-        _write_atomic(_sidecar(Path(out), "_qmax.csv"), qmax_text)
-        _write_atomic(_sidecar(Path(out), ".json"), mirror)
+        _write_atomic(Path(out), [csv_text])
+        _write_atomic(_sidecar(Path(out), "_qmax.csv"), [qmax_text])
+        _write_atomic(_sidecar(Path(out), ".json"), [mirror])
 
     n_failed = sum(1 for row in rows if row["status"] != "ok")
     if rows and n_failed == len(rows):

@@ -57,16 +57,19 @@ class Scan:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        f = np.asarray(self.frequency, dtype=float)
-        y = np.asarray(self.signal, dtype=float)
+        # contiguous copies the scan owns
+        f = np.array(self.frequency, dtype=float)
+        y = np.array(self.signal, dtype=float)
         if f.ndim != 1 or f.shape != y.shape:
             raise ParseError("frequency and signal must be matching 1-d arrays")
         if f.size < MIN_SAMPLES:
             raise TooFewSamples(f"scan has {f.size} samples, need >= {MIN_SAMPLES}")
-        order = np.argsort(f, kind="stable")
-        f, y = f[order], y[order]
-        if np.any(np.diff(f) <= 0):
-            raise MonotonicityError("duplicate or non-increasing frequencies")
+        # strictly increasing input (no NaN) is its own stable sort
+        if not (np.diff(f) > 0).all():
+            order = np.argsort(f, kind="stable")
+            f, y = f[order], y[order]
+            if np.any(np.diff(f) <= 0):
+                raise MonotonicityError("duplicate or non-increasing frequencies")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(y))):
             raise ParseError("non-finite frequency or signal value")
         object.__setattr__(self, "frequency", f)

@@ -71,6 +71,22 @@ TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
 RESIDUAL_TOL = 1e-10       # residual bound, relative to max(1, gamma_g)
 EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
 
+# Detunings per block of a checked call.  A (block, 10) array of doubles
+# (about 320 kB) stays in cache.  The bits of a block's rho_ee product
+# rest on two properties of the OpenBLAS build numpy ships (0.3.31,
+# SkylakeX kernel), measured, not guaranteed by BLAS:
+# - it runs a matrix-vector product of up to 57598 rows of 8 on one
+#   thread and splits larger ones over threads, and a row near the end of
+#   a thread's share can move by an ulp, so a whole-array product of 1e5
+#   samples had bits that depended on the thread count;
+# - its kernel forms rows in groups of 4, and a row's last bit depends on
+#   its group, so a block that starts off a multiple of 4 moves some rows.
+# 4096 is a power of two, hence a multiple of any power-of-two group up
+# to 4096, and far below the threading size.  With this build, blocked bits equal
+# those of one single-threaded whole-array product at any thread count
+# tried (1, 2, 3, 4 and 8); other BLAS builds are not measured.
+BLOCK_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class SteadyStateSolution:
@@ -249,23 +265,57 @@ class RationalLineshape:
         return (self.p1 * deltas + self.p0) / ((deltas + self.q1) * deltas + self.q0)
 
     def __call__(self, deltas: np.ndarray) -> np.ndarray:
-        """rho_ee at each detuning, each sample solved and checked."""
-        xs, _ = self._checked(np.asarray(deltas, dtype=float).ravel())
+        """rho_ee at each detuning, each sample solved and checked.
+
+        The detunings are solved and checked in blocks of BLOCK_SIZE into
+        one preallocated array, so the memory of a large call is bounded
+        by one block.  The verdict is the one a single check of the whole
+        input gives: SingularSystem at the first non-finite sample, else
+        the first of residual, trace and positivity that any sample
+        breaks, at the first detuning that breaks it.
+        """
+        deltas = np.asarray(deltas, dtype=float).ravel()
+        n = deltas.size
+        rho = np.empty(n)
+        broken, n_checks = None, None
+        for start in range(0, max(n - 1, 1), BLOCK_SIZE):
+            # a last block of one row joins the one before: numpy forms a
+            # one-row product as a dot product, with other bits
+            stop = n if n - start <= BLOCK_SIZE + 1 else start + BLOCK_SIZE
+            block = deltas[start:stop]
+            xs, resid = self._solve(block)
+            # only a check ordered before the one already broken can win
+            checks = self._checks(xs, resid)[:n_checks]
+            try:
+                _screen(block, *checks)
+            except InvariantViolation as exc:
+                broken = exc
+                n_checks = [name for name, _, _ in checks].index(exc.invariant)
+            if broken is None:
+                rho[start:stop] = self._rho_ee(xs)
+        if broken is not None:
+            raise broken
+        return rho
+
+    def _rho_ee(self, xs: np.ndarray) -> np.ndarray:
         return xs[:, :8] @ self.w_pop + xs[:, 8] * self.w_coh
 
     def _checked(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_solve` at each detuning, after one :func:`_screen` of
-        every sample: residual (every row of |A(delta) x - b| within
-        RESIDUAL_TOL * max(1, gamma_g)), trace (within TRACE_TOL), then
-        positivity (ground populations above -POPULATION_TOL).  A NaN
-        value breaks its check."""
+        every sample against :meth:`_checks`."""
         xs, resid = self._solve(deltas)
+        _screen(deltas, *self._checks(xs, resid))
+        return xs, resid
+
+    def _checks(self, xs: np.ndarray, resid: np.ndarray) -> tuple:
+        """The checks of solved samples, in order: residual (every row of
+        |A(delta) x - b| within RESIDUAL_TOL * max(1, gamma_g)), trace
+        (within TRACE_TOL), then positivity (ground populations above
+        -POPULATION_TOL).  A NaN value breaks its check."""
         pops = xs[:, :8]
-        _screen(deltas,
-                ("residual", resid, RESIDUAL_TOL * max(1.0, self.params.gamma_g)),
+        return (("residual", resid, RESIDUAL_TOL * max(1.0, self.params.gamma_g)),
                 ("trace", np.abs(pops.sum(axis=1) - 1.0), TRACE_TOL),
                 ("positivity", -pops, POPULATION_TOL))
-        return xs, resid
 
     def _solve(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The full 10-vector at each detuning and the absolute residual
@@ -366,12 +416,16 @@ def rho_ee_many(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
 
     One :class:`RationalLineshape` factorization; each detuning then
     costs a closed-form 2x2 solve and an 8x2 back-substitution,
-    vectorized over all detunings.  Every sample is rebuilt as a full
-    10-vector and checked against the full system A(delta): finite
-    (else SingularSystem), then one :func:`_screen` of the residual
-    within RESIDUAL_TOL * max(1, gamma_g), the trace within TRACE_TOL
-    and the ground populations above -POPULATION_TOL.  The first broken
-    check, a NaN value included, raises InvariantViolation naming the
-    invariant, its value, its bound and the first offending detuning.
+    vectorized over blocks of BLOCK_SIZE detunings, so memory
+    stays bounded by one block however many detunings are asked for.
+    Every sample is rebuilt as a full 10-vector and checked against the
+    full system A(delta): finite (else SingularSystem, at the first
+    non-finite detuning), then the residual within
+    RESIDUAL_TOL * max(1, gamma_g), the trace within TRACE_TOL and the
+    ground populations above -POPULATION_TOL, screened by
+    :func:`_screen`.  The first of those checks, in that order, that any
+    detuning breaks, a NaN value included, raises InvariantViolation
+    naming the invariant, its value, its bound and the first detuning
+    that breaks it.
     """
     return RationalLineshape(params)(deltas)

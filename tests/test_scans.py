@@ -65,6 +65,21 @@ def test_unsorted_input_is_sorted():
     assert np.all(np.diff(scan.frequency) > 0)
 
 
+def test_sorted_input_yields_the_arrays_the_sort_gives():
+    # strictly increasing input skips the sort; the arrays are the same
+    # doubles as the sorted reversed input, and the scan owns them
+    rng = np.random.default_rng(3)
+    f = np.cumsum(rng.uniform(0.5, 1.5, 200)) - 80.0
+    y = rng.normal(size=200)
+    scan = Scan(f, y)
+    reversed_scan = Scan(f[::-1], y[::-1])
+    for got, want in [(scan.frequency, f), (scan.signal, y),
+                      (reversed_scan.frequency, f), (reversed_scan.signal, y)]:
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and got.flags.owndata
+    assert not np.shares_memory(scan.frequency, f)
+
+
 def test_too_few_samples():
     with pytest.raises(TooFewSamples):
         load_scan(scan_text(simple_rows(15)))

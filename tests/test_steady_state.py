@@ -1,5 +1,7 @@
 """Solver checks against trivial limits and the verbatim-equation oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -388,6 +390,18 @@ def _checked_reference(model, deltas):
     return xs[:, :8] @ model.w_pop + xs[:, 8] * model.w_coh
 
 
+def _blocked_reference(model, deltas, size):
+    """The rho_ee of :func:`_checked_reference` on each block of ``size``
+    detunings, a last block of one joined to the one before.  At most one
+    block, it is the whole-array product.  Blocks of 4 give the
+    whole-array bits only where the BLAS kernel forms rows in groups that
+    divide 4, as OpenBLAS's does, so a blocked call is held to the
+    products of its own blocks."""
+    starts = list(range(0, max(deltas.size - 1, 1), size))
+    return np.concatenate([_checked_reference(model, deltas[a:b])
+                           for a, b in zip(starts, [*starts[1:], deltas.size])])
+
+
 def _solve_reference(model, delta):
     """solve_steady_state at ``delta`` check by check on the sample
     ``_solve`` gives there: the checked call's verdict, then population
@@ -430,13 +444,18 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
     hw = model.params.gamma_g + model.q0**0.5  # of the order of the dip's half width
     deltas = hw * np.array([0.0, *offsets])
     expected = _checked_reference(model, deltas)
-    if isinstance(expected, tuple):
-        with pytest.raises(InvariantViolation) as info:
-            model(deltas)
-        exc = info.value
-        assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
-    else:
-        np.testing.assert_array_equal(model(deltas), expected)
+    # in one block (every draw fits in one), and in blocks of 4 across
+    # block boundaries, with the same verdict and check fields
+    for block_size in (steady_state_mod.BLOCK_SIZE, 4):
+        with mock.patch.object(steady_state_mod, "BLOCK_SIZE", block_size):
+            if isinstance(expected, tuple):
+                with pytest.raises(InvariantViolation) as info:
+                    model(deltas)
+                exc = info.value
+                assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
+            else:
+                np.testing.assert_array_equal(
+                    model(deltas), _blocked_reference(model, deltas, block_size))
 
     expected = _solve_reference(model, float(deltas[0]))
     if isinstance(expected[0], str):
@@ -500,6 +519,77 @@ def test_checked_call_names_the_first_check_at_its_first_detuning():
     expect("residual", np.nan, res_tol, 1.0)
     batch(residual=False, trace=False, positivity=False)
     assert np.array_equal(model(deltas), _checked_reference(model, deltas))
+
+
+def _break_samples(model, **breaks):
+    """Replace ``model._solve`` by the real solve with the given samples
+    broken: ``breaks`` maps "residual" and "trace" to {delta: units of
+    the bound}, set on the residual's row or the populations' scale."""
+    solve, res_tol = model._solve, RESIDUAL_TOL * max(1.0, model.params.gamma_g)
+
+    def broken_solve(deltas):
+        xs, resid = solve(deltas)
+        for delta, units in breaks.get("residual", {}).items():
+            resid[deltas == delta, 4] = units * res_tol
+        for delta, units in breaks.get("trace", {}).items():
+            xs[deltas == delta, :8] *= 1.0 + units * TRACE_TOL
+        return xs, resid
+
+    model._solve = broken_solve
+    return res_tol
+
+
+def test_blocked_call_raises_the_earliest_ordered_check(monkeypatch):
+    # blocks of 3: trace breaks in block 1 (delta 2), the residual only in
+    # block 3 (deltas 7 and 8); the residual wins, at its first detuning
+    monkeypatch.setattr(steady_state_mod, "BLOCK_SIZE", 3)
+    model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
+    res_tol = _break_samples(model, trace={2.0: 1.5, 4.0: 1.8},
+                             residual={7.0: 1.5, 8.0: 1.8})
+    deltas = np.arange(9.0)
+    expected = ("residual", 1.5 * res_tol, res_tol, 7.0)
+    with pytest.raises(InvariantViolation) as info:
+        model(deltas)
+    exc = info.value
+    assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
+    assert _checked_reference(model, deltas) == expected
+    with pytest.raises(InvariantViolation) as whole:
+        model._checked(deltas)
+    assert str(exc) == str(whole.value)
+
+
+def test_blocked_call_non_finite_sample_after_a_broken_block_is_singular(monkeypatch):
+    # the residual breaks in block 1; a NaN detuning in block 2 still
+    # makes the call a SingularSystem, named at that detuning
+    monkeypatch.setattr(steady_state_mod, "BLOCK_SIZE", 3)
+    model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
+    _break_samples(model, residual={1.0: 1.5})
+    deltas = np.array([0.0, 1.0, 2.0, 3.0, np.nan, 5.0, 6.0])
+    with pytest.raises(SingularSystem, match=r"delta_raman=nan rad/s"):
+        model(deltas)
+    with pytest.raises(InvariantViolation, match="residual"):
+        model(deltas[:3])
+
+
+def test_blocked_call_solves_each_detuning_once_in_order(monkeypatch):
+    # blocks of 4 cover the input in order; a last block of one row joins
+    # the block before, and an empty call is one empty block
+    monkeypatch.setattr(steady_state_mod, "BLOCK_SIZE", 4)
+    model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
+    solve, blocks = model._solve, []
+
+    def recording_solve(deltas):
+        blocks.append(deltas.tolist())
+        return solve(deltas)
+
+    model._solve = recording_solve
+    for n, sizes in [(0, [0]), (1, [1]), (4, [4]), (5, [5]), (8, [4, 4]),
+                     (9, [4, 5]), (10, [4, 4, 2])]:
+        blocks.clear()
+        deltas = np.arange(float(n))
+        assert model(deltas).size == n
+        assert [len(block) for block in blocks] == sizes
+        assert sum(blocks, []) == deltas.tolist()
 
 
 UNIFORM = np.full(8, 0.125)
