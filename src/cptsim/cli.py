@@ -402,11 +402,12 @@ def cmd_power_broadening(opts: dict) -> int:
 
 def cmd_spin_exchange(opts: dict) -> int:
     t_min, t_max, t_step = opts["t_min_c"], opts["t_max_c"], opts["t_step_c"]
-    if t_step <= 0 or t_max < t_min:
-        raise ConfigError("need t_max_c >= t_min_c and t_step_c > 0")
-    # the last temperature passes t_max by roundoff at most
+    if not (math.isfinite(t_min) and t_min <= t_max < math.inf and t_step > 0):
+        raise ConfigError("need finite t_max_c >= t_min_c and t_step_c > 0")
+    # the last temperature passes t_max by roundoff at most; the first is
+    # t_min + 0.0, not t_min + 0 * t_step, which is NaN for an infinite step
     n_steps = math.floor((t_max - t_min) / t_step + 1e-9)
-    temps_c = [t_min + i * t_step for i in range(n_steps + 1)]
+    temps_c = [t_min + (i * t_step if i else 0.0) for i in range(n_steps + 1)]
     rows = []
     for t_c in temps_c:
         vp = VaporParams(

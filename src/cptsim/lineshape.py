@@ -453,7 +453,7 @@ def _calibrate(params: ModelParams, multiple: float) -> tuple[float, float, floa
     """``calibrate_power_broadening`` with the widths it evaluated:
     (V, zero-power FWHM, FWHM at V), the widths in Hz as
     ``calibration_fwhm`` gives them."""
-    if multiple < 0:
+    if not multiple >= 0:
         raise ParameterError("broadening multiple must be >= 0")
     w0 = calibration_fwhm(params.replace(
         rabi=rabi_for_pumping_strength(params, PROBE_PUMPING_STRENGTH)))

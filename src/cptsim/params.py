@@ -136,7 +136,7 @@ def pumping_strength(params: ModelParams) -> float:
 
 def rabi_for_pumping_strength(params: ModelParams, s: float) -> float:
     """Rabi frequency giving pumping strength s at the params' optical geometry."""
-    if s < 0:
+    if not s >= 0:
         raise ParameterError("pumping strength must be >= 0")
     lu = lorentz_factors(params).lu
     return math.sqrt(s * params.gamma_g / lu)

@@ -353,7 +353,6 @@ METRIC_COLUMNS = ("baseline", "amplitude", "contrast", "fwhm_hz", "center_hz",
 class BatchResult:
     rows: list
     qmax: list
-    metadata_keys: list
 
 
 def _row_from_report(metadata: dict, report: FitReport) -> dict:
@@ -404,8 +403,7 @@ def batch_metrics(scans: Sequence[Scan], vary: str = "intensity_mW_cm2",
             continue
         rows.append(_row_from_report(scan.metadata, report))
 
-    metadata_keys = sorted(keys)
-    group_keys = [k for k in metadata_keys if k != vary and k not in ignore_keys]
+    group_keys = [k for k in sorted(keys) if k != vary and k not in ignore_keys]
     groups: dict[tuple, dict] = {}
     for row in rows:
         if row["status"] != "ok":
@@ -415,4 +413,4 @@ def batch_metrics(scans: Sequence[Scan], vary: str = "intensity_mW_cm2",
         if best is None or row["qfactor"] > best["qfactor"]:
             groups[gkey] = row
     qmax = [dict(groups[g]) for g in sorted(groups)]
-    return BatchResult(rows=rows, qmax=qmax, metadata_keys=metadata_keys)
+    return BatchResult(rows=rows, qmax=qmax)

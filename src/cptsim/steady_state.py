@@ -71,20 +71,8 @@ TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
 RESIDUAL_TOL = 1e-10       # residual bound, relative to max(1, gamma_g)
 EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
 
-# Detunings per block of a checked call.  A (block, 10) array of doubles
-# (about 320 kB) stays in cache.  The bits of a block's rho_ee product
-# rest on two properties of the OpenBLAS build numpy ships (0.3.31,
-# SkylakeX kernel), measured, not guaranteed by BLAS:
-# - it runs a matrix-vector product of up to 57598 rows of 8 on one
-#   thread and splits larger ones over threads, and a row near the end of
-#   a thread's share can move by an ulp, so a whole-array product of 1e5
-#   samples had bits that depended on the thread count;
-# - its kernel forms rows in groups of 4, and a row's last bit depends on
-#   its group, so a block that starts off a multiple of 4 moves some rows.
-# 4096 is a power of two, hence a multiple of any power-of-two group up
-# to 4096, and far below the threading size.  With this build, blocked bits equal
-# those of one single-threaded whole-array product at any thread count
-# tried (1, 2, 3, 4 and 8); other BLAS builds are not measured.
+# Detunings per block of a checked call: a (block, 10) array of doubles
+# (about 320 kB) stays in cache, and memory stays bounded by one block.
 BLOCK_SIZE = 4096
 
 
@@ -108,10 +96,6 @@ class SteadyStateSolution:
 
     def ground_population(self, f: int, m: int) -> float:
         return float(self.ground[GROUND_INDEX[(f, m)]])
-
-    def excited_population(self, f: int, m: int, effective: bool = True) -> float:
-        arr = self.excited_effective if effective else self.excited_bare
-        return float(arr[EXCITED_INDEX[(f, m)]])
 
     def ground_as_dict(self) -> dict[tuple[int, int], float]:
         return {lvl: float(v) for lvl, v in zip(GROUND_LEVELS, self.ground)}
@@ -215,18 +199,20 @@ class RationalLineshape:
 
         (S + delta*I) @ x[8:] = r,   x[:8] = y0 - Z @ x[8:].
 
-    rho_ee is linear in x, with weights ``w_pop`` on the ground
-    populations and ``w_coh`` on Re(rho21).  Since
+    rho_ee is linear in x, with weights w_pop on the ground populations
+    and w_coh on Re(rho21), so it is c0 + g.x[8:] with c0 = w_pop.y0, the
+    delta -> inf limit, and g = (w_coh, 0) - Z^T w_pop.  Since
     (S + delta*I)^-1 = (adj(S) + delta*I) / det(S + delta*I), it is
     exactly the rational function
 
         rho_ee(delta) = c0 + (p1*delta + p0) / (delta^2 + q1*delta + q0)
 
-    with q1 = tr S, q0 = det S, p1 = g.r and p0 = g.adj(S).r, where
-    g = (w_coh, 0) - Z^T w_pop and c0 = w_pop.y0 is the delta -> inf
-    limit.  :meth:`excess` evaluates the closed form; calling the object
-    solves and checks every detuning (see :func:`rho_ee_many` and
-    :func:`solve_steady_state`), and
+    with q1 = tr S, q0 = det S, p1 = g.r and p0 = g.adj(S).r.
+    :meth:`excess` evaluates the closed form.  Calling the object solves
+    and checks every detuning and returns c0 + g.x[8:] of each sample,
+    elementwise in the two coherences, so the bits of a detuning's rho_ee
+    do not depend on the other detunings of the call (see
+    :func:`rho_ee_many` and :func:`solve_steady_state`).
     :meth:`check_limit` checks the delta -> inf state.
     """
 
@@ -247,11 +233,11 @@ class RationalLineshape:
         r0, r1 = self.r.tolist()
 
         prefac = _excitation_prefactor(params)
-        self.w_pop = _A_EXC.T @ prefac
-        self.w_coh = float(_W_EXC @ prefac)
+        w_pop = _A_EXC.T @ prefac
+        w_coh = float(_W_EXC @ prefac)
 
-        g0, g1 = (np.array([self.w_coh, 0.0]) - self.Z.T @ self.w_pop).tolist()
-        self.c0 = float(self.w_pop @ self.y0)
+        self.g0, self.g1 = g0, g1 = (np.array([w_coh, 0.0]) - self.Z.T @ w_pop).tolist()
+        self.c0 = float(w_pop @ self.y0)
         self.q1 = s00 + s11
         self.q0 = s00 * s11 - s01 * s10
         self.p1 = g0 * r0 + g1 * r1
@@ -279,8 +265,9 @@ class RationalLineshape:
         rho = np.empty(n)
         broken, n_checks = None, None
         for start in range(0, max(n - 1, 1), BLOCK_SIZE):
-            # a last block of one row joins the one before: numpy forms a
-            # one-row product as a dot product, with other bits
+            # a last block of one row joins the one before: numpy forms
+            # _solve's products of one row as dot products, whose bits can
+            # differ, so the verdict's value is that of one whole check
             stop = n if n - start <= BLOCK_SIZE + 1 else start + BLOCK_SIZE
             block = deltas[start:stop]
             xs, resid = self._solve(block)
@@ -292,13 +279,10 @@ class RationalLineshape:
                 broken = exc
                 n_checks = [name for name, _, _ in checks].index(exc.invariant)
             if broken is None:
-                rho[start:stop] = self._rho_ee(xs)
+                rho[start:stop] = self.c0 + (self.g0 * xs[:, 8] + self.g1 * xs[:, 9])
         if broken is not None:
             raise broken
         return rho
-
-    def _rho_ee(self, xs: np.ndarray) -> np.ndarray:
-        return xs[:, :8] @ self.w_pop + xs[:, 8] * self.w_coh
 
     def _checked(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_solve` at each detuning, after one :func:`_screen` of

@@ -64,6 +64,10 @@ class VaporParams:
             raise ParameterError("sigma_se must be > 0")
         if not self.atomic_mass > 0:
             raise ParameterError("atomic_mass must be > 0")
+        # the nuclear spin is checked by nuclear_spin_prefactor (InvalidSpin)
+        for name in ("temperature", "atomic_mass", "sigma_se"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,9 @@ def nuclear_spin_prefactor(nuclear_spin: float) -> float:
 
     I must be a half-integer in [1/2, 9/2].
     """
-    twice = round(2.0 * nuclear_spin)
-    if not math.isclose(2.0 * nuclear_spin, twice, abs_tol=1e-9) or not 1 <= twice <= 9:
+    doubled = 2.0 * nuclear_spin
+    twice = round(doubled) if math.isfinite(doubled) else 0  # 0 is out of range
+    if not math.isclose(doubled, twice, abs_tol=1e-9) or not 1 <= twice <= 9:
         raise InvalidSpin(f"nuclear spin {nuclear_spin!r} is not a half-integer in [1/2, 9/2]")
     i = Fraction(int(twice), 2)
     return float((6 * i + 1) / (8 * i + 4))

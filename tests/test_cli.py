@@ -401,6 +401,23 @@ def test_spin_exchange_out_of_range(capsys):
     assert "OutOfRange" in err
 
 
+SPIN_EXCHANGE_FLOAT_FLAGS = ["--t-min-c", "--t-max-c", "--t-step-c", "--nuclear-spin",
+                             "--sigma-se-cm2", "--atomic-mass-amu"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", SPIN_EXCHANGE_FLOAT_FLAGS)
+def test_spin_exchange_non_finite_flag_keeps_the_exit_codes(capsys, flag, value):
+    # a bad temperature range is a usage error (2), a bad physical
+    # parameter a typed error (3); an infinite step is one row at t_min
+    code, out, err = run(capsys, "spin-exchange", f"{flag}={value}")
+    if (flag, value) == ("--t-step-c", "inf"):
+        assert (code, out.count("\n"), out.splitlines()[1][:5]) == (0, 2, "50.0,")
+    else:
+        assert code == (2 if flag.startswith("--t-") else 3)
+        assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- analyze
 
 def test_analyze_directory(tmp_path, capsys):

@@ -471,6 +471,14 @@ def test_calibration_unreachable_multiple():
                 calibrate_power_broadening(base, multiple)
 
 
+def test_nan_strength_and_multiple_are_named_parameter_errors():
+    base = make_params()
+    with pytest.raises(ParameterError, match="pumping strength"):
+        rabi_for_pumping_strength(base, math.nan)
+    with pytest.raises(ParameterError, match="broadening multiple"):
+        calibrate_power_broadening(base, math.nan)
+
+
 def test_calibration_returns_an_evaluated_width(monkeypatch):
     seen = []
     real = lineshape_mod.calibration_fwhm

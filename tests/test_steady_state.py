@@ -387,19 +387,7 @@ def _checked_reference(model, deltas):
         for i, delta in enumerate(deltas):
             if not value_at(i) <= bound:
                 return name, float(value_at(i)), bound, float(delta)
-    return xs[:, :8] @ model.w_pop + xs[:, 8] * model.w_coh
-
-
-def _blocked_reference(model, deltas, size):
-    """The rho_ee of :func:`_checked_reference` on each block of ``size``
-    detunings, a last block of one joined to the one before.  At most one
-    block, it is the whole-array product.  Blocks of 4 give the
-    whole-array bits only where the BLAS kernel forms rows in groups that
-    divide 4, as OpenBLAS's does, so a blocked call is held to the
-    products of its own blocks."""
-    starts = list(range(0, max(deltas.size - 1, 1), size))
-    return np.concatenate([_checked_reference(model, deltas[a:b])
-                           for a, b in zip(starts, [*starts[1:], deltas.size])])
+    return model.c0 + (model.g0 * xs[:, 8] + model.g1 * xs[:, 9])
 
 
 def _solve_reference(model, delta):
@@ -445,7 +433,7 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
     deltas = hw * np.array([0.0, *offsets])
     expected = _checked_reference(model, deltas)
     # in one block (every draw fits in one), and in blocks of 4 across
-    # block boundaries, with the same verdict and check fields
+    # block boundaries, with the same verdict, check fields and doubles
     for block_size in (steady_state_mod.BLOCK_SIZE, 4):
         with mock.patch.object(steady_state_mod, "BLOCK_SIZE", block_size):
             if isinstance(expected, tuple):
@@ -454,8 +442,7 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
                 exc = info.value
                 assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
             else:
-                np.testing.assert_array_equal(
-                    model(deltas), _blocked_reference(model, deltas, block_size))
+                np.testing.assert_array_equal(model(deltas), expected)
 
     expected = _solve_reference(model, float(deltas[0]))
     if isinstance(expected[0], str):
@@ -590,6 +577,17 @@ def test_blocked_call_solves_each_detuning_once_in_order(monkeypatch):
         assert model(deltas).size == n
         assert [len(block) for block in blocks] == sizes
         assert sum(blocks, []) == deltas.tolist()
+
+
+def test_checked_rho_ee_does_not_depend_on_the_call_it_is_in(rng):
+    # a detuning's rho_ee has the same bits alone as in a whole call
+    for _ in range(20):
+        p = random_params(rng)
+        model = RationalLineshape(p)
+        deltas = (p.gamma_g + model.q0**0.5) * np.linspace(-6.0, 6.0, 13)
+        whole = model(deltas)
+        for i in range(deltas.size):
+            assert model(deltas[i:i + 1])[0] == whole[i]
 
 
 UNIFORM = np.full(8, 0.125)

@@ -32,6 +32,15 @@ def test_prefactor_rejects_bad_spin():
         nuclear_spin_prefactor(0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_spin_and_vapor_inputs_are_typed_errors(value):
+    with pytest.raises(InvalidSpin):
+        nuclear_spin_prefactor(value)
+    for name in ("temperature", "atomic_mass", "sigma_se"):
+        with pytest.raises(ParameterError, match=name):
+            VaporParams(**{"temperature": 338.15, name: value})
+
+
 def test_velocity_scaling_laws():
     v = mean_relative_velocity(300.0, RB87_MASS_KG)
     assert mean_relative_velocity(1200.0, RB87_MASS_KG) == pytest.approx(2 * v)
