@@ -405,11 +405,14 @@ def cmd_spin_exchange(opts: dict) -> int:
     if not (math.isfinite(t_min) and t_min <= t_max < math.inf and t_step > 0):
         raise ConfigError("need finite t_max_c >= t_min_c and t_step_c > 0")
     # the last temperature passes t_max by roundoff at most; the first is
-    # t_min + 0.0, not t_min + 0 * t_step, which is NaN for an infinite step
+    # t_min + 0.0, not t_min + 0 * t_step, which is NaN for an infinite step.
+    # Each temperature is formed as its row is solved, so a range past the
+    # vapor-pressure window fails at its first temperature outside it
+    # without ever holding the whole range.
     n_steps = math.floor((t_max - t_min) / t_step + 1e-9)
-    temps_c = [t_min + (i * t_step if i else 0.0) for i in range(n_steps + 1)]
     rows = []
-    for t_c in temps_c:
+    for i in range(n_steps + 1):
+        t_c = t_min + (i * t_step if i else 0.0)
         vp = VaporParams(
             temperature=t_c + 273.15,
             nuclear_spin=opts["nuclear_spin"],

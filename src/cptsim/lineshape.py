@@ -106,7 +106,14 @@ class ResonanceMetrics:
 
 
 def halfwidth_estimate(params: ModelParams) -> float:
-    """Expected resonance half width gamma_g + pump_rate/2 (rad/s)."""
+    """An estimate gamma_g + pump_rate/2 (rad/s) of the resonance half
+    width, used to size detuning windows.
+
+    It overstates the width at strong pumping (about 46 times at s = 1e4
+    in the fig-1 geometry).  The exact half width of the model's
+    Lorentzian denominator is sqrt(q0 - q1^2/4) of
+    ``steady_state.RationalLineshape``.
+    """
     return params.gamma_g + pump_rate(params) / 2.0
 
 

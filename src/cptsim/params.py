@@ -122,8 +122,13 @@ def lorentz_factors(params: ModelParams) -> LorentzFactors:
 def pump_rate(params: ModelParams) -> float:
     """Total coherence pump rate V^2*(lu + ld/3) in rad/s.
 
-    This is the rate that power-broadens the two-photon resonance: its
-    half width is gamma_g + pump_rate/2.
+    This is the rate at which the pump drives the hyperfine coherence
+    (the coherence rows of the steady-state system damp at
+    gamma_g + pump_rate/2).  It power-broadens the two-photon resonance,
+    but gamma_g + pump_rate/2 is not the resonance's half width: at
+    strong pumping the half width grows much more slowly (in the fig-1
+    geometry it is about 46 times smaller at s = 1e4).  The exact half
+    width is sqrt(q0 - q1^2/4) of ``steady_state.RationalLineshape``.
     """
     lf = lorentz_factors(params)
     return params.rabi**2 * (lf.lu + lf.ld / 3.0)

@@ -71,7 +71,7 @@ TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
 RESIDUAL_TOL = 1e-10       # residual bound, relative to max(1, gamma_g)
 EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
 
-# Detunings per block of a checked call: a (block, 10) array of doubles
+# Detunings per block of a checked call: a (10, block) array of doubles
 # (about 320 kB) stays in cache, and memory stays bounded by one block.
 BLOCK_SIZE = 4096
 
@@ -136,8 +136,8 @@ def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     if params.depolarization is Depolarization.COMPLETE:
         # Every ground sublevel receives gamma*mean(excited); the
         # branching matrix is doubly stochastic so the row weight is 1.
-        mean_pop = K.mean(axis=0)
-        mean_coh = kw.mean()
+        mean_pop = pump_out / 8.0
+        mean_coh = kw.sum() / 8.0
         A[:8, :8] -= mean_pop[None, :]
         A[:8, 8] -= mean_coh
     else:
@@ -166,8 +166,9 @@ def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
 def _excitation_prefactor(params: ModelParams) -> np.ndarray:
     """2 V^2 l_e / gamma of each excited sublevel, in EXCITED_LEVELS order."""
     lf = lorentz_factors(params)
-    l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
-    return 2.0 * params.rabi**2 * l_e / params.gamma_nat
+    scale = 2.0 * params.rabi**2
+    return np.where(_IS_UPPER, scale * lf.lu / params.gamma_nat,
+                    scale * lf.ld / params.gamma_nat)
 
 
 def excited_from_ground(ground: np.ndarray, coherence: complex,
@@ -212,7 +213,9 @@ class RationalLineshape:
     and checks every detuning and returns c0 + g.x[8:] of each sample,
     elementwise in the two coherences, so the bits of a detuning's rho_ee
     do not depend on the other detunings of the call (see
-    :func:`rho_ee_many` and :func:`solve_steady_state`).
+    :func:`rho_ee_many` and :func:`solve_steady_state`).  The samples of
+    a call are the columns of a (10, n) array, one contiguous row per
+    unknown, so every store and check runs along whole rows.
     :meth:`check_limit` checks the delta -> inf state.
     """
 
@@ -265,21 +268,22 @@ class RationalLineshape:
         rho = np.empty(n)
         broken, n_checks = None, None
         for start in range(0, max(n - 1, 1), BLOCK_SIZE):
-            # a last block of one row joins the one before: numpy forms
-            # _solve's products of one row as dot products, whose bits can
-            # differ, so the verdict's value is that of one whole check
+            # a last block of one detuning joins the one before: numpy
+            # forms _solve's products of one column as matrix-vector
+            # products, whose bits can differ, so the verdict's value is
+            # that of one whole check
             stop = n if n - start <= BLOCK_SIZE + 1 else start + BLOCK_SIZE
             block = deltas[start:stop]
-            xs, resid = self._solve(block)
+            x, resid = self._solve(block)
             # only a check ordered before the one already broken can win
-            checks = self._checks(xs, resid)[:n_checks]
+            checks = self._checks(x, resid)[:n_checks]
             try:
                 _screen(block, *checks)
             except InvariantViolation as exc:
                 broken = exc
                 n_checks = [name for name, _, _ in checks].index(exc.invariant)
             if broken is None:
-                rho[start:stop] = self.c0 + (self.g0 * xs[:, 8] + self.g1 * xs[:, 9])
+                rho[start:stop] = self.c0 + (self.g0 * x[8] + self.g1 * x[9])
         if broken is not None:
             raise broken
         return rho
@@ -287,44 +291,52 @@ class RationalLineshape:
     def _checked(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_solve` at each detuning, after one :func:`_screen` of
         every sample against :meth:`_checks`."""
-        xs, resid = self._solve(deltas)
-        _screen(deltas, *self._checks(xs, resid))
-        return xs, resid
+        x, resid = self._solve(deltas)
+        _screen(deltas, *self._checks(x, resid))
+        return x, resid
 
-    def _checks(self, xs: np.ndarray, resid: np.ndarray) -> tuple:
+    def _checks(self, x: np.ndarray, resid: np.ndarray) -> tuple:
         """The checks of solved samples, in order: residual (every row of
         |A(delta) x - b| within RESIDUAL_TOL * max(1, gamma_g)), trace
         (within TRACE_TOL), then positivity (ground populations above
-        -POPULATION_TOL).  A NaN value breaks its check."""
-        pops = xs[:, :8]
+        -POPULATION_TOL).  A NaN value breaks its check.
+
+        The trace of each column is the pairwise sum numpy gives 8
+        contiguous values, ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), written
+        out over the eight population rows, so its bits do not depend on
+        the layout."""
+        p = x[:8]
+        trace = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
         return (("residual", resid, RESIDUAL_TOL * max(1.0, self.params.gamma_g)),
-                ("trace", np.abs(pops.sum(axis=1) - 1.0), TRACE_TOL),
-                ("positivity", -pops, POPULATION_TOL))
+                ("trace", np.abs(trace - 1.0), TRACE_TOL),
+                ("positivity", -p, POPULATION_TOL))
 
     def _solve(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The full 10-vector at each detuning and the absolute residual
-        of each row of A(delta); SingularSystem if one is not finite."""
+        """The full 10-vector at each detuning, as the columns of a
+        (10, n) array with one contiguous row per unknown, and the
+        absolute residual of each row of A(delta), in the same layout;
+        SingularSystem if a sample is not finite."""
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
         a = s00 + deltas
         d = s11 + deltas
-        xs = np.empty((deltas.size, 10))
+        x = np.empty((10, deltas.size))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             det = a * d - s01 * s10
-            xs[:, 8] = (d * r0 - s01 * r1) / det
-            xs[:, 9] = (a * r1 - s10 * r0) / det
-            xs[:, :8] = self.y0 - xs[:, 8:] @ self.Z.T
-        if not np.isfinite(xs).all():
-            i = int(np.argmin(np.isfinite(xs).all(axis=1)))
+            np.divide(d * r0 - s01 * r1, det, out=x[8])
+            np.divide(a * r1 - s10 * r0, det, out=x[9])
+            x[:8] = self.y0[:, None] - self.Z @ x[8:]
+        if not np.isfinite(x).all():
+            i = int(np.argmin(np.isfinite(x).all(axis=0)))
             raise SingularSystem(
                 f"non-finite solution at delta_raman={float(deltas[i])!r} rad/s")
 
         # residual of the full A(delta) = A0 + delta*(e8 e8^T + e9 e9^T)
-        resid = xs @ self._A0.T
-        resid -= self._b
-        resid[:, 8:] += deltas[:, None] * xs[:, 8:]
+        resid = self._A0 @ x
+        resid -= self._b[:, None]
+        resid[8:] += deltas * x[8:]
         np.abs(resid, out=resid)
-        return xs, resid
+        return x, resid
 
     def check_limit(self) -> None:
         """Check the delta -> inf state (ground populations y0, no
@@ -340,17 +352,18 @@ def _screen(deltas: np.ndarray, *checks) -> None:
     """Raise InvariantViolation for the first of the (name, values, bound)
     checks, in the order given, that some sample breaks.
 
-    ``values`` holds one row of values per detuning in ``deltas``; a value
-    that is not <= bound breaks the check, NaN included.  The error names
-    the first detuning that breaks it, with that row's max as the value.
+    ``values`` holds one column of values per detuning in ``deltas``: its
+    last axis runs over the detunings.  A value that is not <= bound
+    breaks the check, NaN included.  The error names the first detuning
+    that breaks it, with that column's max as the value.
     """
     for name, values, bound in checks:
-        # one reduction screens; the row mask is formed only on failure
+        # one reduction screens; the per-detuning view is formed only on failure
         if (values <= bound).all():
             continue
-        rows = values.reshape(deltas.size, -1)
-        i = int(np.argmax(~(rows <= bound).all(axis=1)))
-        value, bound, delta = float(rows[i].max()), float(bound), float(deltas[i])
+        cols = values.reshape(-1, deltas.size).T
+        i = int(np.argmax(~(cols <= bound).all(axis=1)))
+        value, bound, delta = float(cols[i].max()), float(bound), float(deltas[i])
         raise InvariantViolation(
             f"{name} invariant broken at delta_raman={delta!r} rad/s: "
             f"{value:.3e} exceeds bound {bound:.3e}",
@@ -372,9 +385,9 @@ def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
     ``residual_norm`` is the max of |A(delta) x - b|.
     """
     deltas = np.array([params.delta_raman])
-    xs, resid = RationalLineshape(params)._checked(deltas)
-    ground = xs[0, :8]
-    coherence = complex(xs[0, 8], xs[0, 9])
+    x, resid = RationalLineshape(params)._checked(deltas)
+    ground = x[:8, 0]
+    coherence = complex(x[8, 0], x[9, 0])
     excited = excited_from_ground(ground, coherence, params)
     # g - 1 (exact for g in [1/2, 2]) against (1 + tol) - 1: the test g > 1 + tol
     _screen(deltas, ("population", ground - 1.0, (1.0 + POPULATION_TOL) - 1.0),

@@ -401,6 +401,31 @@ def test_spin_exchange_out_of_range(capsys):
     assert "OutOfRange" in err
 
 
+def test_spin_exchange_forms_each_temperature_as_its_row_is_solved(capsys, monkeypatch):
+    # a range far past the vapor-pressure window fails at its first
+    # temperature outside it (row 178, 500.15 K) after solving only the
+    # rows before it, and never holds the whole range (as a list, its 1e5
+    # temperatures took 3.5 MB; measured 0.27 MB in all)
+    temperatures = []
+    real = cli.spin_exchange
+
+    def counting(params):
+        temperatures.append(params.temperature)
+        return real(params)
+
+    monkeypatch.setattr(cli, "spin_exchange", counting)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "spin-exchange", "--t-max-c", "1e5", "--t-step-c", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == "error: OutOfRange: temperature 500.15 K outside [273, 500] K\n"
+    assert len(temperatures) == 178 and temperatures[-1] == 500.15
+    assert peak <= 1e6
+
+
 SPIN_EXCHANGE_FLOAT_FLAGS = ["--t-min-c", "--t-max-c", "--t-step-c", "--nuclear-spin",
                              "--sigma-se-cm2", "--atomic-mass-amu"]
 

@@ -331,6 +331,34 @@ def test_contrast_and_metrics_make_one_checked_solve(monkeypatch):
     assert len(batches) == 1 and 0.0 in batches[0]
 
 
+@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
+def test_model_calls_make_one_factorization_and_one_checked_call(monkeypatch, mode):
+    # the work of each library call: one factorization and one checked
+    # call of a fixed number of detunings (metrics: 5 dip points, delta = 0
+    # and 402 mirrored offsets; contrast: delta = 0; calibration width:
+    # the 5 dip points)
+    built, sizes = [], []
+    real_init, real_call = RationalLineshape.__init__, RationalLineshape.__call__
+
+    def counting_init(self, params):
+        built.append(params)
+        real_init(self, params)
+
+    def counting_call(self, deltas):
+        sizes.append(np.asarray(deltas).size)
+        return real_call(self, deltas)
+
+    monkeypatch.setattr(RationalLineshape, "__init__", counting_init)
+    monkeypatch.setattr(RationalLineshape, "__call__", counting_call)
+    p = params_at_strength(8.9, mode=mode)
+    for call, size in [(resonance_metrics, 408), (physical_contrast, 1),
+                       (calibration_fwhm, 5)]:
+        built.clear()
+        sizes.clear()
+        call(p)
+        assert (built, sizes) == ([p], [size])
+
+
 # ------------------------------------------------------ closed-form metrics
 
 def test_closed_form_center_is_stationary_and_crossings_sit_at_half_level(rng):

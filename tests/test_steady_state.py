@@ -373,21 +373,22 @@ def test_batched_rho_ee_names_the_broken_invariant():
         assert text in str(exc)
 
 
-def _checked_reference(model, deltas):
+def _checked_reference(model, deltas, solve=None):
     """The three checks of a checked call, one detuning at a time on the
-    samples ``_solve`` gives: the first check, in order, that some sample
-    breaks, as (invariant, value, bound, delta) at the first detuning
-    that breaks it; else the rho_ee of every sample."""
-    xs, resid = model._solve(deltas)
-    checks = [("residual", lambda i: resid[i].max(),
+    samples ``_solve`` (or ``solve``) gives, one column per detuning: the
+    first check, in order, that some sample breaks, as (invariant, value,
+    bound, delta) at the first detuning that breaks it; else the rho_ee
+    of every sample."""
+    x, resid = (solve or model._solve)(deltas)
+    checks = [("residual", lambda i: resid[:, i].max(),
                RESIDUAL_TOL * max(1.0, model.params.gamma_g)),
-              ("trace", lambda i: abs(xs[i, :8].sum() - 1.0), TRACE_TOL),
-              ("positivity", lambda i: -xs[i, :8].min(), POPULATION_TOL)]
+              ("trace", lambda i: abs(x[:8, i].sum() - 1.0), TRACE_TOL),
+              ("positivity", lambda i: -x[:8, i].min(), POPULATION_TOL)]
     for name, value_at, bound in checks:
         for i, delta in enumerate(deltas):
             if not value_at(i) <= bound:
                 return name, float(value_at(i)), bound, float(delta)
-    return model.c0 + (model.g0 * xs[:, 8] + model.g1 * xs[:, 9])
+    return model.c0 + (model.g0 * x[8] + model.g1 * x[9])
 
 
 def _solve_reference(model, delta):
@@ -399,7 +400,7 @@ def _solve_reference(model, delta):
     expected = _checked_reference(model, deltas)
     if isinstance(expected, tuple):
         return expected
-    x = model._solve(deltas)[0][0]
+    x = model._solve(deltas)[0][:, 0]
     ground, coherence = x[:8], complex(x[8], x[9])
     excited = excited_from_ground(ground, coherence, model.params)
     for name, value, bound in [("population", ground.max() - 1.0, (1.0 + POPULATION_TOL) - 1.0),
@@ -465,20 +466,20 @@ def test_checked_call_names_the_first_check_at_its_first_detuning():
     deltas = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
 
     def batch(residual=True, trace=True, positivity=True):
-        xs = np.zeros((5, 10))
-        xs[:, :8] = 0.125
-        resid = np.zeros((5, 10))
+        x = np.zeros((10, 5))
+        x[:8] = 0.125
+        resid = np.zeros((10, 5))
         if residual:
-            resid[3, [2, 7]] = [1.2 * res_tol, 1.5 * res_tol]
-            resid[4, 0] = 1.8 * res_tol
+            resid[[2, 7], 3] = [1.2 * res_tol, 1.5 * res_tol]
+            resid[0, 4] = 1.8 * res_tol
         if trace:
-            xs[2, :8] *= 1.0 + 1.5e-10
-            xs[4, :8] *= 1.0 + 1.8e-10
+            x[:8, 2] *= 1.0 + 1.5e-10
+            x[:8, 4] *= 1.0 + 1.8e-10
         # off by -1.5e-13 within bounds, else by the positivity breaks
         neg = (1.5e-12, 1.8e-12) if positivity else (1.5e-13, 1.5e-13)
-        xs[1, :2] = [-neg[0], 0.25 + neg[0]]
-        xs[3, :2] = [-neg[1], 0.25 + neg[1]]
-        model._solve = lambda d: (xs, resid)
+        x[:2, 1] = [-neg[0], 0.25 + neg[0]]
+        x[:2, 3] = [-neg[1], 0.25 + neg[1]]
+        model._solve = lambda d: (x, resid)
         return resid
 
     def expect(invariant, value, bound, delta):
@@ -500,9 +501,9 @@ def test_checked_call_names_the_first_check_at_its_first_detuning():
     expect("trace", 1.5e-10, TRACE_TOL, 2.0)
     batch(residual=False, trace=False)
     expect("positivity", 1.5e-12, POPULATION_TOL, 1.0)
-    # a NaN value breaks its check: residual at the first NaN row
+    # a NaN value breaks its check: residual at the first detuning with a NaN
     resid = batch(residual=False, trace=False, positivity=False)
-    resid[[1, 4], [5, 0]] = np.nan
+    resid[[5, 0], [1, 4]] = np.nan
     expect("residual", np.nan, res_tol, 1.0)
     batch(residual=False, trace=False, positivity=False)
     assert np.array_equal(model(deltas), _checked_reference(model, deltas))
@@ -515,12 +516,12 @@ def _break_samples(model, **breaks):
     solve, res_tol = model._solve, RESIDUAL_TOL * max(1.0, model.params.gamma_g)
 
     def broken_solve(deltas):
-        xs, resid = solve(deltas)
+        x, resid = solve(deltas)
         for delta, units in breaks.get("residual", {}).items():
-            resid[deltas == delta, 4] = units * res_tol
+            resid[4, deltas == delta] = units * res_tol
         for delta, units in breaks.get("trace", {}).items():
-            xs[deltas == delta, :8] *= 1.0 + units * TRACE_TOL
-        return xs, resid
+            x[:8, deltas == delta] *= 1.0 + units * TRACE_TOL
+        return x, resid
 
     model._solve = broken_solve
     return res_tol
@@ -590,6 +591,94 @@ def test_checked_rho_ee_does_not_depend_on_the_call_it_is_in(rng):
             assert model(deltas[i:i + 1])[0] == whole[i]
 
 
+def _row_major_solve(model, deltas):
+    """``_solve``'s samples in the row-major layout it replaced, one row
+    of 10 per detuning, each formed as that layout formed it."""
+    (s00, s01), (s10, s11) = model.S.tolist()
+    r0, r1 = model.r.tolist()
+    a = s00 + deltas
+    d = s11 + deltas
+    xs = np.empty((deltas.size, 10))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = a * d - s01 * s10
+        xs[:, 8] = (d * r0 - s01 * r1) / det
+        xs[:, 9] = (a * r1 - s10 * r0) / det
+        xs[:, :8] = model.y0 - xs[:, 8:] @ model.Z.T
+    return xs
+
+
+def _row_major_residual(model, deltas, xs):
+    """|A(delta) x - b| of the row-major samples ``xs`` as that layout
+    formed it, and the sum of the magnitudes of the terms of each row."""
+    resid = xs @ model._A0.T
+    resid -= model._b
+    resid[:, 8:] += deltas[:, None] * xs[:, 8:]
+    terms = np.abs(xs) @ np.abs(model._A0).T + np.abs(model._b)
+    terms[:, 8:] += np.abs(deltas[:, None] * xs[:, 8:])
+    return np.abs(resid), terms
+
+
+def _population_terms(model, xs):
+    """Sum of the magnitudes of the terms of each population y0 - Z.x[8:]."""
+    return np.abs(model.y0) + np.abs(xs[:, 8:]) @ np.abs(model.Z).T
+
+
+_EPS = np.finfo(float).eps
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
+def test_column_layout_solve_matches_the_row_major_layout(mode, rng):
+    # from one detuning to more than a block: the coherences (elementwise),
+    # each trace given its populations (numpy's pairwise sum of 8 values)
+    # and each rho_ee are the row-major layout's doubles, bit for bit; the
+    # populations and residual come from matrix products whose rounding is
+    # the BLAS kernel's, so they are held within the rounding bound of
+    # their sums, a few ulps of the summed terms
+    for _ in range(25):
+        p = random_params(rng, mode=mode)
+        model = RationalLineshape(p)
+        hw = p.gamma_g + model.q0**0.5  # of the order of the dip's half width
+        for n in (1, 5, 408, steady_state_mod.BLOCK_SIZE + 1):
+            deltas = hw * rng.uniform(-1e3, 1e3, n)
+            x, resid = model._solve(deltas)
+            xs = _row_major_solve(model, deltas)
+            np.testing.assert_array_equal(_bits(x[8:].T), _bits(xs[:, 8:]))
+            pops = np.ascontiguousarray(x[:8].T)
+            trace = model._checks(x, resid)[1][1]
+            np.testing.assert_array_equal(_bits(trace),
+                                          _bits(np.abs(pops.sum(axis=1) - 1.0)))
+            rho_ref = model.c0 + (model.g0 * xs[:, 8] + model.g1 * xs[:, 9])
+            np.testing.assert_array_equal(_bits(model(deltas)), _bits(rho_ref))
+            assert np.all(np.abs(pops - xs[:, :8]) <= 4 * _EPS * _population_terms(model, xs))
+            resid_ref, terms = _row_major_residual(model, deltas, np.ascontiguousarray(x.T))
+            assert np.all(np.abs(resid.T - resid_ref) <= 16 * _EPS * terms)
+
+
+def test_stiff_verdict_matches_the_row_major_reference():
+    # fig 1 at gamma_g/2pi = 1 Hz, s = 3e6, where the checked call rejects
+    # the stiff solution at its trace: the same invariant, bound and
+    # detuning as the row-major layout gives, and the same value within
+    # the rounding of the populations it sums
+    base = make_params(gamma_g=1.0)
+    model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, 3e6)))
+    deltas = np.array([1e3, 0.0, -1e3])
+    xs = _row_major_solve(model, deltas)
+    invariant, value, bound, delta = _checked_reference(
+        model, deltas, lambda d: (xs.T, _row_major_residual(model, d, xs)[0].T))
+    assert invariant == "trace"
+    with pytest.raises(InvariantViolation) as info:
+        model(deltas)
+    exc = info.value
+    assert (exc.invariant, exc.bound, exc.delta_raman) == (invariant, bound, delta)
+    i = deltas.tolist().index(delta)
+    terms = _population_terms(model, xs)[i].sum()
+    assert abs(exc.value - value) <= 4 * _EPS * terms + 8 * _EPS
+
+
 UNIFORM = np.full(8, 0.125)
 
 
@@ -612,7 +701,7 @@ def test_solve_names_each_broken_invariant(monkeypatch, invariant, x, residual, 
     p = make_params(rabi=hz_to_angular(1e5), delta_raman=123.0)
     res_tol = RESIDUAL_TOL * max(1.0, p.gamma_g)
     monkeypatch.setattr(RationalLineshape, "_solve", lambda self, deltas: (
-        np.array([x]), np.full((1, 10), residual * res_tol)))
+        np.array([x]).T, np.full((10, 1), residual * res_tol)))
     with pytest.raises(InvariantViolation) as info:
         solve_steady_state(p)
     exc = info.value
@@ -629,9 +718,9 @@ def test_solve_screens_a_nan_population(monkeypatch):
     # past the checked call, a NaN ground population breaks the
     # population check, the first of solve_steady_state's own two
     p = make_params(rabi=hz_to_angular(1e5), delta_raman=123.0)
-    x = np.array([[np.nan, *UNIFORM[1:], 0.0, 0.0]])
+    x = np.array([[np.nan, *UNIFORM[1:], 0.0, 0.0]]).T
     monkeypatch.setattr(RationalLineshape, "_checked",
-                        lambda self, deltas: (x, np.zeros((1, 10))))
+                        lambda self, deltas: (x, np.zeros((10, 1))))
     with pytest.raises(InvariantViolation) as info:
         solve_steady_state(p)
     exc = info.value
