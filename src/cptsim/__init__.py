@@ -25,8 +25,7 @@ from .scans import (BatchResult, FitModel, FitReport, Scan, batch_metrics,
                     fit_resonance, load_scan, write_scan_csv)
 from .steady_state import (RationalLineshape, SteadyStateSolution,
                            assemble_linear_system, depolarize,
-                           excited_from_ground, rho_ee_many,
-                           solve_steady_state)
+                           excited_from_ground, solve_steady_state)
 from .vapor import (RB87_MASS_KG, RB87_NUCLEAR_SPIN, RB87_SIGMA_SE_CM2,
                     SpinExchangeResult, VaporParams, alkali_number_density,
                     mean_relative_velocity, nuclear_spin_prefactor,

@@ -191,19 +191,25 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
 
 
 def _base_params(opts: dict, depolarization=Depolarization.COMPLETE) -> ModelParams:
-    """Optical/relaxation parameters from Hz options, with the preset applied."""
-    hz = {k: opts[k] for k in ("gamma_opt_hz", "gamma_nat_hz", "gamma_g_hz",
-                               "omega_e_hz", "delta_opt_hz", "delta_raman_hz")}
+    """Optical/relaxation parameters from Hz options; the Raman detuning
+    is 0 for a subcommand without --delta-raman-hz.
+
+    ``--preset fig1`` fixes the FIG1_PRESET_HZ values, which DEFAULTS
+    already hold, so a different value given with it is a ConfigError.
+    """
     if opts.get("preset") == "fig1":
-        hz.update(FIG1_PRESET_HZ)
+        for key, value in FIG1_PRESET_HZ.items():
+            if opts.get(key, value) != value:
+                raise ConfigError(f"--preset fig1 sets {key} to {value!r}, "
+                                  f"not {opts[key]!r}")
     return ModelParams(
         rabi=0.0,
-        gamma_opt=hz_to_angular(hz["gamma_opt_hz"]),
-        gamma_nat=hz_to_angular(hz["gamma_nat_hz"]),
-        gamma_g=hz_to_angular(hz["gamma_g_hz"]),
-        omega_e=hz_to_angular(hz["omega_e_hz"]),
-        delta_opt=hz_to_angular(hz["delta_opt_hz"]),
-        delta_raman=hz_to_angular(hz["delta_raman_hz"]),
+        gamma_opt=hz_to_angular(opts["gamma_opt_hz"]),
+        gamma_nat=hz_to_angular(opts["gamma_nat_hz"]),
+        gamma_g=hz_to_angular(opts["gamma_g_hz"]),
+        omega_e=hz_to_angular(opts["omega_e_hz"]),
+        delta_opt=hz_to_angular(opts["delta_opt_hz"]),
+        delta_raman=hz_to_angular(opts.get("delta_raman_hz", 0.0)),
         depolarization=depolarization,
     )
 
@@ -355,12 +361,10 @@ def cmd_contrast_ratio(opts: dict) -> int:
     if not strengths:
         raise ConfigError("--pumping-strengths needs at least one value")
 
-    base_opts = dict(opts)
-    base_opts["mode"] = "none"
+    base = _base_params(opts, Depolarization.NONE)
     rows = []
     for s in strengths:
-        base_opts["pumping_strength"] = s
-        (p_none,) = _build_params(base_opts)
+        p_none = base.replace(rabi=rabi_for_pumping_strength(base, s))
         p_complete = p_none.replace(depolarization=Depolarization.COMPLETE)
         c_none = physical_contrast(p_none).physical_contrast
         c_complete = physical_contrast(p_complete).physical_contrast
@@ -380,7 +384,7 @@ def cmd_contrast_ratio(opts: dict) -> int:
 
 def cmd_power_broadening(opts: dict) -> int:
     mode = opts["mode"]
-    base = _base_params(opts, Depolarization(mode)).replace(delta_raman=0.0)
+    base = _base_params(opts, Depolarization(mode))
     rabi, w0, w = _calibrate(base, opts["multiple"])
     calibrated = base.replace(rabi=rabi)
     block = {
@@ -516,26 +520,34 @@ class _Options:
         return _Options(self.target.add_argument_group(title), self.table)
 
 
-def _add_common(p: argparse.ArgumentParser, add: _Options,
-                modes=("none", "complete")) -> None:
+def _add_common(p: argparse.ArgumentParser, add: _Options) -> None:
     p.add_argument("--config", help="flat key = value config file; flags win")
     add("--out", help="output path (default: stdout)")
     add("--format", choices=("csv", "json"),
         help="output format (default csv)")
+
+
+def _add_mode(add: _Options, modes=("none", "complete")) -> None:
+    """--mode and --preset, taken by solve, sweep and power-broadening."""
     add("--mode", choices=modes,
         help="excited-state depolarization mode (default none)")
     add("--preset", choices=("fig1",),
         help="fig1: 1 GHz optical width, 817 MHz excited splitting, "
-             "-30 MHz optical detuning, Rabi frequency calibrated "
-             "for 3x power broadening")
+             "-30 MHz optical detuning, zero Raman detuning (the defaults; "
+             "a different value given with the preset is an error), and "
+             "without --rabi-hz or --pumping-strength the Rabi frequency "
+             "calibrated for 3x power broadening")
 
 
-def _add_model(add: _Options) -> None:
+def _add_model(add: _Options, drive: bool = True, raman: bool = True) -> None:
+    """The model parameters; ``drive`` adds the two ways to set V and
+    ``raman`` the two-photon detuning."""
     g = add.group("model parameters (Hz)")
-    g("--rabi-hz", dest="rabi_hz", type=float,
-      help="Rabi frequency V/2pi of each field component")
-    g("--pumping-strength", dest="pumping_strength", type=float,
-      help="set V via the dimensionless strength V^2*lu/gamma_g")
+    if drive:
+        g("--rabi-hz", dest="rabi_hz", type=float,
+          help="Rabi frequency V/2pi of each field component")
+        g("--pumping-strength", dest="pumping_strength", type=float,
+          help="set V via the dimensionless strength V^2*lu/gamma_g")
     g("--gamma-opt-hz", dest="gamma_opt_hz", type=float,
       help="optical-coherence relaxation Gamma/2pi [1e9]")
     g("--gamma-nat-hz", dest="gamma_nat_hz", type=float,
@@ -546,8 +558,9 @@ def _add_model(add: _Options) -> None:
       help="excited hyperfine splitting omega_e/2pi [817e6]")
     g("--delta-opt-hz", dest="delta_opt_hz", type=float,
       help="optical detuning Delta/2pi from F_e=2 [-30e6]")
-    g("--delta-raman-hz", dest="delta_raman_hz", type=float,
-      help="two-photon detuning delta/2pi [0]")
+    if raman:
+        g("--delta-raman-hz", dest="delta_raman_hz", type=float,
+          help="two-photon detuning delta/2pi [0]")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -562,16 +575,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     options = {}
 
     def subcommand(name: str, summary: str) -> tuple[argparse.ArgumentParser, _Options]:
-        p = sub.add_parser(name, help=summary)
+        # no prefix matching: an unknown flag is an error, never another flag
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         return p, _Options(p, options.setdefault(name, {}))
 
     p, add = subcommand("solve", "steady-state populations at one detuning")
-    _add_common(p, add, modes=("none", "complete", "both"))
+    _add_common(p, add)
+    _add_mode(add, modes=("none", "complete", "both"))
     _add_model(add)
 
     p, add = subcommand("sweep", "lineshape over Raman detuning + metrics")
     _add_common(p, add)
-    _add_model(add)
+    _add_mode(add)
+    _add_model(add, raman=False)
     add("--delta-span-hz", dest="delta_span_hz", type=float,
         help="full sweep span centered on 0 (default: auto)")
     add("--span-halfwidths", dest="span_halfwidths", type=float,
@@ -583,14 +599,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p, add = subcommand("contrast-ratio", "contrast in both modes vs pumping strength")
     _add_common(p, add)
-    _add_model(add)
+    _add_model(add, drive=False, raman=False)
     add("--pumping-strengths", dest="pumping_strengths", required=True,
         help="comma-separated list of V^2*lu/gamma_g values")
 
     p, add = subcommand("power-broadening",
                         "calibrate V for a given power-broadening multiple")
     _add_common(p, add)
-    _add_model(add)
+    _add_mode(add)
+    _add_model(add, drive=False, raman=False)
     add("--multiple", dest="multiple", type=float,
         help="excess FWHM over the zero-power FWHM, in units of it [3]")
 

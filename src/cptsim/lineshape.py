@@ -62,6 +62,9 @@ class SweepSpec:
     def __post_init__(self):
         if not self.delta_min < self.delta_max:
             raise ParameterError("delta_min must be < delta_max")
+        # finite bounds alone can still overflow linspace's span
+        if not math.isfinite(self.delta_max - self.delta_min):
+            raise ParameterError("delta_max - delta_min must be finite")
         if self.n_points < 3:
             raise ParameterError("n_points must be >= 3")
 

@@ -213,9 +213,9 @@ class RationalLineshape:
     and checks every detuning and returns c0 + g.x[8:] of each sample,
     elementwise in the two coherences, so the bits of a detuning's rho_ee
     do not depend on the other detunings of the call (see
-    :func:`rho_ee_many` and :func:`solve_steady_state`).  The samples of
-    a call are the columns of a (10, n) array, one contiguous row per
-    unknown, so every store and check runs along whole rows.
+    :func:`solve_steady_state`).  The samples of a call are the columns
+    of a (10, n) array, one contiguous row per unknown, so every store
+    and check runs along whole rows.
     :meth:`check_limit` checks the delta -> inf state.
     """
 
@@ -407,22 +407,3 @@ def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
         residual_norm=float(resid.max()),
     )
 
-
-def rho_ee_many(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
-    """Total excited population at each Raman detuning, batched.
-
-    One :class:`RationalLineshape` factorization; each detuning then
-    costs a closed-form 2x2 solve and an 8x2 back-substitution,
-    vectorized over blocks of BLOCK_SIZE detunings, so memory
-    stays bounded by one block however many detunings are asked for.
-    Every sample is rebuilt as a full 10-vector and checked against the
-    full system A(delta): finite (else SingularSystem, at the first
-    non-finite detuning), then the residual within
-    RESIDUAL_TOL * max(1, gamma_g), the trace within TRACE_TOL and the
-    ground populations above -POPULATION_TOL, screened by
-    :func:`_screen`.  The first of those checks, in that order, that any
-    detuning breaks, a NaN value included, raises InvariantViolation
-    naming the invariant, its value, its bound and the first detuning
-    that breaks it.
-    """
-    return RationalLineshape(params)(deltas)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from .errors import InvalidSpin, OutOfRange, ParameterError
 
@@ -33,19 +32,19 @@ RB87_MASS_KG = 86.909180527 * ATOMIC_MASS_UNIT_KG
 RB87_SIGMA_SE_CM2 = 1.9e-14
 
 
-def _load_vapor_constants() -> dict[str, float]:
-    text = resources.files("cptsim.data").joinpath("rb_vapor_pressure.txt").read_text()
-    out: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = float(value)
-    return out
-
-
-_VP = _load_vapor_constants()
+# Rubidium vapor pressure, liquid phase:
+#     log10(P_torr) = A + B/T + C*T + D*log10(T)    (T in kelvin)
+# Constants from D. A. Steck, "Rubidium 87 D Line Data" (steck.us/alkalidata),
+# which reproduces the fit of A. N. Nesmeyanov, "Vapor Pressure of the
+# Chemical Elements" (Elsevier, 1963).  Stated accuracy better than +-5%
+# over 298-550 K; use is restricted to the window below.
+VP_A = 15.88253
+VP_B = -4529.635
+VP_C = 0.00058663
+VP_D = -2.99138
+# validity window enforced by alkali_number_density (kelvin)
+VP_T_MIN = 273.0
+VP_T_MAX = 500.0
 
 
 @dataclass(frozen=True)
@@ -105,15 +104,15 @@ def mean_relative_velocity(temperature: float, mass: float) -> float:
 def alkali_number_density(temperature: float) -> float:
     """Rb number density in cm^-3 from the liquid-phase vapor-pressure fit.
 
-    Valid for temperature in [t_min, t_max] kelvin as recorded in the
-    constants file; raises OutOfRange outside that window.
+    Valid for temperature in [VP_T_MIN, VP_T_MAX] kelvin; raises
+    OutOfRange outside that window.
     """
-    if not (_VP["t_min"] <= temperature <= _VP["t_max"]):
+    if not (VP_T_MIN <= temperature <= VP_T_MAX):
         raise OutOfRange(
             f"temperature {temperature!r} K outside "
-            f"[{_VP['t_min']:g}, {_VP['t_max']:g}] K")
-    log10_p_torr = (_VP["A"] + _VP["B"] / temperature + _VP["C"] * temperature
-                    + _VP["D"] * math.log10(temperature))
+            f"[{VP_T_MIN:g}, {VP_T_MAX:g}] K")
+    log10_p_torr = (VP_A + VP_B / temperature + VP_C * temperature
+                    + VP_D * math.log10(temperature))
     p_pa = 10.0**log10_p_torr * TORR_PA
     n_m3 = p_pa / (BOLTZMANN_J_K * temperature)
     return n_m3 * 1e-6

@@ -11,12 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cptsim import (Depolarization, Scan, VaporParams, asymmetry,
-                    build_coupling_tables, calibrate_power_broadening,
-                    default_sweep_spec, fit_resonance, fwhm,
-                    nuclear_spin_prefactor, physical_contrast,
-                    rabi_for_pumping_strength, rho_ee_many, solve_steady_state,
-                    spin_exchange, sweep)
+from cptsim import (Depolarization, RationalLineshape, Scan, VaporParams,
+                    asymmetry, build_coupling_tables,
+                    calibrate_power_broadening, default_sweep_spec,
+                    fit_resonance, fwhm, nuclear_spin_prefactor,
+                    physical_contrast, rabi_for_pumping_strength,
+                    solve_steady_state, spin_exchange, sweep)
 from cptsim.cli import main as cli_main
 from cptsim.vapor import RB87_SIGMA_SE_CM2
 
@@ -116,10 +116,10 @@ def test_criterion_4_lineshape_symmetry():
                       delta_raman=0.0)
         half_span = 8.0 * p.gamma_g * (1.0 + strength)
         xs = np.linspace(0.0, half_span, 151)[1:]
-        up = rho_ee_many(p, xs)
-        dn = rho_ee_many(p, -xs)
-        baseline = float(rho_ee_many(p, np.array([60.0 * half_span]))[0])
-        amplitude = baseline - float(rho_ee_many(p, np.array([0.0]))[0])
+        up = RationalLineshape(p)(xs)
+        dn = RationalLineshape(p)(-xs)
+        baseline = float(RationalLineshape(p)(np.array([60.0 * half_span]))[0])
+        amplitude = baseline - float(RationalLineshape(p)(np.array([0.0]))[0])
         worst = max(worst, np.abs(up - dn).max() / amplitude)
     sym_ok = worst < 1e-8
 

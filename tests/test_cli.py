@@ -187,6 +187,20 @@ def test_sweep_numbers_are_the_repr_of_the_library_doubles(tmp_path, capsys,
     assert json.loads(stdout)["samples"] == np.column_stack((hz, ys)).tolist()
 
 
+@pytest.mark.parametrize("span", [("--delta-span-hz", "inf"),
+                                  ("--span-halfwidths", "inf"),
+                                  ("--span-halfwidths", "3e304")],
+                         ids=["delta-span", "span-halfwidths", "overflow"])
+def test_sweep_infinite_span_is_a_parameter_error(capsys, span):
+    # refused by SweepSpec before any sample: no numpy warning (an error
+    # under this suite's filterwarnings), no SingularSystem at delta = inf;
+    # 3e304 half widths give finite bounds whose difference overflows
+    code, out, err = run(capsys, "sweep", "--pumping-strength", "10", *span)
+    assert code == 3
+    assert out == ""
+    assert err == "error: ParameterError: delta_max - delta_min must be finite\n"
+
+
 def test_sweep_without_out_formats_no_csv(monkeypatch, capsys):
     argv = ("sweep", "--pumping-strength", "8.9", "--spacing", "linear",
             "--n-points", "20001")
@@ -558,6 +572,88 @@ def test_config_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--config", str(cfg), "--rabi-hz", "1")
     assert code == 2
     assert "not_a_flag" in err
+
+
+# Each (subcommand, option) pair below was parsed and then never read:
+# contrast-ratio runs both modes at delta = 0 with V from each strength,
+# power-broadening calibrates V at delta = 0, sweep covers its own
+# detunings, and spin-exchange and analyze use no model parameter.
+REMOVED_OPTIONS = [
+    ("contrast-ratio", "--mode", "complete"),
+    ("contrast-ratio", "--preset", "fig1"),
+    ("contrast-ratio", "--rabi-hz", "1e6"),
+    ("contrast-ratio", "--pumping-strength", "5"),
+    ("contrast-ratio", "--delta-raman-hz", "50"),
+    ("power-broadening", "--rabi-hz", "1e6"),
+    ("power-broadening", "--pumping-strength", "5"),
+    ("power-broadening", "--delta-raman-hz", "50"),
+    ("sweep", "--delta-raman-hz", "50"),
+    ("spin-exchange", "--mode", "complete"),
+    ("spin-exchange", "--preset", "fig1"),
+    ("analyze", "--mode", "complete"),
+    ("analyze", "--preset", "fig1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_OPTIONS,
+                         ids=[f"{c}{f}" for c, f, _ in REMOVED_OPTIONS])
+def test_subcommand_refuses_an_option_it_does_not_read(tmp_path, capsys,
+                                                       command, flag, value):
+    write_scan(tmp_path / "s.csv")
+    required = {"sweep": ["--pumping-strength", "8", "--n-points", "11"],
+                "contrast-ratio": ["--pumping-strengths", "10"],
+                "analyze": [str(tmp_path / "s.csv")]}
+    argv = [command, *required.get(command, [])]
+    code, out, err = run(capsys, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown config key {key!r}\n"
+
+
+def test_abbreviated_flag_is_refused(capsys):
+    # a prefix never stands for a longer flag
+    for argv in (["contrast-ratio", "--pumping-strengths", "10",
+                  "--pumping-strength", "5"],
+                 ["sweep", "--pumping-strength", "8", "--n-point", "11"],
+                 ["solve", "--rabi", "1e6"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {argv[-2]}" in err
+
+
+@pytest.mark.parametrize("key, value", [("gamma_opt_hz", "2e9"),
+                                        ("omega_e_hz", "6e8"),
+                                        ("delta_opt_hz", "5e6"),
+                                        ("delta_raman_hz", "100")])
+def test_preset_refuses_a_different_value_of_its_keys(tmp_path, capsys, key, value):
+    flag = "--" + key.replace("_", "-")
+    expected = (f"error: --preset fig1 sets {key} to "
+                f"{cli.FIG1_PRESET_HZ[key]!r}, not {float(value)!r}\n")
+    code, out, err = run(capsys, "solve", "--preset", "fig1", flag, value)
+    assert (code, out, err) == (2, "", expected)
+    # the preset, the value or both from a config file
+    for text, extra in ((f"preset = fig1\n{key} = {value}\n", []),
+                        (f"{key} = {value}\n", ["--preset", "fig1"]),
+                        ("preset = fig1\n", [flag, value])):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "solve", "--config", str(cfg), *extra)
+        assert (code, out, err) == (2, "", expected)
+    # the value fig 1 fixes is accepted, and changes nothing
+    _, plain, _ = run(capsys, "solve", "--preset", "fig1")
+    code, same, _ = run(capsys, "solve", "--preset", "fig1", flag,
+                        repr(cli.FIG1_PRESET_HZ[key]))
+    assert (code, same) == (0, plain)
+    if key != "delta_raman_hz":
+        for command in ("sweep", "power-broadening"):
+            code, out, err = run(capsys, command, "--preset", "fig1", flag, value)
+            assert (code, out, err) == (2, "", expected)
 
 
 def test_missing_rabi_is_config_error(capsys):

@@ -12,7 +12,7 @@ from cptsim import (Depolarization, InvariantViolation, Lineshape,
                     Unbracketed, asymmetry,
                     calibrate_power_broadening, default_sweep_spec, fwhm,
                     physical_contrast, qfactor, rabi_for_pumping_strength,
-                    resonance_center, resonance_metrics, rho_ee_many, sweep)
+                    resonance_center, resonance_metrics, sweep)
 from cptsim.lineshape import calibration_fwhm, halfwidth_estimate
 
 from conftest import make_params, random_params
@@ -40,6 +40,18 @@ def test_sweep_spec_validation():
         SweepSpec(1.0, -1.0)
     with pytest.raises(ParameterError):
         SweepSpec(-1.0, 1.0, n_points=2)
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, math.inf), (-1.0, math.inf),
+                                    (-math.inf, 1.0), (-1e308, 1e308)])
+def test_sweep_spec_span_must_be_finite(bounds):
+    # an infinite bound, or finite bounds whose span overflows, is refused
+    # before linspace could warn or a solve could meet delta = inf
+    with pytest.raises(ParameterError, match="finite"):
+        SweepSpec(*bounds)
+    spec = SweepSpec(-0.5e308, 0.5e308, 5, Spacing.LINEAR)
+    assert np.all(np.isfinite(np.linspace(spec.delta_min, spec.delta_max,
+                                          spec.n_points)))
 
 
 def test_lineshape_validation():
@@ -373,13 +385,13 @@ def test_closed_form_center_is_stationary_and_crossings_sit_at_half_level(rng):
                               model.p1 * model.q0, -model.p0 * model.q1])
             assert abs(terms.sum()) <= 1e-12 * np.abs(terms).sum()
             width = dip.hi - dip.lo
-            near = rho_ee_many(p, c + width * np.array([-1e-3, 0.0, 1e-3]))
+            near = RationalLineshape(p)(c + width * np.array([-1e-3, 0.0, 1e-3]))
             assert near[1] <= near[0] and near[1] <= near[2]
             # the half level from checked solves at the edges and the center
-            edges = rho_ee_many(p, np.array([-dip.edge, dip.edge]))
+            edges = RationalLineshape(p)(np.array([-dip.edge, dip.edge]))
             level = 0.5 * (edges.mean() + near[1])
             depth = edges.mean() - near[1]
-            at = rho_ee_many(p, np.array([dip.lo, dip.hi]))
+            at = RationalLineshape(p)(np.array([dip.lo, dip.hi]))
             np.testing.assert_allclose(at, level, rtol=0, atol=1e-9 * depth)
 
 

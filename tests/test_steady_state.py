@@ -15,8 +15,7 @@ from cptsim import (Depolarization, InvariantViolation, ParameterError,
                     assemble_linear_system, default_sweep_spec,
                     depolarize, excited_from_ground, fwhm,
                     hz_to_angular, lorentz_factors, pumping_strength,
-                    rabi_for_pumping_strength, rho_ee_many,
-                    solve_steady_state, sweep)
+                    rabi_for_pumping_strength, solve_steady_state, sweep)
 
 from conftest import make_params, random_params
 from oracles import excited_verbatim, residual_verbatim, solve_full_system
@@ -287,7 +286,7 @@ def test_dark_state_bracket_shrinks_with_relaxation():
 def test_batched_rho_ee_matches_scalar_solves(rng):
     p = random_params(rng)
     deltas = np.linspace(-5 * p.gamma_g, 5 * p.gamma_g, 7)
-    batched = rho_ee_many(p, deltas)
+    batched = RationalLineshape(p)(deltas)
     scalar = [solve_steady_state(p.replace(delta_raman=d)).rho_ee for d in deltas]
     np.testing.assert_allclose(batched, scalar, rtol=1e-12)
 
@@ -311,7 +310,7 @@ def test_batched_rho_ee_matches_per_point_lu(mode, strength):
     w = max(p.gamma_g, p.rabi**2 * lorentz_factors(p).lu)
     far = w * 1e3 * 2.0 ** np.arange(0, 21, 4)
     deltas = np.concatenate([[0.0, -width, width], -far, far])
-    batched = rho_ee_many(p, deltas)
+    batched = RationalLineshape(p)(deltas)
     single = np.array([_rho_ee_per_point(p, d) for d in deltas])
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
 
@@ -321,7 +320,7 @@ def test_batched_rho_ee_matches_full_unreduced_system(mode, rng):
     for _ in range(10):
         p = random_params(rng, mode=mode)
         deltas = p.delta_raman * np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
-        batched = rho_ee_many(p, deltas)
+        batched = RationalLineshape(p)(deltas)
         oracle = [solve_full_system(p.replace(delta_raman=d))[1].sum() for d in deltas]
         np.testing.assert_allclose(batched, oracle, rtol=1e-10, atol=0)
 
@@ -338,7 +337,7 @@ def test_rational_lineshape_matches_batched_and_unreduced_solves(seed, mode):
     deltas = np.concatenate([p.delta_raman * np.array([-3.0, -1.0, 0.5, 2.0]),
                              hw * np.array([-20.0, -1.0, 0.0, 0.3, 1.0, 20.0])])
     closed = model.c0 + model.excess(deltas)
-    np.testing.assert_allclose(closed, rho_ee_many(p, deltas), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(closed, RationalLineshape(p)(deltas), rtol=1e-12, atol=0)
     oracle = [solve_full_system(p.replace(delta_raman=d))[1].sum() for d in deltas]
     np.testing.assert_allclose(closed, oracle, rtol=1e-10, atol=0)
 
@@ -346,14 +345,14 @@ def test_rational_lineshape_matches_batched_and_unreduced_solves(seed, mode):
 def test_batched_rho_ee_non_finite_sample_is_singular():
     p = make_params(rabi=hz_to_angular(1e5))
     with pytest.raises(SingularSystem, match="nan"):
-        rho_ee_many(p, np.array([0.0, np.nan]))
+        RationalLineshape(p)(np.array([0.0, np.nan]))
 
 
 def test_batched_rho_ee_singular_population_block(monkeypatch):
     monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
                         lambda params: (np.zeros((10, 10)), np.ones(10)))
     with pytest.raises(SingularSystem, match="population block"):
-        rho_ee_many(make_params(), np.array([0.0]))
+        RationalLineshape(make_params())(np.array([0.0]))
 
 
 def test_batched_rho_ee_names_the_broken_invariant():
@@ -363,7 +362,7 @@ def test_batched_rho_ee_names_the_broken_invariant():
     p = base.replace(rabi=rabi_for_pumping_strength(base, 3e6))
     deltas = np.array([1e3, 0.0, -1e3])
     with pytest.raises(InvariantViolation) as info:
-        rho_ee_many(p, deltas)
+        RationalLineshape(p)(deltas)
     exc = info.value
     assert exc.invariant in ("residual", "trace", "positivity")
     assert exc.value > exc.bound
