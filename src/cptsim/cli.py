@@ -165,7 +165,7 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
     """Fill unset options from the config file, then from DEFAULTS.
 
     ``options`` maps each config-settable destination of the subcommand
-    to its (type, choices), as ``build_parser`` recorded them.
+    to its (type, choices, flags), as ``build_parser`` recorded them.
     """
     opts = dict(vars(args))
     if args.config:
@@ -175,7 +175,7 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
                 raise ConfigError(f"unknown config key {key!r}")
             if opts.get(key) is not None:
                 continue  # explicit flag wins
-            kind, choices = options[key]
+            kind, choices, _ = options[key]
             try:
                 value = kind(raw) if kind else raw
             except ValueError as exc:
@@ -506,15 +506,15 @@ def cmd_analyze(opts: dict) -> int:
 # ------------------------------------------------------------------ parser
 
 class _Options:
-    """Adds options to a parser or argument group, recording the type and
-    choices of each under its destination (the config-file key)."""
+    """Adds options to a parser or argument group, recording the type,
+    choices and flags of each under its destination (the config-file key)."""
 
     def __init__(self, target, table: dict):
         self.target, self.table = target, table
 
     def __call__(self, *flags, **kwargs):
         action = self.target.add_argument(*flags, **kwargs)
-        self.table[action.dest] = (kwargs.get("type"), kwargs.get("choices"))
+        self.table[action.dest] = (kwargs.get("type"), kwargs.get("choices"), flags)
 
     def group(self, title: str) -> "_Options":
         return _Options(self.target.add_argument_group(title), self.table)
@@ -565,7 +565,7 @@ def _add_model(add: _Options, drive: bool = True, raman: bool = True) -> None:
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser, and per subcommand its config-settable options
-    (destination -> (type, choices))."""
+    (destination -> (type, choices, flags))."""
     parser = argparse.ArgumentParser(
         prog="cptsim",
         description="Four-level sigma+ CPT steady-state simulator and scan analyzer. "
@@ -643,9 +643,45 @@ _DISPATCH = {
 }
 
 
+def _attach_negative_values(argv: list[str], options: dict) -> list[str]:
+    """``argv`` with each negative number that follows a numeric flag of
+    the subcommand joined to it, as in ``--delta-opt-hz=-30e6``.
+
+    argparse reads a token that starts with '-' as a flag unless it has
+    the form -N or -N.N, so a separate -30e6 or -inf would not reach its
+    option.  Tokens after a bare '--' are left as they are.
+    """
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    numeric = {flag for kind, _, flags in options.get(command, {}).values()
+               if kind in (float, int) for flag in flags}
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--":
+            return out + argv[i:]
+        if tok in numeric and i + 1 < len(argv) and _is_negative_number(argv[i + 1]):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
+def _is_negative_number(tok: str) -> bool:
+    if not tok.startswith("-"):
+        return False
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser, options = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv, options))
     try:
         opts = _merge_config(args, options[args.command])
         return _DISPATCH[args.command](opts)

@@ -344,8 +344,8 @@ def _mirrored_offsets(center: float, d_lo: float, d_hi: float,
 def _antisymmetric_fraction(values: np.ndarray, baseline: float) -> float:
     """||rho(+x) - rho(-x)|| / ||baseline - rho|| over mirrored values."""
     up, dn = values.reshape(2, -1)
-    num = float(np.sqrt(np.sum((up - dn) ** 2)))
-    den = float(np.sqrt(np.sum((baseline - up) ** 2) + np.sum((baseline - dn) ** 2)))
+    num = math.sqrt(((up - dn) ** 2).sum())
+    den = math.sqrt(((baseline - up) ** 2).sum() + ((baseline - dn) ** 2).sum())
     return num / den if den else 0.0
 
 
@@ -401,7 +401,8 @@ def _model_dip(model: RationalLineshape, span_halfwidths: float) -> _ModelDip:
     """Center and half-depth crossings of the model dip, in closed form.
 
     The baseline is the mean of rho_ee at the window edges +/- span
-    half widths (``halfwidth_estimate``).  The center is the root of
+    half widths (``halfwidth_estimate``, read as the model's
+    ``damping``).  The center is the root of
     the derivative's numerator -p1*d^2 - 2*p0*d + (p1*q0 - p0*q1) with
     the lower rho_ee; each crossing of a level c0 + k solves
     k*d^2 + (k*q1 - p1)*d + (k*q0 - p0) = 0.  Raises NoResonance for a
@@ -409,7 +410,7 @@ def _model_dip(model: RationalLineshape, span_halfwidths: float) -> _ModelDip:
     lies outside the window.
     """
     p1, p0, q1, q0 = model.p1, model.p0, model.q1, model.q0
-    edge = span_halfwidths * halfwidth_estimate(model.params)
+    edge = span_halfwidths * model.damping
     baseline = 0.5 * (model.excess(-edge) + model.excess(edge))
     roots = [d for d in _quadratic_roots(-p1, -2.0 * p0, p1 * q0 - p0 * q1)
              if math.isfinite(d)]

@@ -141,6 +141,8 @@ def pumping_strength(params: ModelParams) -> float:
 
 def rabi_for_pumping_strength(params: ModelParams, s: float) -> float:
     """Rabi frequency giving pumping strength s at the params' optical geometry."""
+    if not math.isfinite(s):
+        raise ParameterError(f"pumping strength must be finite, not {s}")
     if not s >= 0:
         raise ParameterError("pumping strength must be >= 0")
     lu = lorentz_factors(params).lu

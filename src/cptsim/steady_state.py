@@ -37,7 +37,7 @@ import numpy as np
 from .couplings import (EXCITED_INDEX, EXCITED_IS_UPPER, EXCITED_LEVELS,
                         GROUND_INDEX, GROUND_LEVELS, build_coupling_tables)
 from .errors import InvariantViolation, SingularSystem
-from .params import Depolarization, LorentzFactors, ModelParams, lorentz_factors
+from .params import Depolarization, ModelParams, lorentz_factors
 
 TABLES = build_coupling_tables()
 
@@ -62,7 +62,6 @@ _C = 2.0 * _A_EXC
 _W = 2.0 * _W_EXC  # pump-scale weight
 
 _IS_UPPER = np.array(EXCITED_IS_UPPER)
-_DIAG8 = np.arange(8)
 _I20 = GROUND_INDEX[(2, 0)]
 _I10 = GROUND_INDEX[(1, 0)]
 
@@ -105,50 +104,48 @@ class SteadyStateSolution:
         return {lvl: float(v) for lvl, v in zip(EXCITED_LEVELS, arr)}
 
 
-def _excitation_rates(params: ModelParams, lf: LorentzFactors):
-    """Return (K, kw): gamma*rho_e = K @ ground + kw*Re(rho21)."""
-    v2 = params.rabi**2
-    l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
-    K = (v2 * l_e)[:, None] * _C
-    kw = v2 * l_e * _W
-    return K, kw
-
-
 def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Build the 10x10 real system A @ x = b for the unknown ordering above."""
+    """Build the 10x10 real system A @ x = b for the unknown ordering above.
+
+    The population block is written once, as 0 - (spontaneous feed) with
+    the relaxation and pump-out then added on its diagonal; every other
+    nonzero entry is set on its own.  An entry that starts from a feed or
+    coupling term is written as 0.0 minus (or plus) that term, as an
+    update of a zero matrix gives it, so a zero term leaves +0.0 there.
+    """
     lf = lorentz_factors(params)
     gg = params.gamma_g
-    K, kw = _excitation_rates(params, lf)
+    # excitation rates: gamma*rho_e = K @ ground + kw*Re(rho21)
+    v2 = params.rabi**2
+    vl = np.where(_IS_UPPER, v2 * lf.lu, v2 * lf.ld)  # V^2 l_e
+    K, kw = vl[:, None] * _C, vl * _W
 
-    P = params.rabi**2 * (lf.lu + lf.ld / 3.0)  # coherence pump rate
+    P = v2 * (lf.lu + lf.ld / 3.0)              # coherence pump rate
     D = lf.du + lf.dd / 3.0                     # dispersive cross-coupling
 
     A = np.zeros((10, 10))
     b = np.zeros(10)
 
-    # Population rows: relaxation + pump-out on the diagonal.  The
-    # pump-out of ground g is the column sum of K (all routes out).
+    # Population rows: spontaneous feed, entering with a minus sign on
+    # the left, then relaxation + pump-out on the diagonal.  The pump-out
+    # of ground g is the column sum of K (all routes out).
     pump_out = K.sum(axis=0)
-    A[_DIAG8, _DIAG8] = gg + pump_out
-    b[:8] = gg / 8.0
-
-    # Spontaneous feed, entering with a minus sign on the left.
     if params.depolarization is Depolarization.COMPLETE:
         # Every ground sublevel receives gamma*mean(excited); the
         # branching matrix is doubly stochastic so the row weight is 1.
-        mean_pop = pump_out / 8.0
-        mean_coh = kw.sum() / 8.0
-        A[:8, :8] -= mean_pop[None, :]
-        A[:8, 8] -= mean_coh
+        feed, feed_coh = pump_out / 8.0, kw.sum() / 8.0
     else:
-        A[:8, :8] -= _B @ K
-        A[:8, 8] -= _B @ kw
+        feed, feed_coh = _B @ K, _B @ kw
+    np.subtract(0.0, feed, out=A[:8, :8])
+    A.reshape(-1)[:80:11] += gg + pump_out  # the diagonal of A[:8, :8]
+    np.subtract(0.0, feed_coh, out=A[:8, 8])
+    b[:8] = gg / 8.0
 
     # Direct coherence coupling of the two working (m=0) populations.
     A[_I20, 8] -= P / 2.0
-    A[_I20, 9] -= D / 2.0
+    A[_I20, 9] = 0.0 - D / 2.0
     A[_I10, 8] -= P / 2.0
-    A[_I10, 9] += D / 2.0
+    A[_I10, 9] = 0.0 + D / 2.0
 
     # Coherence equation, real and imaginary parts.
     width = gg + P / 2.0
@@ -217,12 +214,19 @@ class RationalLineshape:
     of a (10, n) array, one contiguous row per unknown, so every store
     and check runs along whole rows.
     :meth:`check_limit` checks the delta -> inf state.
+
+    ``damping`` is gamma_g + pump_rate/2, the rate at which the coherence
+    rows damp (the entry A0[9, 8]); it equals
+    ``lineshape.halfwidth_estimate`` of the parameters and sizes the
+    windows of the model metrics.  Each call reuses the scalars of S and
+    r, the b column and the residual bound formed here.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         A0, b = assemble_linear_system(params)
         A0[8, 8] = A0[9, 9] = 0.0  # the delta-free part
+        self.damping = float(A0[9, 8])
         rhs = np.empty((8, 3))
         rhs[:, 0], rhs[:, 1:] = b[:8], A0[:8, 8:]
         try:
@@ -230,23 +234,28 @@ class RationalLineshape:
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"population block is singular: {exc}") from exc
         self.y0, self.Z = Y[:, 0], Y[:, 1:]
-        self.S = A0[8:, 8:] - A0[8:, :8] @ self.Z
-        self.r = -(A0[8:, :8] @ self.y0)
+        coupling = A0[8:, :8]
+        self.S = A0[8:, 8:] - coupling @ self.Z
+        self.r = -(coupling @ self.y0)
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
+        # the delta-free terms of each 2x2 solve (see _solve)
+        self._coherence_terms = (s00, s11, s01 * s10, r0, r1, s01 * r1, s10 * r0)
 
         prefac = _excitation_prefactor(params)
         w_pop = _A_EXC.T @ prefac
         w_coh = float(_W_EXC @ prefac)
+        z0, z1 = (self.Z.T @ w_pop).tolist()
 
-        self.g0, self.g1 = g0, g1 = (np.array([w_coh, 0.0]) - self.Z.T @ w_pop).tolist()
+        self.g0, self.g1 = g0, g1 = w_coh - z0, 0.0 - z1
         self.c0 = float(w_pop @ self.y0)
         self.q1 = s00 + s11
         self.q0 = s00 * s11 - s01 * s10
         self.p1 = g0 * r0 + g1 * r1
         self.p0 = g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0)
 
-        self._A0, self._b = A0, b
+        self._A0, self._b, self._b_col = A0, b, b[:, None]
+        self._residual_bound = RESIDUAL_TOL * max(1.0, params.gamma_g)
 
     def excess(self, deltas):
         """Closed-form rho_ee(delta) - c0 at a detuning or an array of
@@ -302,12 +311,14 @@ class RationalLineshape:
         -POPULATION_TOL).  A NaN value breaks its check.
 
         The trace of each column is the pairwise sum numpy gives 8
-        contiguous values, ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), written
-        out over the eight population rows, so its bits do not depend on
-        the layout."""
+        contiguous values, ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), formed
+        over the eight population rows as sums of row pairs, so its bits
+        do not depend on the layout."""
         p = x[:8]
-        trace = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-        return (("residual", resid, RESIDUAL_TOL * max(1.0, self.params.gamma_g)),
+        pairs = p[0::2] + p[1::2]           # p0+p1, p2+p3, p4+p5, p6+p7
+        halves = pairs[0::2] + pairs[1::2]  # the two sums of four
+        trace = halves[0] + halves[1]
+        return (("residual", resid, self._residual_bound),
                 ("trace", np.abs(trace - 1.0), TRACE_TOL),
                 ("positivity", -p, POPULATION_TOL))
 
@@ -315,16 +326,18 @@ class RationalLineshape:
         """The full 10-vector at each detuning, as the columns of a
         (10, n) array with one contiguous row per unknown, and the
         absolute residual of each row of A(delta), in the same layout;
-        SingularSystem if a sample is not finite."""
-        (s00, s01), (s10, s11) = self.S.tolist()
-        r0, r1 = self.r.tolist()
+        SingularSystem if a sample is not finite.
+
+        Each coherence pair is Cramer's rule on S + delta*I, with the
+        products of two scalars of S and r formed in ``__init__``."""
+        s00, s11, s01s10, r0, r1, s01r1, s10r0 = self._coherence_terms
         a = s00 + deltas
         d = s11 + deltas
         x = np.empty((10, deltas.size))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det = a * d - s01 * s10
-            np.divide(d * r0 - s01 * r1, det, out=x[8])
-            np.divide(a * r1 - s10 * r0, det, out=x[9])
+            det = a * d - s01s10
+            np.divide(d * r0 - s01r1, det, out=x[8])
+            np.divide(a * r1 - s10r0, det, out=x[9])
             x[:8] = self.y0[:, None] - self.Z @ x[8:]
         if not np.isfinite(x).all():
             i = int(np.argmin(np.isfinite(x).all(axis=0)))
@@ -333,7 +346,7 @@ class RationalLineshape:
 
         # residual of the full A(delta) = A0 + delta*(e8 e8^T + e9 e9^T)
         resid = self._A0 @ x
-        resid -= self._b[:, None]
+        resid -= self._b_col
         resid[8:] += deltas * x[8:]
         np.abs(resid, out=resid)
         return x, resid
@@ -344,7 +357,7 @@ class RationalLineshape:
         at delta = inf: trace within TRACE_TOL, then populations above
         -POPULATION_TOL.  A NaN value breaks its check."""
         _screen(np.array([math.inf]),
-                ("trace", np.abs(self.y0.sum(keepdims=True) - 1.0), TRACE_TOL),
+                ("trace", abs(np.add.reduce(self.y0) - 1.0), TRACE_TOL),
                 ("positivity", -self.y0, POPULATION_TOL))
 
 
@@ -358,8 +371,9 @@ def _screen(deltas: np.ndarray, *checks) -> None:
     that breaks it, with that column's max as the value.
     """
     for name, values, bound in checks:
-        # one reduction screens; the per-detuning view is formed only on failure
-        if (values <= bound).all():
+        # one reduction screens (a NaN max breaks it too); the
+        # per-detuning view is formed only on failure
+        if np.maximum.reduce(values, axis=None, initial=-math.inf) <= bound:
             continue
         cols = values.reshape(-1, deltas.size).T
         i = int(np.argmax(~(cols <= bound).all(axis=1)))

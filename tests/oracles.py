@@ -13,6 +13,13 @@ code with the package.  Two routes are provided:
 parse_lines_verbatim is the scan format's line-by-line parser, kept as
 the reference for the package's bulk conversion.
 
+assemble_verbatim, factorization_verbatim and checked_call_verbatim are
+the package's own assembly, factorization and one-block checked solve
+written as fancy-indexed and sliced updates, with the delta-free scalars
+re-read on every call, one numpy operation after another.  Unlike the
+routes above they share the package's coupling tables: they are a bit
+for bit reference of the package's arithmetic, not of the physics.
+
 Ground ordering matches the package: (2,-2), (2,-1), (2,0), (2,1),
 (2,2), (1,-1), (1,0), (1,1); excited ordering u(-2..2) then d(-1..1).
 """
@@ -22,7 +29,10 @@ import math
 import numpy as np
 
 from cptsim.errors import ParseError
+from cptsim.params import Depolarization, lorentz_factors
 from cptsim.scans import CSV_HEADER, Scan, _parse_metadata_value
+from cptsim.steady_state import (_A_EXC, _B, _C, _I10, _I20, _IS_UPPER, _W,
+                                 _W_EXC)
 
 
 def _rates(params):
@@ -304,3 +314,104 @@ def parse_lines_verbatim(lines):
         freqs.append(f)
         sigs.append(y)
     return Scan(np.array(freqs), np.array(sigs), metadata)
+
+
+def assemble_verbatim(params):
+    """(A, b) of steady_state.assemble_linear_system, built one update of
+    a zero matrix at a time."""
+    lf = lorentz_factors(params)
+    gg = params.gamma_g
+    v2 = params.rabi**2
+    l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
+    K = (v2 * l_e)[:, None] * _C
+    kw = v2 * l_e * _W
+
+    P = params.rabi**2 * (lf.lu + lf.ld / 3.0)
+    D = lf.du + lf.dd / 3.0
+
+    A = np.zeros((10, 10))
+    b = np.zeros(10)
+    pump_out = K.sum(axis=0)
+    A[np.arange(8), np.arange(8)] = gg + pump_out
+    b[:8] = gg / 8.0
+    if params.depolarization is Depolarization.COMPLETE:
+        mean_pop = pump_out / 8.0
+        mean_coh = kw.sum() / 8.0
+        A[:8, :8] -= mean_pop[None, :]
+        A[:8, 8] -= mean_coh
+    else:
+        A[:8, :8] -= _B @ K
+        A[:8, 8] -= _B @ kw
+
+    A[_I20, 8] -= P / 2.0
+    A[_I20, 9] -= D / 2.0
+    A[_I10, 8] -= P / 2.0
+    A[_I10, 9] += D / 2.0
+
+    width = gg + P / 2.0
+    A[8, 8] = params.delta_raman
+    A[8, 9] = -width
+    A[8, _I20] = -D / 4.0
+    A[8, _I10] = +D / 4.0
+    A[9, 8] = width
+    A[9, 9] = params.delta_raman
+    A[9, _I20] = -P / 4.0
+    A[9, _I10] = -P / 4.0
+    return A, b
+
+
+def factorization_verbatim(params):
+    """What steady_state.RationalLineshape(params) forms, as a dict: the
+    delta-free A0 and b, y0, Z, S, r, and the scalars c0, g0, g1, p0, p1,
+    q0, q1.  The Lorentz factors are formed once more for the excitation
+    prefactors."""
+    A0, b = assemble_verbatim(params)
+    A0[8, 8] = A0[9, 9] = 0.0
+    rhs = np.empty((8, 3))
+    rhs[:, 0], rhs[:, 1:] = b[:8], A0[:8, 8:]
+    Y = np.linalg.solve(A0[:8, :8], rhs)
+    y0, Z = Y[:, 0], Y[:, 1:]
+    S = A0[8:, 8:] - A0[8:, :8] @ Z
+    r = -(A0[8:, :8] @ y0)
+    (s00, s01), (s10, s11) = S.tolist()
+    r0, r1 = r.tolist()
+
+    lf = lorentz_factors(params)
+    scale = 2.0 * params.rabi**2
+    prefac = np.where(_IS_UPPER, scale * lf.lu / params.gamma_nat,
+                      scale * lf.ld / params.gamma_nat)
+    w_pop = _A_EXC.T @ prefac
+    w_coh = float(_W_EXC @ prefac)
+    g0, g1 = (np.array([w_coh, 0.0]) - Z.T @ w_pop).tolist()
+    return {
+        "A0": A0, "b": b, "y0": y0, "Z": Z, "S": S, "r": r,
+        "c0": float(w_pop @ y0), "g0": g0, "g1": g1,
+        "q1": s00 + s11, "q0": s00 * s11 - s01 * s10,
+        "p1": g0 * r0 + g1 * r1,
+        "p0": g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0),
+    }
+
+
+def checked_call_verbatim(f, deltas):
+    """The solved samples x (10, n), the absolute residual of each row of
+    A(delta) x - b, the trace and the rho_ee of a checked call of at most
+    steady_state.BLOCK_SIZE + 1 detunings, from a factorization_verbatim
+    dict ``f``."""
+    (s00, s01), (s10, s11) = f["S"].tolist()
+    r0, r1 = f["r"].tolist()
+    a = s00 + deltas
+    d = s11 + deltas
+    x = np.empty((10, deltas.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = a * d - s01 * s10
+        np.divide(d * r0 - s01 * r1, det, out=x[8])
+        np.divide(a * r1 - s10 * r0, det, out=x[9])
+        x[:8] = f["y0"][:, None] - f["Z"] @ x[8:]
+    resid = f["A0"] @ x
+    resid -= f["b"][:, None]
+    resid[8:] += deltas * x[8:]
+    np.abs(resid, out=resid)
+    p = x[:8]
+    trace = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    rho = f["c0"] + (f["g0"] * x[8] + f["g1"] * x[9])
+    return x, resid, trace, rho

@@ -627,6 +627,41 @@ def test_abbreviated_flag_is_refused(capsys):
         assert f"unrecognized arguments: {argv[-2]}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--pumping-strength", "5"],
+    ["sweep", "--pumping-strength", "5", "--spacing", "linear", "--n-points", "41"],
+])
+@pytest.mark.parametrize("value", ["-30e6", "-3E7", "-3.0e+07", "-30000000", "-.3e8",
+                                   "-inf", "-nan"])
+def test_negative_value_in_any_float_spelling_is_a_separate_argument(capsys, argv, value):
+    # argparse reads -30e6 as a flag of its own unless it is joined to its
+    # option; both spellings give the same bytes and exit code
+    separate = run(capsys, *argv, "--delta-opt-hz", value)
+    joined = run(capsys, *argv, f"--delta-opt-hz={value}")
+    assert separate == joined
+    assert separate[0] == (0 if value[1:].lower() not in ("inf", "nan") else 3)
+
+
+def test_negative_value_does_not_reach_an_unknown_flag(capsys):
+    for argv in (["solve", "--pumping-strength", "5", "--bogus-hz", "-30e6"],
+                 ["sweep", "--pumping-strength", "5", "--delta-raman-hz", "-1e3"],
+                 ["contrast-ratio", "--pumping-strengths", "5", "--rabi-hz", "-1e3"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("argv", [["contrast-ratio", "--pumping-strengths", "nan"],
+                                  ["contrast-ratio", "--pumping-strengths", "1,inf"],
+                                  ["solve", "--pumping-strength", "-inf"],
+                                  ["sweep", "--pumping-strength=nan"]])
+def test_non_finite_pumping_strength_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    value = argv[-1].split(",")[-1].split("=")[-1]
+    assert (code, out) == (3, "")
+    assert err == f"error: ParameterError: pumping strength must be finite, not {value}\n"
+
+
 @pytest.mark.parametrize("key, value", [("gamma_opt_hz", "2e9"),
                                         ("omega_e_hz", "6e8"),
                                         ("delta_opt_hz", "5e6"),

@@ -371,6 +371,51 @@ def test_model_calls_make_one_factorization_and_one_checked_call(monkeypatch, mo
         assert (built, sizes) == ([p], [size])
 
 
+def test_calibration_makes_three_factorizations_plus_one_per_brent_evaluation(monkeypatch):
+    # each factorization is followed by exactly one checked call of its
+    # model: the probe, the two bracket ends, then one per Brent evaluation
+    # (resonance_metrics and physical_contrast: one of each, see
+    # test_model_calls_make_one_factorization_and_one_checked_call)
+    events, evaluations = [], [0]
+    real_init, real_call = RationalLineshape.__init__, RationalLineshape.__call__
+    real_brent = lineshape_mod._brent_root
+
+    def counting_init(self, params):
+        events.append("factorization")
+        real_init(self, params)
+
+    def counting_call(self, deltas):
+        events.append("checked call")
+        return real_call(self, deltas)
+
+    def counting_brent(f, *args):
+        def counted(u):
+            evaluations[0] += 1
+            return f(u)
+        return real_brent(counted, *args)
+
+    monkeypatch.setattr(RationalLineshape, "__init__", counting_init)
+    monkeypatch.setattr(RationalLineshape, "__call__", counting_call)
+    monkeypatch.setattr(lineshape_mod, "_brent_root", counting_brent)
+    for base in _calibration_bases():
+        for multiple in CALIBRATION_MULTIPLES:
+            events.clear()
+            evaluations[0] = 0
+            calibrate_power_broadening(base, multiple)
+            assert evaluations[0] >= 1
+            assert events == ["factorization", "checked call"] * (3 + evaluations[0])
+
+
+def test_model_dip_window_is_the_estimated_half_width(rng):
+    # the dip window comes from the model's coherence damping rate, which
+    # is halfwidth_estimate of its parameters, bit for bit
+    for mode in (Depolarization.NONE, Depolarization.COMPLETE):
+        for _ in range(50):
+            p = random_params(rng, mode=mode)
+            for q in (p, p.replace(rabi=0.0)):
+                assert RationalLineshape(q).damping == float(halfwidth_estimate(q))
+
+
 # ------------------------------------------------------ closed-form metrics
 
 def test_closed_form_center_is_stationary_and_crossings_sit_at_half_level(rng):
@@ -517,6 +562,12 @@ def test_nan_strength_and_multiple_are_named_parameter_errors():
         rabi_for_pumping_strength(base, math.nan)
     with pytest.raises(ParameterError, match="broadening multiple"):
         calibrate_power_broadening(base, math.nan)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_non_finite_strength_is_named_as_such(s):
+    with pytest.raises(ParameterError, match=f"pumping strength must be finite, not {s}"):
+        rabi_for_pumping_strength(make_params(), s)
 
 
 def test_calibration_returns_an_evaluated_width(monkeypatch):

@@ -18,7 +18,9 @@ from cptsim import (Depolarization, InvariantViolation, ParameterError,
                     rabi_for_pumping_strength, solve_steady_state, sweep)
 
 from conftest import make_params, random_params
-from oracles import excited_verbatim, residual_verbatim, solve_full_system
+from oracles import (checked_call_verbatim, excited_verbatim,
+                     factorization_verbatim, residual_verbatim,
+                     solve_full_system)
 
 # no shrink phase: shrinking a failure of these solver properties runs for
 # tens of seconds to minutes while its memory grows; the failing draw as
@@ -743,3 +745,50 @@ def test_pumping_strength_round_trip(rng):
     p = random_params(rng)
     s = pumping_strength(p)
     assert rabi_for_pumping_strength(p, s) == pytest.approx(p.rabi, rel=1e-14)
+
+
+# ------------------------------------------- bit-for-bit factorization
+
+def _bytes(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _factorization_cases():
+    """200 random_params draws per mode, each also at rabi = 0 (where
+    signed zeros reach y0 and Z) and at delta_raman = 0."""
+    rng = np.random.default_rng(20261019)
+    for mode in (Depolarization.NONE, Depolarization.COMPLETE):
+        for _ in range(200):
+            p = random_params(rng, mode=mode)
+            yield from (p, p.replace(rabi=0.0), p.replace(delta_raman=0.0))
+
+
+def test_factorization_and_checked_call_match_the_verbatim_arithmetic():
+    # bytes, so the sign of every zero counts: the matrix, the factorization
+    # and its scalars, and the samples, residual, trace and rho_ee of a
+    # checked call equal those of oracles.factorization_verbatim and
+    # oracles.checked_call_verbatim
+    checked = 0
+    for p in _factorization_cases():
+        f = factorization_verbatim(p)
+        A, b = assemble_linear_system(p)
+        A_ref, b_ref = f["A0"].copy(), f["b"]
+        A_ref[8, 8] = A_ref[9, 9] = p.delta_raman
+        assert (_bytes(A), _bytes(b)) == (_bytes(A_ref), _bytes(b_ref))
+        model = RationalLineshape(p)
+        for key in ("y0", "Z", "S", "r", "c0", "g0", "g1", "p0", "p1", "q0", "q1"):
+            assert _bytes(getattr(model, key)) == _bytes(f[key]), key
+        for deltas in (np.array([p.delta_raman]),
+                       np.array([0.0, -0.0, p.delta_raman, 1e3, -1e3, 1e9])):
+            x_ref, resid_ref, trace_ref, rho_ref = checked_call_verbatim(f, deltas)
+            x, resid = model._solve(deltas)
+            trace = model._checks(x, resid)[1][1]
+            assert (_bytes(x), _bytes(resid)) == (_bytes(x_ref), _bytes(resid_ref))
+            assert _bytes(trace) == _bytes(np.abs(trace_ref - 1.0))
+            try:
+                rho = model(deltas)
+            except InvariantViolation:
+                continue
+            assert _bytes(rho) == _bytes(rho_ref)
+            checked += 1
+    assert checked >= 0.95 * 2 * 1200
