@@ -644,22 +644,25 @@ _DISPATCH = {
 
 
 def _attach_negative_values(argv: list[str], options: dict) -> list[str]:
-    """``argv`` with each negative number that follows a numeric flag of
-    the subcommand joined to it, as in ``--delta-opt-hz=-30e6``.
+    """``argv`` with each value that follows an option of the subcommand
+    and starts with a negative number joined to it, as in
+    ``--delta-opt-hz=-30e6``; for a comma-separated list the first field
+    counts (``--pumping-strengths=-1e3,5``).
 
     argparse reads a token that starts with '-' as a flag unless it has
     the form -N or -N.N, so a separate -30e6 or -inf would not reach its
     option.  Tokens after a bare '--' are left as they are.
     """
     command = next((tok for tok in argv if not tok.startswith("-")), None)
-    numeric = {flag for kind, _, flags in options.get(command, {}).values()
-               if kind in (float, int) for flag in flags}
+    takes_value = {flag for _, _, flags in options.get(command, {}).values()
+                   for flag in flags}
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
         if tok == "--":
             return out + argv[i:]
-        if tok in numeric and i + 1 < len(argv) and _is_negative_number(argv[i + 1]):
+        if (tok in takes_value and i + 1 < len(argv)
+                and _is_negative_number(argv[i + 1].split(",", 1)[0])):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

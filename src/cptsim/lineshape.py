@@ -364,10 +364,13 @@ def physical_contrast(params: ModelParams) -> ContrastSummary:
 
 
 def _contrast(model: RationalLineshape) -> ContrastSummary:
-    """Contrast from the closed form; checks the delta -> inf state."""
+    """Contrast from the closed form; checks the delta -> inf state.
+    Raises NoResonance when the baseline c0 underflows to 0."""
     if model.params.rabi == 0.0:
         return ContrastSummary(0.0, 0.0, 0.0)
     model.check_limit()
+    if model.c0 == 0.0:
+        raise NoResonance("far-detuned baseline underflows to 0; contrast is undefined")
     amplitude = -model.excess(0.0)
     return ContrastSummary(model.c0, amplitude, amplitude / model.c0)
 
@@ -464,6 +467,8 @@ def _calibrate(params: ModelParams, multiple: float) -> tuple[float, float, floa
     """``calibrate_power_broadening`` with the widths it evaluated:
     (V, zero-power FWHM, FWHM at V), the widths in Hz as
     ``calibration_fwhm`` gives them."""
+    if math.isnan(multiple):
+        raise ParameterError(f"broadening multiple must be finite, not {multiple}")
     if not multiple >= 0:
         raise ParameterError("broadening multiple must be >= 0")
     w0 = calibration_fwhm(params.replace(

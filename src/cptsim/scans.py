@@ -5,11 +5,11 @@ Scan file format (CSV, UTF-8): optional leading comment lines
 header, then exactly two numeric columns per row.  Frequencies must be
 strictly increasing after sorting (duplicates are rejected).
 
-Parsing converts the whole data block at once: one ``float`` per field
-of the joined rows.  Text that this bulk pass does not take (a comment
-line among the data, a wrong column count, a non-numeric or non-finite
-field) is parsed again line by line; that loop is the format's
-definition and names the failing line.
+Parsing converts the whole data block at once, in numpy's C reader,
+which reads each field to the bits ``float()`` gives.  Text that this
+bulk pass does not take (a comment line among the data, a wrong column
+count, a non-numeric or non-finite field) is parsed again line by line;
+that loop is the format's definition and names the failing line.
 
 Fitting uses an affine baseline plus a Lorentzian peak or dip:
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from operator import methodcaller
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -103,26 +102,32 @@ def load_scan(source) -> Scan:
     raise TypeError(f"cannot read a scan from {type(source).__name__}")
 
 
-_comma_count = methodcaller("count", ",")
+# str.isspace holds for these four, so numpy's reader strips them from
+# around a field, but float() refuses them
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _bulk_columns(body: list[str]):
     """Frequency and signal columns of ``body``, the stripped lines from
-    the first data line on, converted in one pass; None unless every
-    non-blank line holds exactly one comma and every field is a finite
-    number.  A comment line among the data fails the conversion (no
-    number contains ``#``), so its metadata is left to the per-line loop.
+    the first data line on, converted in one pass by numpy's C reader
+    (blank lines skipped).  It reads each field with
+    ``PyOS_string_to_double``, as ``float()`` does, so the bits are the
+    same.  None, leaving the text to the per-line loop, if the body holds
+    a separator character, if the reader refuses it (a comment line among
+    the data, a line break inside a line, a non-numeric field, or a
+    spelling only ``float()`` takes, such as ``1_0`` or non-ASCII
+    digits), or unless the result is finite with two columns.
     """
-    body = list(filter(None, body))
-    if set(map(_comma_count, body)) != {1}:
+    text = "".join(body)
+    if any(sep in text for sep in _SEPARATORS):
         return None
     try:
-        values = np.array(list(map(float, ",".join(body).split(","))))
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(values).all():
+    if values.shape[1] != 2 or not np.isfinite(values).all():
         return None
-    return values[0::2], values[1::2]
+    return values[:, 0], values[:, 1]
 
 
 def _parse_lines(lines: Iterable[str]) -> Scan:

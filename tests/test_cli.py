@@ -662,6 +662,28 @@ def test_non_finite_pumping_strength_is_named(capsys, argv):
     assert err == f"error: ParameterError: pumping strength must be finite, not {value}\n"
 
 
+@pytest.mark.parametrize("value", ["-1e3", "-1e3,5", "-2.5", "-inf"])
+def test_negative_first_pumping_strength_is_a_separate_argument(capsys, value):
+    separate = run(capsys, "contrast-ratio", "--pumping-strengths", value)
+    joined = run(capsys, "contrast-ratio", f"--pumping-strengths={value}")
+    assert separate == joined
+    message = ("must be finite, not -inf" if value == "-inf" else "must be >= 0")
+    assert separate == (3, "", f"error: ParameterError: pumping strength {message}\n")
+
+
+def test_nan_broadening_multiple_is_named(capsys):
+    code, out, err = run(capsys, "power-broadening", "--multiple", "nan")
+    assert (code, out) == (3, "")
+    assert err == "error: ParameterError: broadening multiple must be finite, not nan\n"
+
+
+def test_vanishing_contrast_baseline_is_a_typed_error(capsys):
+    code, out, err = run(capsys, "contrast-ratio", "--pumping-strengths", "1e-320")
+    assert (code, out) == (3, "")
+    assert err == ("error: NoResonance: far-detuned baseline underflows to 0; "
+                   "contrast is undefined\n")
+
+
 @pytest.mark.parametrize("key, value", [("gamma_opt_hz", "2e9"),
                                         ("omega_e_hz", "6e8"),
                                         ("delta_opt_hz", "5e6"),

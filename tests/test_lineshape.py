@@ -560,7 +560,7 @@ def test_nan_strength_and_multiple_are_named_parameter_errors():
     base = make_params()
     with pytest.raises(ParameterError, match="pumping strength"):
         rabi_for_pumping_strength(base, math.nan)
-    with pytest.raises(ParameterError, match="broadening multiple"):
+    with pytest.raises(ParameterError, match="broadening multiple must be finite, not nan"):
         calibrate_power_broadening(base, math.nan)
 
 
@@ -568,6 +568,13 @@ def test_nan_strength_and_multiple_are_named_parameter_errors():
 def test_non_finite_strength_is_named_as_such(s):
     with pytest.raises(ParameterError, match=f"pumping strength must be finite, not {s}"):
         rabi_for_pumping_strength(make_params(), s)
+
+
+@pytest.mark.parametrize("mode", list(Depolarization))
+def test_vanishing_baseline_is_no_resonance(mode):
+    # c0 underflows to 0.0 at a tiny but valid Rabi frequency
+    with pytest.raises(NoResonance, match="baseline underflows to 0"):
+        physical_contrast(make_params(rabi=1e-160, mode=mode))
 
 
 def test_calibration_returns_an_evaluated_width(monkeypatch):

@@ -15,7 +15,7 @@ from cptsim import (Depolarization, MonotonicityError, NoResonance,
                     rabi_for_pumping_strength, sweep, write_scan_csv)
 
 from cptsim.lineshape import level_crossings
-from cptsim.scans import CSV_HEADER
+from cptsim.scans import CSV_HEADER, _bulk_columns
 
 from conftest import make_params
 from oracles import lorentzian_scan, parse_lines_verbatim
@@ -135,11 +135,15 @@ def test_load_scan_accepts_any_path_like(tmp_path):
 
 
 # whitespace that str.strip drops, some of which str.splitlines would also
-# treat as a line break; float() accepts all but "\x1c" around a number
-_PAD = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+# treat as a line break; float() refuses "\x1c" to "\x1f" around a number
+# and accepts the rest, while numpy's reader strips all of them
+_PAD = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                        "\x85", "\u2028"])
 _VALUE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# spellings that float() accepts and numpy's reader refuses
+_ODD_VALUE = st.sampled_from(["1_0.5", "\u0661\u0662"])
 _FAULTY_ROWS = ("dup", "blank", "comment", "one", "three", "text", "nan", "inf",
-                "header")
+                "header", "odd")
 
 
 @st.composite
@@ -163,9 +167,10 @@ def scan_lines(draw):
     for i in range(draw(st.integers(0, 15) | st.integers(16, 40))):
         kind = draw(st.sampled_from(kinds))
         f = repr(start + step * (i - (kind == "dup")))
-        y = draw(_VALUE)
+        y = draw(_ODD_VALUE if kind == "odd" else _VALUE)
         fields = {"row": (f, y), "dup": (f, y), "one": (f,), "three": (f, y, y),
-                  "text": (f, "oops"), "nan": (f, "nan"), "inf": ("-inf", y)}.get(kind)
+                  "text": (f, "oops"), "nan": (f, "nan"), "inf": ("-inf", y),
+                  "odd": (f, y)}.get(kind)
         if fields is None:
             lines.append({"blank": draw(pads), "comment": "# k = 1",
                           "header": CSV_HEADER}[kind])
@@ -210,6 +215,17 @@ def test_bulk_parse_of_file_matches_per_line_reference(tmp_path_factory, lines, 
             return parse_lines_verbatim(fh)
 
     assert _outcome(load_scan, path) == _outcome(reference, path)
+
+
+def test_bulk_conversion_takes_a_written_scan_and_refuses_a_separator(tmp_path):
+    f = 6.8e9 + 0.1 * np.arange(20)
+    y = np.linspace(-1.0, 1.0, 20) ** 3
+    write_scan_csv(tmp_path / "scan.csv", f, y)
+    body = (tmp_path / "scan.csv").read_text().split("\n")[1:]
+    columns = _bulk_columns(body)
+    assert columns is not None
+    assert columns[0].tobytes() == f.tobytes() and columns[1].tobytes() == y.tobytes()
+    assert _bulk_columns(["0.0,\x1d0.0"]) is None
 
 
 # ---------------------------------------------------------------- fitting
