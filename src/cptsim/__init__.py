@@ -20,7 +20,7 @@ from .lineshape import (ContrastSummary, Lineshape, ResonanceMetrics,
                         resonance_metrics, sweep)
 from .params import (Depolarization, LorentzFactors, ModelParams,
                      angular_to_hz, hz_to_angular, lorentz_factors,
-                     pump_rate, pumping_strength, rabi_for_pumping_strength)
+                     pumping_strength, rabi_for_pumping_strength)
 from .scans import (BatchResult, FitModel, FitReport, Scan, batch_metrics,
                     fit_resonance, load_scan, write_scan_csv)
 from .steady_state import (RationalLineshape, SteadyStateSolution,

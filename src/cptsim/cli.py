@@ -37,15 +37,18 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, CptsimError
-from .lineshape import (Lineshape, Spacing, SweepSpec, _calibrate, _metrics,
-                        _sample, calibrate_power_broadening,
-                        default_sweep_spec, physical_contrast)
+from .lineshape import (METRIC_SPAN_HALFWIDTHS, Lineshape, Spacing, SweepSpec,
+                        _calibrate, _metrics, _sample,
+                        calibrate_power_broadening, default_sweep_spec,
+                        physical_contrast)
 from .params import (Depolarization, ModelParams, angular_to_hz,
                      hz_to_angular, pumping_strength,
                      rabi_for_pumping_strength)
-from .scans import METRIC_COLUMNS, Scan, batch_metrics, failed_row, load_scan
+from .scans import (FILE_KEY, METRIC_COLUMNS, VARY_KEY, Scan, batch_metrics,
+                    failed_row, load_scan)
 from .steady_state import BLOCK_SIZE, RationalLineshape, solve_steady_state
-from .vapor import ATOMIC_MASS_UNIT_KG, VaporParams, spin_exchange
+from .vapor import (ATOMIC_MASS_UNIT_KG, RB87_MASS_AMU, RB87_NUCLEAR_SPIN,
+                    RB87_SIGMA_SE_CM2, VaporParams, spin_exchange)
 
 FIG1_PRESET_HZ = {
     "gamma_opt_hz": 1e9,
@@ -55,26 +58,24 @@ FIG1_PRESET_HZ = {
 }
 FIG1_BROADENING_MULTIPLE = 3.0
 
+# the fig-1 geometry, then each value the library also states, read from it
 DEFAULTS = {
-    "gamma_opt_hz": 1e9,
+    **FIG1_PRESET_HZ,
     "gamma_nat_hz": 5.75e6,
     "gamma_g_hz": 100.0,
-    "omega_e_hz": 817e6,
-    "delta_opt_hz": -30e6,
-    "delta_raman_hz": 0.0,
     "mode": "none",
     "format": "csv",
-    "span_halfwidths": 20.0,
-    "n_points": 1001,
-    "spacing": "adaptive",
+    "span_halfwidths": METRIC_SPAN_HALFWIDTHS,
+    "n_points": SweepSpec.n_points,
+    "spacing": SweepSpec.spacing.value,
     "multiple": 3.0,
     "t_min_c": 50.0,
     "t_max_c": 90.0,
     "t_step_c": 1.0,
-    "nuclear_spin": 1.5,
-    "sigma_se_cm2": 1.9e-14,
-    "atomic_mass_amu": 86.909180527,
-    "vary": "intensity_mW_cm2",
+    "nuclear_spin": RB87_NUCLEAR_SPIN,
+    "sigma_se_cm2": RB87_SIGMA_SE_CM2,
+    "atomic_mass_amu": RB87_MASS_AMU,
+    "vary": VARY_KEY,
 }
 
 
@@ -194,8 +195,8 @@ def _base_params(opts: dict, depolarization=Depolarization.COMPLETE) -> ModelPar
     """Optical/relaxation parameters from Hz options; the Raman detuning
     is 0 for a subcommand without --delta-raman-hz.
 
-    ``--preset fig1`` fixes the FIG1_PRESET_HZ values, which DEFAULTS
-    already hold, so a different value given with it is a ConfigError.
+    ``--preset fig1`` fixes the FIG1_PRESET_HZ values, which are also
+    the DEFAULTS, so a different value given with it is a ConfigError.
     """
     if opts.get("preset") == "fig1":
         for key, value in FIG1_PRESET_HZ.items():
@@ -461,6 +462,10 @@ def _table_csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def cmd_analyze(opts: dict) -> int:
+    out = opts.get("out")
+    if out is not None and opts["format"] == "json":
+        raise ConfigError("analyze --out writes the CSV table with _qmax.csv and "
+                          ".json sidecars; --format json is for stdout only")
     paths = _collect_scan_paths(opts["inputs"])
     entries: list[tuple[str, object]] = []
     scans: list[Scan] = []
@@ -468,11 +473,11 @@ def cmd_analyze(opts: dict) -> int:
         try:
             scan = load_scan(p)
             # the loaded scan owns a fresh dict; a "# file = ..." line keeps its key's place
-            scan.metadata["file"] = p.name
+            scan.metadata[FILE_KEY] = p.name
             scans.append(scan)
             entries.append(("scan", scan))
         except Exception as exc:
-            entries.append(("error", failed_row({"file": p.name}, exc)))
+            entries.append(("error", failed_row({FILE_KEY: p.name}, exc)))
 
     batch = batch_metrics(scans, vary=opts["vary"])
     fit_rows = iter(batch.rows)
@@ -485,7 +490,6 @@ def cmd_analyze(opts: dict) -> int:
     qmax_text = _table_csv(batch.qmax, columns)
     mirror = _dump_json({"rows": rows, "qmax": batch.qmax})
 
-    out = opts.get("out")
     if out is None:
         if opts["format"] == "json":
             sys.stdout.write(mirror)

@@ -31,18 +31,24 @@ ends in ``_hz``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import NoResonance, NotBracketed, ParameterError, Unbracketed
-from .params import TWO_PI, ModelParams, pump_rate, rabi_for_pumping_strength
+from .params import TWO_PI, ModelParams, lorentz_factors, rabi_for_pumping_strength
 from .steady_state import RationalLineshape
 
 PROBE_PUMPING_STRENGTH = 1e-3     # "zero-power" reference for broadening
 CALIBRATION_BRACKET = (1e-4, 1e4)  # pumping-strength bracket for the V search
 MIN_SAMPLES_IN_FWHM = 50
+# +/- windows in estimated half widths: of the metrics and default sweeps,
+# and of the calibration widths
+METRIC_SPAN_HALFWIDTHS = 20.0
+CALIBRATION_SPAN_HALFWIDTHS = 25.0
+ASYMMETRY_OFFSETS = 200  # n_half of the model and sampled asymmetries' offsets
 
 
 class Spacing(Enum):
@@ -109,20 +115,21 @@ class ResonanceMetrics:
 
 
 def halfwidth_estimate(params: ModelParams) -> float:
-    """An estimate gamma_g + pump_rate/2 (rad/s) of the resonance half
-    width, used to size detuning windows.
+    """An estimate gamma_g + V^2*(lu + ld/3)/2 (rad/s) of the resonance
+    half width, the coherence damping rate, used to size detuning windows.
 
     It overstates the width at strong pumping (about 46 times at s = 1e4
     in the fig-1 geometry).  The exact half width of the model's
     Lorentzian denominator is sqrt(q0 - q1^2/4) of
     ``steady_state.RationalLineshape``.
     """
-    return params.gamma_g + pump_rate(params) / 2.0
+    lf = lorentz_factors(params)
+    return params.gamma_g + params.rabi**2 * (lf.lu + lf.ld / 3.0) / 2.0
 
 
-def default_sweep_spec(params: ModelParams, span_halfwidths: float = 20.0,
-                       n_points: int = 1001,
-                       spacing: Spacing = Spacing.ADAPTIVE) -> SweepSpec:
+def default_sweep_spec(params: ModelParams, span_halfwidths: float = METRIC_SPAN_HALFWIDTHS,
+                       n_points: int = SweepSpec.n_points,
+                       spacing: Spacing = SweepSpec.spacing) -> SweepSpec:
     hw = halfwidth_estimate(params)
     return SweepSpec(-span_halfwidths * hw, span_halfwidths * hw,
                      n_points, spacing)
@@ -157,7 +164,7 @@ def _adaptive_grid(model: RationalLineshape, spec: SweepSpec,
                    deltas: np.ndarray) -> np.ndarray:
     """The linear grid ``deltas`` refined across the model dip (see ``sweep``)."""
     try:
-        dip = _model_dip(model, 20.0)
+        dip = _model_dip(model, METRIC_SPAN_HALFWIDTHS)
     except (NoResonance, Unbracketed):
         return deltas
     # target sampling inside the dip scales with the requested grid so
@@ -181,11 +188,15 @@ def _dip(ys: np.ndarray) -> tuple[int, float, float]:
     baseline = 0.5 * (float(ys[0]) + float(ys[-1]))
     i_min = int(np.argmin(ys))
     depth = baseline - float(ys[i_min])
-    # flatness guard, relative so it works at any rho_ee magnitude
-    scale = max(abs(baseline), abs(float(ys[i_min])), 1e-300)
-    if depth <= 1e-12 * scale:
-        raise NoResonance("no dip below the baseline")
+    _require_depth(depth, baseline, float(ys[i_min]))
     return i_min, baseline, depth
+
+
+def _require_depth(depth: float, baseline: float, bottom: float) -> None:
+    """NoResonance unless a dip's depth exceeds 1e-12 of the larger of its
+    rho_ee values |baseline|, |bottom|: flatness at any rho_ee magnitude."""
+    if depth <= 1e-12 * max(abs(baseline), abs(bottom), 1e-300):
+        raise NoResonance("no dip below the baseline")
 
 
 def _brackets(ys: np.ndarray, i: int, level: float) -> tuple[int | None, int | None]:
@@ -312,7 +323,7 @@ def resonance_center(shape: Lineshape) -> float:
     return _extremum_location(shape.deltas, shape.rho_ee)[0]
 
 
-def asymmetry(shape: Lineshape, n_half: int = 200) -> float:
+def asymmetry(shape: Lineshape) -> float:
     """Antisymmetric L2 fraction of the dip about its extremum.
 
     Samples the local cubic (O(h^4) value error) at mirrored offsets
@@ -326,7 +337,7 @@ def asymmetry(shape: Lineshape, n_half: int = 200) -> float:
     # the metric is first-order sensitive to the window span, so O(h^2)
     # linear crossings would dominate its grid error
     d_lo, d_hi = _cubic_crossings(deltas, ys, i_min, 0.5 * (baseline + bottom))
-    t = _mirrored_offsets(center, d_lo, d_hi, n_half)
+    t = _mirrored_offsets(center, d_lo, d_hi, ASYMMETRY_OFFSETS)
     k = np.clip(np.searchsorted(deltas, t, side="right") - 1, 0, ys.size - 2)
     k0 = int(k.min())
     p = _local_cubic(deltas, ys, k0, int(k.max()) + 1)
@@ -365,13 +376,16 @@ def physical_contrast(params: ModelParams) -> ContrastSummary:
 
 def _contrast(model: RationalLineshape) -> ContrastSummary:
     """Contrast from the closed form; checks the delta -> inf state.
-    Raises NoResonance when the baseline c0 underflows to 0."""
+    Raises NoResonance when c0 underflows to 0, or |amplitude| below the
+    smallest normal double."""
     if model.params.rabi == 0.0:
         return ContrastSummary(0.0, 0.0, 0.0)
     model.check_limit()
     if model.c0 == 0.0:
         raise NoResonance("far-detuned baseline underflows to 0; contrast is undefined")
     amplitude = -model.excess(0.0)
+    if abs(amplitude) < sys.float_info.min:
+        raise NoResonance(f"dip amplitude {amplitude!r} underflows; contrast is undefined")
     return ContrastSummary(model.c0, amplitude, amplitude / model.c0)
 
 
@@ -421,10 +435,7 @@ def _model_dip(model: RationalLineshape, span_halfwidths: float) -> _ModelDip:
         raise NoResonance("no dip below the baseline")
     bottom, center = min((model.excess(d), d) for d in roots)
     depth = baseline - bottom
-    # flatness guard, relative so it works at any rho_ee magnitude
-    scale = max(abs(model.c0 + baseline), abs(model.c0 + bottom), 1e-300)
-    if depth <= 1e-12 * scale:
-        raise NoResonance("no dip below the baseline")
+    _require_depth(depth, model.c0 + baseline, model.c0 + bottom)
     k = baseline - depth / 2.0
     lo, hi = sorted(_quadratic_roots(k, k * q1 - p1, k * q0 - p0))
     if not -edge <= lo < center:
@@ -443,7 +454,7 @@ def calibration_fwhm(params: ModelParams) -> float:
     """FWHM (Hz) of the model dip against the mean of rho_ee at +/-25
     estimated half widths, in closed form (see ``_model_dip``)."""
     model = RationalLineshape(params)
-    dip = _model_dip(model, 25.0)
+    dip = _model_dip(model, CALIBRATION_SPAN_HALFWIDTHS)
     _validated(model, dip)
     return (dip.hi - dip.lo) / TWO_PI
 
@@ -555,8 +566,8 @@ def resonance_metrics(params: ModelParams) -> ResonanceMetrics:
 
 def _metrics(model: RationalLineshape) -> ResonanceMetrics:
     """``resonance_metrics`` of an already factorized model."""
-    dip = _model_dip(model, 20.0)
-    t = _mirrored_offsets(dip.center, dip.lo, dip.hi, 200)
+    dip = _model_dip(model, METRIC_SPAN_HALFWIDTHS)
+    t = _mirrored_offsets(dip.center, dip.lo, dip.hi, ASYMMETRY_OFFSETS)
     _validated(model, dip, [0.0], t)
     summary = _contrast(model)
     width_hz = (dip.hi - dip.lo) / TWO_PI

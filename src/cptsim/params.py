@@ -101,37 +101,18 @@ class LorentzFactors:
     du: float  # Delta * V^2 / (Delta^2 + Gamma^2)
     dd: float  # (Delta + omega_e) * V^2 / ((Delta + omega_e)^2 + Gamma^2)
 
-    @classmethod
-    def from_params(cls, p: ModelParams) -> "LorentzFactors":
-        g2 = p.gamma_opt**2
-        den_u = p.delta_opt**2 + g2
-        den_d = (p.delta_opt + p.omega_e) ** 2 + g2
-        return cls(
-            lu=p.gamma_opt / den_u,
-            ld=p.gamma_opt / den_d,
-            du=p.delta_opt * p.rabi**2 / den_u,
-            dd=(p.delta_opt + p.omega_e) * p.rabi**2 / den_d,
-        )
-
 
 def lorentz_factors(params: ModelParams) -> LorentzFactors:
     """Recompute the Lorentz factors from scratch (never cached)."""
-    return LorentzFactors.from_params(params)
-
-
-def pump_rate(params: ModelParams) -> float:
-    """Total coherence pump rate V^2*(lu + ld/3) in rad/s.
-
-    This is the rate at which the pump drives the hyperfine coherence
-    (the coherence rows of the steady-state system damp at
-    gamma_g + pump_rate/2).  It power-broadens the two-photon resonance,
-    but gamma_g + pump_rate/2 is not the resonance's half width: at
-    strong pumping the half width grows much more slowly (in the fig-1
-    geometry it is about 46 times smaller at s = 1e4).  The exact half
-    width is sqrt(q0 - q1^2/4) of ``steady_state.RationalLineshape``.
-    """
-    lf = lorentz_factors(params)
-    return params.rabi**2 * (lf.lu + lf.ld / 3.0)
+    g2 = params.gamma_opt**2
+    den_u = params.delta_opt**2 + g2
+    den_d = (params.delta_opt + params.omega_e) ** 2 + g2
+    return LorentzFactors(
+        lu=params.gamma_opt / den_u,
+        ld=params.gamma_opt / den_d,
+        du=params.delta_opt * params.rabi**2 / den_u,
+        dd=(params.delta_opt + params.omega_e) * params.rabi**2 / den_d,
+    )
 
 
 def pumping_strength(params: ModelParams) -> float:

@@ -45,6 +45,8 @@ MIN_SAMPLES = 16
 MAX_ITERATIONS = 200
 SSE_RTOL = 1e-10
 CSV_HEADER = "frequency_hz,signal"
+VARY_KEY = "intensity_mW_cm2"  # the metadata key batch_metrics sweeps by default
+FILE_KEY = "file"              # the source file name, never a grouping key
 
 
 @dataclass(frozen=True)
@@ -387,15 +389,14 @@ def failed_row(metadata: dict, exc: Exception) -> dict:
             **dict.fromkeys(METRIC_COLUMNS)}
 
 
-def batch_metrics(scans: Sequence[Scan], vary: str = "intensity_mW_cm2",
-                  ignore_keys: Sequence[str] = ("file",)) -> BatchResult:
+def batch_metrics(scans: Sequence[Scan], vary: str = VARY_KEY) -> BatchResult:
     """Fit every scan and tabulate metrics alongside its metadata.
 
     Per-scan failures become rows with a ``status`` column naming the
     error; they never abort the batch.  A per-group maximum-Q summary
     is also produced, grouping on all metadata keys except ``vary``
-    (the swept quantity, e.g. laser intensity) and ``ignore_keys``
-    (identifiers such as the source file name).
+    (the swept quantity, e.g. laser intensity) and FILE_KEY (the source
+    file name, an identifier).
     """
     rows = []
     keys: set[str] = set()
@@ -408,7 +409,7 @@ def batch_metrics(scans: Sequence[Scan], vary: str = "intensity_mW_cm2",
             continue
         rows.append(_row_from_report(scan.metadata, report))
 
-    group_keys = [k for k in sorted(keys) if k != vary and k not in ignore_keys]
+    group_keys = [k for k in sorted(keys) if k not in (vary, FILE_KEY)]
     groups: dict[tuple, dict] = {}
     for row in rows:
         if row["status"] != "ok":

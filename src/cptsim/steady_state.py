@@ -215,11 +215,11 @@ class RationalLineshape:
     and check runs along whole rows.
     :meth:`check_limit` checks the delta -> inf state.
 
-    ``damping`` is gamma_g + pump_rate/2, the rate at which the coherence
-    rows damp (the entry A0[9, 8]); it equals
-    ``lineshape.halfwidth_estimate`` of the parameters and sizes the
-    windows of the model metrics.  Each call reuses the scalars of S and
-    r, the b column and the residual bound formed here.
+    ``damping`` is the rate at which the coherence rows damp (the entry
+    A0[9, 8]); it equals ``lineshape.halfwidth_estimate`` of the
+    parameters and sizes the windows of the model metrics.  Each call
+    reuses the scalars of S and r, the b column and the residual bound
+    formed here.
     """
 
     def __init__(self, params: ModelParams):

@@ -28,7 +28,8 @@ TORR_PA = 101325.0 / 760.0
 # 87Rb defaults: nuclear spin 3/2, atomic mass (Steck), and the commonly
 # adopted Rb-Rb spin-exchange cross section.
 RB87_NUCLEAR_SPIN = 1.5
-RB87_MASS_KG = 86.909180527 * ATOMIC_MASS_UNIT_KG
+RB87_MASS_AMU = 86.909180527
+RB87_MASS_KG = RB87_MASS_AMU * ATOMIC_MASS_UNIT_KG
 RB87_SIGMA_SE_CM2 = 1.9e-14
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -529,6 +531,25 @@ def test_analyze_missing_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_json_format_is_for_stdout_only(tmp_path, capsys):
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    write_scan(scans / "s0.csv", seed=0, meta={"intensity_mW_cm2": 0.1})
+    out = tmp_path / "table.csv"
+    # --out writes fixed formats: the CSV table, _qmax.csv and .json
+    code, stdout, err = run(capsys, "analyze", str(scans), "--format", "json",
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == ("error: analyze --out writes the CSV table with _qmax.csv and "
+                   ".json sidecars; --format json is for stdout only\n")
+    assert [q.name for q in tmp_path.iterdir()] == ["scans"]
+    code, _, _ = run(capsys, "analyze", str(scans), "--format", "csv", "--out", str(out))
+    assert code == 0 and out.read_text().startswith("file,intensity_mW_cm2,status,")
+    # without --out, json is the mirror that --out writes beside the table
+    code, stdout, _ = run(capsys, "analyze", str(scans), "--format", "json")
+    assert (code, stdout) == (0, (tmp_path / "table.json").read_text())
+
+
 def test_unwritable_out_is_config_error(tmp_path, capsys):
     out = tmp_path / "missing" / "se.csv"
     code, _, err = run(capsys, "spin-exchange", "--out", str(out))
@@ -572,6 +593,60 @@ def test_config_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--config", str(cfg), "--rabi-hz", "1")
     assert code == 2
     assert "not_a_flag" in err
+
+
+# (argv, text of {d}/run.cfg or None, the error line); {d} is the test's
+# own directory, which holds no scan file
+CONFIG_ERRORS = {
+    "unreadable-config": (
+        ["solve", "--config", "{d}/missing.cfg"], None,
+        "cannot read config file {d}/missing.cfg: [Errno 2] "
+        "No such file or directory: '{d}/missing.cfg'"),
+    "config-line-without-equals": (
+        ["solve", "--config", "{d}/run.cfg"], "# run\nrabi_hz 1e6\n",
+        "{d}/run.cfg:2: expected 'key = value'"),
+    "config-value-of-wrong-type": (
+        ["solve", "--config", "{d}/run.cfg"], "gamma_g_hz = fast\n",
+        "config key 'gamma_g_hz': could not convert string to float: 'fast'"),
+    "config-value-not-a-choice": (
+        ["sweep", "--config", "{d}/run.cfg"], "mode = both\n",
+        "config key 'mode': 'both' not in ['complete', 'none']"),
+    "non-numeric-strength": (
+        ["contrast-ratio", "--pumping-strengths", "1,x"], None,
+        "--pumping-strengths: could not convert string to float: 'x'"),
+    "empty-strengths": (
+        ["contrast-ratio", "--pumping-strengths", ""], None,
+        "--pumping-strengths needs at least one value"),
+    "only-commas": (
+        ["contrast-ratio", "--pumping-strengths", ",,"], None,
+        "--pumping-strengths needs at least one value"),
+    "directory-without-scans": (["analyze", "{d}"], None, "no scan files found"),
+}
+
+
+@pytest.mark.parametrize("argv, config, message", CONFIG_ERRORS.values(),
+                         ids=CONFIG_ERRORS)
+def test_config_errors_name_their_cause(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    code, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(d=tmp_path)}\n")
+
+
+def test_help_states_the_defaults():
+    # each option's help text ends in its default, "[value]" or
+    # "(default value)"; those are literal copies of DEFAULTS
+    parser, _ = cli.build_parser()
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    stated = set()
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            m = re.search(r"\[(\S+)[^]]*\]$|\(default (\w+)\)$", action.help or "")
+            if m:
+                value = (action.type or str)(m.group(1) or m.group(2))
+                assert value == cli.DEFAULTS[action.dest], (name, action.dest)
+                stated.add(action.dest)
+    assert stated == set(cli.DEFAULTS)
 
 
 # Each (subcommand, option) pair below was parsed and then never read:
@@ -682,6 +757,28 @@ def test_vanishing_contrast_baseline_is_a_typed_error(capsys):
     assert (code, out) == (3, "")
     assert err == ("error: NoResonance: far-detuned baseline underflows to 0; "
                    "contrast is undefined\n")
+
+
+@pytest.mark.parametrize("strength, amplitude", [("1e-160", "0.0"), ("1e-170", "-0.0")])
+def test_underflowing_contrast_amplitude_is_a_typed_error(capsys, strength, amplitude):
+    # in the default geometry the amplitude -(p0/q0) is about 1.6e-6 s^2:
+    # subnormal below s = 1.2e-151, long before c0 underflows
+    code, out, err = run(capsys, "contrast-ratio", "--pumping-strengths", strength)
+    assert (code, out) == (3, "")
+    assert err == (f"error: NoResonance: dip amplitude {amplitude} underflows; "
+                   "contrast is undefined\n")
+
+
+def test_contrast_of_a_normal_amplitude_keeps_its_bits(capsys):
+    code, out, err = run(capsys, "contrast-ratio", "--pumping-strengths",
+                         "0,1e-150,1e-100", "--format", "json")
+    assert (code, err) == (0, "")
+    zero, tiny, small = json.loads(out)["rows"]
+    assert list(zero.values())[:3] == [0.0, 0.0, 0.0] and math.isnan(zero["ratio"])
+    # the contrast is linear in s here, so 1e-150 scales the 1e-100 value
+    for key in ("contrast_none", "contrast_complete"):
+        assert tiny[key] / 1e-150 == pytest.approx(small[key] / 1e-100, rel=1e-14)
+    assert tiny["ratio"] == 1.0
 
 
 @pytest.mark.parametrize("key, value", [("gamma_opt_hz", "2e9"),
