@@ -37,8 +37,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, CptsimError
-from .lineshape import (METRIC_SPAN_HALFWIDTHS, Lineshape, Spacing, SweepSpec,
-                        _calibrate, _metrics, _sample,
+from .lineshape import (BROADENING_MULTIPLE, METRIC_SPAN_HALFWIDTHS, Lineshape,
+                        Spacing, SweepSpec, _calibrate, _metrics, _sample,
                         calibrate_power_broadening, default_sweep_spec,
                         physical_contrast)
 from .params import (Depolarization, ModelParams, angular_to_hz,
@@ -56,7 +56,6 @@ FIG1_PRESET_HZ = {
     "delta_opt_hz": -30e6,
     "delta_raman_hz": 0.0,
 }
-FIG1_BROADENING_MULTIPLE = 3.0
 
 # the fig-1 geometry, then each value the library also states, read from it
 DEFAULTS = {
@@ -68,7 +67,7 @@ DEFAULTS = {
     "span_halfwidths": METRIC_SPAN_HALFWIDTHS,
     "n_points": SweepSpec.n_points,
     "spacing": SweepSpec.spacing.value,
-    "multiple": 3.0,
+    "multiple": BROADENING_MULTIPLE,
     "t_min_c": 50.0,
     "t_max_c": 90.0,
     "t_step_c": 1.0,
@@ -228,7 +227,7 @@ def _build_params(opts: dict):
     elif strength is not None:
         rabi = rabi_for_pumping_strength(base, strength)
     elif opts.get("preset") == "fig1":
-        rabi = calibrate_power_broadening(base, FIG1_BROADENING_MULTIPLE)
+        rabi = calibrate_power_broadening(base, BROADENING_MULTIPLE)
     else:
         raise ConfigError("one of --rabi-hz, --pumping-strength, or --preset is required")
 
@@ -531,16 +530,16 @@ def _add_common(p: argparse.ArgumentParser, add: _Options) -> None:
         help="output format (default csv)")
 
 
-def _add_mode(add: _Options, modes=("none", "complete")) -> None:
+def _add_mode(add: _Options, *extra_modes: str) -> None:
     """--mode and --preset, taken by solve, sweep and power-broadening."""
-    add("--mode", choices=modes,
+    add("--mode", choices=(*(mode.value for mode in Depolarization), *extra_modes),
         help="excited-state depolarization mode (default none)")
     add("--preset", choices=("fig1",),
         help="fig1: 1 GHz optical width, 817 MHz excited splitting, "
              "-30 MHz optical detuning, zero Raman detuning (the defaults; "
              "a different value given with the preset is an error), and "
              "without --rabi-hz or --pumping-strength the Rabi frequency "
-             "calibrated for 3x power broadening")
+             f"calibrated for {BROADENING_MULTIPLE:g}x power broadening")
 
 
 def _add_model(add: _Options, drive: bool = True, raman: bool = True) -> None:
@@ -585,7 +584,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p, add = subcommand("solve", "steady-state populations at one detuning")
     _add_common(p, add)
-    _add_mode(add, modes=("none", "complete", "both"))
+    _add_mode(add, "both")
     _add_model(add)
 
     p, add = subcommand("sweep", "lineshape over Raman detuning + metrics")
@@ -598,7 +597,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="auto span in units of the estimated half width [20]")
     add("--n-points", dest="n_points", type=int,
         help="number of base grid points [1001]")
-    add("--spacing", choices=("linear", "adaptive"),
+    add("--spacing", choices=tuple(spacing.value for spacing in Spacing),
         help="grid refinement mode [adaptive]")
 
     p, add = subcommand("contrast-ratio", "contrast in both modes vs pumping strength")
@@ -613,7 +612,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_mode(add)
     _add_model(add, drive=False, raman=False)
     add("--multiple", dest="multiple", type=float,
-        help="excess FWHM over the zero-power FWHM, in units of it [3]")
+        help=f"excess FWHM over the zero-power FWHM, in units of it [{BROADENING_MULTIPLE:g}]")
 
     p, add = subcommand("spin-exchange", "spin-exchange broadening vs temperature")
     _add_common(p, add)

@@ -18,7 +18,8 @@ class InvariantViolation(CptsimError):
 
     ``invariant`` names the broken check, ``value`` and ``bound`` give
     its measured value and limit, and ``delta_raman`` the detuning
-    (rad/s) of the offending sample; the package's solvers set all four.
+    (rad/s) of the offending sample, or of a certificate's worst value
+    (inf for the limit); the package's solvers set all four.
     """
 
     def __init__(self, message, invariant=None, value=None, bound=None,

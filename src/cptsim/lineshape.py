@@ -17,12 +17,13 @@ Model metrics (``physical_contrast``, ``resonance_metrics(params)``,
 ``calibration_fwhm``, ``calibrate_power_broadening``) are exact: rho_ee
 is a rational function of delta (``steady_state.RationalLineshape``), so
 c0 is its limit, the center and the crossings are roots of quadratics,
-and the full system is solved and checked at every finite detuning a
-metric uses.  ``sweep`` samples that same rational function, placing
-its ADAPTIVE grid from the exact crossings.  Sampled metrics (``fwhm``,
-``resonance_center``, ``asymmetry`` of a ``Lineshape``) use linear
-crossings and a local cubic through the samples, with an O(h^4) value
-error at sample spacing h; they serve sampled and measured curves.
+and each factorization is certified once, for every real detuning and
+the limit (``RationalLineshape.certify``).  ``sweep`` samples that same
+rational function, placing its ADAPTIVE grid from the exact crossings.
+Sampled metrics (``fwhm``, ``resonance_center``, ``asymmetry`` of a
+``Lineshape``) use linear crossings and a local cubic through the
+samples, with an O(h^4) value error at sample spacing h; they serve
+sampled and measured curves.
 
 All detunings in this module are angular (rad/s) except where a name
 ends in ``_hz``.
@@ -49,6 +50,7 @@ MIN_SAMPLES_IN_FWHM = 50
 METRIC_SPAN_HALFWIDTHS = 20.0
 CALIBRATION_SPAN_HALFWIDTHS = 25.0
 ASYMMETRY_OFFSETS = 200  # n_half of the model and sampled asymmetries' offsets
+BROADENING_MULTIPLE = 3.0  # default excess FWHM of the calibration (fig 1: 3x)
 
 
 class Spacing(Enum):
@@ -138,12 +140,12 @@ def default_sweep_spec(params: ModelParams, span_halfwidths: float = METRIC_SPAN
 def sweep(params: ModelParams, spec: SweepSpec) -> Lineshape:
     """Sample rho_ee over the requested detuning grid.
 
-    One RationalLineshape factorization places the grid, and one checked
-    call solves every detuning on it.  ADAPTIVE spacing places the
-    grid in one step from the exact half-depth crossings lo, hi of the
-    model dip (``_model_dip`` at +/-20 estimated half widths): the linear
-    samples in [lo - w, hi + w], w = hi - lo, clipped to the span, are
-    replaced by an even grid that puts at least
+    One RationalLineshape factorization places the grid, and one call of
+    it, certified, gives rho_ee at every detuning on it.  ADAPTIVE spacing
+    places the grid in one step from the exact half-depth crossings lo, hi
+    of the model dip (``_model_dip`` at +/-20 estimated half widths): the
+    linear samples in [lo - w, hi + w], w = hi - lo, clipped to the span,
+    are replaced by an even grid that puts at least
     max(MIN_SAMPLES_IN_FWHM, n_points // 3) samples inside the FWHM, and
     linear samples within half its spacing of that window are dropped.
     The linear grid is kept when the model has no dip, a crossing lies
@@ -365,22 +367,20 @@ def physical_contrast(params: ModelParams) -> ContrastSummary:
 
     The baseline is c0, the exact limit of rho_ee as |delta| -> inf, and
     the amplitude is c0 - rho_ee(0) = -(p0/q0), both from one
-    RationalLineshape; the amplitude is taken directly, not as that
-    difference.  The full system is solved and checked at delta = 0, and
-    the limit state for trace and positivity.
+    RationalLineshape, certified for every detuning; the amplitude is
+    taken directly, not as that difference.
     """
     model = RationalLineshape(params)
-    model(np.array([0.0]))
+    model.certify()
     return _contrast(model)
 
 
 def _contrast(model: RationalLineshape) -> ContrastSummary:
-    """Contrast from the closed form; checks the delta -> inf state.
-    Raises NoResonance when c0 underflows to 0, or |amplitude| below the
+    """Contrast from the closed form of a certified model.  Raises
+    NoResonance when c0 underflows to 0, or |amplitude| below the
     smallest normal double."""
     if model.params.rabi == 0.0:
         return ContrastSummary(0.0, 0.0, 0.0)
-    model.check_limit()
     if model.c0 == 0.0:
         raise NoResonance("far-detuned baseline underflows to 0; contrast is undefined")
     amplitude = -model.excess(0.0)
@@ -445,21 +445,18 @@ def _model_dip(model: RationalLineshape, span_halfwidths: float) -> _ModelDip:
     return _ModelDip(edge, baseline, center, lo, hi)
 
 
-def _validated(model: RationalLineshape, dip: _ModelDip, *more: np.ndarray) -> None:
-    """Solve and check the full system at every detuning a metric uses."""
-    model(np.concatenate([[-dip.edge, dip.edge, dip.center, dip.lo, dip.hi], *more]))
-
-
 def calibration_fwhm(params: ModelParams) -> float:
     """FWHM (Hz) of the model dip against the mean of rho_ee at +/-25
-    estimated half widths, in closed form (see ``_model_dip``)."""
+    estimated half widths, in closed form (see ``_model_dip``), of a
+    certified model."""
     model = RationalLineshape(params)
     dip = _model_dip(model, CALIBRATION_SPAN_HALFWIDTHS)
-    _validated(model, dip)
+    model.certify()
     return (dip.hi - dip.lo) / TWO_PI
 
 
-def calibrate_power_broadening(params: ModelParams, multiple: float = 3.0) -> float:
+def calibrate_power_broadening(params: ModelParams,
+                               multiple: float = BROADENING_MULTIPLE) -> float:
     """Rabi frequency whose excess FWHM is ``multiple`` times the zero-power FWHM.
 
     The zero-power reference width is taken at the probe level
@@ -557,9 +554,9 @@ def resonance_metrics(params: ModelParams) -> ResonanceMetrics:
 
     Contrast is exact, as in ``physical_contrast``.  Width, center and
     asymmetry are exact too: from the closed form, against the mean of
-    rho_ee at +/-20 estimated half widths (``_model_dip``).  The full
-    system is solved and checked once, at delta = 0 and at every
-    detuning these metrics use.
+    rho_ee at +/-20 estimated half widths (``_model_dip``).  The model
+    is certified once, for every detuning and the limit, after the dip
+    is found.
     """
     return _metrics(RationalLineshape(params))
 
@@ -567,9 +564,9 @@ def resonance_metrics(params: ModelParams) -> ResonanceMetrics:
 def _metrics(model: RationalLineshape) -> ResonanceMetrics:
     """``resonance_metrics`` of an already factorized model."""
     dip = _model_dip(model, METRIC_SPAN_HALFWIDTHS)
-    t = _mirrored_offsets(dip.center, dip.lo, dip.hi, ASYMMETRY_OFFSETS)
-    _validated(model, dip, [0.0], t)
+    model.certify()
     summary = _contrast(model)
+    t = _mirrored_offsets(dip.center, dip.lo, dip.hi, ASYMMETRY_OFFSETS)
     width_hz = (dip.hi - dip.lo) / TWO_PI
     return ResonanceMetrics(
         baseline=summary.baseline,

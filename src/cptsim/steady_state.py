@@ -70,8 +70,8 @@ TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
 RESIDUAL_TOL = 1e-10       # residual bound, relative to max(1, gamma_g)
 EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
 
-# Detunings per block of a checked call: a (10, block) array of doubles
-# (about 320 kB) stays in cache, and memory stays bounded by one block.
+# Detunings per block of a call: its temporaries, a few arrays of one
+# block of doubles (32 kB each), stay in cache and bound its memory.
 BLOCK_SIZE = 4096
 
 
@@ -206,20 +206,16 @@ class RationalLineshape:
         rho_ee(delta) = c0 + (p1*delta + p0) / (delta^2 + q1*delta + q0)
 
     with q1 = tr S, q0 = det S, p1 = g.r and p0 = g.adj(S).r.
-    :meth:`excess` evaluates the closed form.  Calling the object solves
-    and checks every detuning and returns c0 + g.x[8:] of each sample,
-    elementwise in the two coherences, so the bits of a detuning's rho_ee
-    do not depend on the other detunings of the call (see
-    :func:`solve_steady_state`).  The samples of a call are the columns
-    of a (10, n) array, one contiguous row per unknown, so every store
-    and check runs along whole rows.
-    :meth:`check_limit` checks the delta -> inf state.
+    :meth:`excess` evaluates the closed form, and :meth:`certify` checks
+    the state at every real detuning and as delta -> inf at once.
+    Calling the object certifies, then returns c0 + g.x[8:] of each
+    detuning, with x[8:] from Cramer's rule on S + delta*I elementwise,
+    so the bits of a detuning's rho_ee do not depend on the other
+    detunings of the call.
 
     ``damping`` is the rate at which the coherence rows damp (the entry
     A0[9, 8]); it equals ``lineshape.halfwidth_estimate`` of the
-    parameters and sizes the windows of the model metrics.  Each call
-    reuses the scalars of S and r, the b column and the residual bound
-    formed here.
+    parameters and sizes the windows of the model metrics.
     """
 
     def __init__(self, params: ModelParams):
@@ -239,7 +235,7 @@ class RationalLineshape:
         self.r = -(coupling @ self.y0)
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
-        # the delta-free terms of each 2x2 solve (see _solve)
+        # the delta-free terms of each 2x2 solve (see _coherences)
         self._coherence_terms = (s00, s11, s01 * s10, r0, r1, s01 * r1, s10 * r0)
 
         prefac = _excitation_prefactor(params)
@@ -254,7 +250,7 @@ class RationalLineshape:
         self.p1 = g0 * r0 + g1 * r1
         self.p0 = g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0)
 
-        self._A0, self._b, self._b_col = A0, b, b[:, None]
+        self._A0, self._b, self._rhs = A0, b, rhs
         self._residual_bound = RESIDUAL_TOL * max(1.0, params.gamma_g)
 
     def excess(self, deltas):
@@ -262,150 +258,151 @@ class RationalLineshape:
         them, unchecked."""
         return (self.p1 * deltas + self.p0) / ((deltas + self.q1) * deltas + self.q0)
 
-    def __call__(self, deltas: np.ndarray) -> np.ndarray:
-        """rho_ee at each detuning, each sample solved and checked.
+    def certify(self) -> None:
+        """Check the state of the factorization at every real detuning and
+        as delta -> inf: residual (each row of |A(delta) x - b| within
+        RESIDUAL_TOL * max(1, gamma_g)), trace (within TRACE_TOL), then
+        positivity (ground populations above -POPULATION_TOL).
 
-        The detunings are solved and checked in blocks of BLOCK_SIZE into
-        one preallocated array, so the memory of a large call is bounded
-        by one block.  The verdict is the one a single check of the whole
-        input gives: SingularSystem at the first non-finite sample, else
-        the first of residual, trace and positivity that any sample
-        breaks, at the first detuning that breaks it.
+        The state is (y0 - Z @ x_coh, x_coh), with x_coh = (delta*r +
+        adj(S) @ r) / (delta^2 + q1*delta + q0) exact, so each quantity is
+        c - w @ x_coh for a delta-free row [c | w] over Y = [y0 | Z]: the
+        residual A0[:, :8] @ Y - [b | A0[:8, 8:]] of the population solve,
+        plus [r | S - A0[8:, 8:]] in rows 8-9 (delta*x_coh = r - S @ x_coh);
+        the column sums of Y less [1 | 0] (trace); and Y (populations).
+        With t = delta + q1/2, hw2 = q0 - q1^2/4, a = -w @ r and
+        b = -w @ adj(S) @ r - a*q1/2, that is c + (a*t + b) / (t^2 + hw2),
+        whose extremes over real t and t -> inf are, with q = b +
+        copysign(hypot(b, a*sqrt(hw2)), b), c + q/(2 hw2) at t = a*hw2/q
+        and c - a^2/(2q) at t = -q/a.
+
+        The first broken check, a NaN value included, raises
+        InvariantViolation at its worst detuning (inf for the limit).  A
+        real pole (hw2 <= 0) or a non-finite row raises SingularSystem.
         """
+        q1 = self.q1
+        hw2 = self.q0 - 0.25 * q1 * q1
+        if not 0.0 < hw2 < math.inf:
+            raise SingularSystem(
+                f"coherence block singular at a real detuning: q0 - q1^2/4 = {hw2!r}")
+        (s00, s01), (s10, s11) = self.S.tolist()
+        r0, r1 = self.r.tolist()
+        rows = np.empty((19, 3))
+        Y = rows[11:]
+        Y[:, 0], Y[:, 1:] = self.y0, self.Z
+        np.matmul(self._A0[:, :8], Y, out=rows[:10])
+        rows[:8] -= self._rhs
+        rows[8:10, 0] += self.r
+        rows[8:10, 1:] += self.S - self._A0[8:, 8:]
+        np.add.reduce(Y, axis=0, out=rows[10])
+        rows[10, 0] -= 1.0
+        c = rows[:, 0]
+        ab = rows[:, 1:] @ np.array([[-r0, s01 * r1 - s11 * r0],
+                                     [-r1, s10 * r0 - s00 * r1]])
+        a = ab[:, 0]
+        b = ab[:, 1] - (0.5 * q1) * a
+        q = b + np.copysign(np.hypot(b, a * math.sqrt(hw2)), b)
+        values = np.empty((2, 19))  # c plus each extreme, one row each
+        np.add(c, q / (2.0 * hw2), out=values[0])
+        # a/q, and 0 where q = 0, that is a = b' = 0: the row is constant
+        np.subtract(c, (0.5 * a) * (a / (q + (q == 0.0))), out=values[1])
+        worst = np.abs(values)
+        np.negative(values[:, 11:], out=worst[:, 11:])
+        checks = (("residual", np.s_[:10], self._residual_bound),
+                  ("trace", np.s_[10:11], TRACE_TOL),
+                  ("positivity", np.s_[11:], POPULATION_TOL))
+        if all(worst[:, cols].max() <= bound for _, cols, bound in checks):
+            return
+        if not np.isfinite(rows).all():
+            raise SingularSystem("non-finite factorization")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.array([a * hw2 / q, -q / a])
+        deltas = np.where(np.isfinite(t), t - 0.5 * q1, math.inf)
+        for name, cols, bound in checks:
+            _check(name, worst[:, cols], deltas[:, cols], bound)
+
+    def __call__(self, deltas: np.ndarray) -> np.ndarray:
+        """rho_ee at each detuning, after :meth:`certify`: c0 + g.x[8:] of
+        its coherences, formed in blocks of BLOCK_SIZE detunings to bound
+        the temporaries.  SingularSystem names the first detuning whose
+        value is not finite."""
+        self.certify()
         deltas = np.asarray(deltas, dtype=float).ravel()
-        n = deltas.size
-        rho = np.empty(n)
-        broken, n_checks = None, None
-        for start in range(0, max(n - 1, 1), BLOCK_SIZE):
-            # a last block of one detuning joins the one before: numpy
-            # forms _solve's products of one column as matrix-vector
-            # products, whose bits can differ, so the verdict's value is
-            # that of one whole check
-            stop = n if n - start <= BLOCK_SIZE + 1 else start + BLOCK_SIZE
-            block = deltas[start:stop]
-            x, resid = self._solve(block)
-            # only a check ordered before the one already broken can win
-            checks = self._checks(x, resid)[:n_checks]
-            try:
-                _screen(block, *checks)
-            except InvariantViolation as exc:
-                broken = exc
-                n_checks = [name for name, _, _ in checks].index(exc.invariant)
-            if broken is None:
-                rho[start:stop] = self.c0 + (self.g0 * x[8] + self.g1 * x[9])
-        if broken is not None:
-            raise broken
+        rho = np.empty(deltas.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for start in range(0, deltas.size, BLOCK_SIZE):
+                x8, x9 = self._coherences(deltas[start:start + BLOCK_SIZE])
+                rho[start:start + BLOCK_SIZE] = self.c0 + (self.g0 * x8 + self.g1 * x9)
+        finite = np.isfinite(rho)
+        if not finite.all():
+            delta = float(deltas[np.argmin(finite)])
+            raise SingularSystem(f"non-finite solution at delta_raman={delta!r} rad/s")
         return rho
 
-    def _checked(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_solve` at each detuning, after one :func:`_screen` of
-        every sample against :meth:`_checks`."""
-        x, resid = self._solve(deltas)
-        _screen(deltas, *self._checks(x, resid))
-        return x, resid
-
-    def _checks(self, x: np.ndarray, resid: np.ndarray) -> tuple:
-        """The checks of solved samples, in order: residual (every row of
-        |A(delta) x - b| within RESIDUAL_TOL * max(1, gamma_g)), trace
-        (within TRACE_TOL), then positivity (ground populations above
-        -POPULATION_TOL).  A NaN value breaks its check.
-
-        The trace of each column is the pairwise sum numpy gives 8
-        contiguous values, ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), formed
-        over the eight population rows as sums of row pairs, so its bits
-        do not depend on the layout."""
-        p = x[:8]
-        pairs = p[0::2] + p[1::2]           # p0+p1, p2+p3, p4+p5, p6+p7
-        halves = pairs[0::2] + pairs[1::2]  # the two sums of four
-        trace = halves[0] + halves[1]
-        return (("residual", resid, self._residual_bound),
-                ("trace", np.abs(trace - 1.0), TRACE_TOL),
-                ("positivity", -p, POPULATION_TOL))
-
-    def _solve(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The full 10-vector at each detuning, as the columns of a
-        (10, n) array with one contiguous row per unknown, and the
-        absolute residual of each row of A(delta), in the same layout;
-        SingularSystem if a sample is not finite.
-
-        Each coherence pair is Cramer's rule on S + delta*I, with the
-        products of two scalars of S and r formed in ``__init__``."""
+    def _coherences(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Re and Im rho21 at each detuning: Cramer's rule on S + delta*I,
+        with the products of two scalars of S and r formed in ``__init__``."""
         s00, s11, s01s10, r0, r1, s01r1, s10r0 = self._coherence_terms
         a = s00 + deltas
         d = s11 + deltas
-        x = np.empty((10, deltas.size))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det = a * d - s01s10
-            np.divide(d * r0 - s01r1, det, out=x[8])
-            np.divide(a * r1 - s10r0, det, out=x[9])
-            x[:8] = self.y0[:, None] - self.Z @ x[8:]
-        if not np.isfinite(x).all():
-            i = int(np.argmin(np.isfinite(x).all(axis=0)))
-            raise SingularSystem(
-                f"non-finite solution at delta_raman={float(deltas[i])!r} rad/s")
-
-        # residual of the full A(delta) = A0 + delta*(e8 e8^T + e9 e9^T)
-        resid = self._A0 @ x
-        resid -= self._b_col
-        resid[8:] += deltas * x[8:]
-        np.abs(resid, out=resid)
-        return x, resid
-
-    def check_limit(self) -> None:
-        """Check the delta -> inf state (ground populations y0, no
-        coherence), whose rho_ee is c0, as a one-sample :func:`_screen`
-        at delta = inf: trace within TRACE_TOL, then populations above
-        -POPULATION_TOL.  A NaN value breaks its check."""
-        _screen(np.array([math.inf]),
-                ("trace", abs(np.add.reduce(self.y0) - 1.0), TRACE_TOL),
-                ("positivity", -self.y0, POPULATION_TOL))
+        det = a * d - s01s10
+        return (d * r0 - s01r1) / det, (a * r1 - s10r0) / det
 
 
-def _screen(deltas: np.ndarray, *checks) -> None:
-    """Raise InvariantViolation for the first of the (name, values, bound)
-    checks, in the order given, that some sample breaks.
-
-    ``values`` holds one column of values per detuning in ``deltas``: its
-    last axis runs over the detunings.  A value that is not <= bound
-    breaks the check, NaN included.  The error names the first detuning
-    that breaks it, with that column's max as the value.
-    """
-    for name, values, bound in checks:
-        # one reduction screens (a NaN max breaks it too); the
-        # per-detuning view is formed only on failure
-        if np.maximum.reduce(values, axis=None, initial=-math.inf) <= bound:
-            continue
-        cols = values.reshape(-1, deltas.size).T
-        i = int(np.argmax(~(cols <= bound).all(axis=1)))
-        value, bound, delta = float(cols[i].max()), float(bound), float(deltas[i])
-        raise InvariantViolation(
-            f"{name} invariant broken at delta_raman={delta!r} rad/s: "
-            f"{value:.3e} exceeds bound {bound:.3e}",
-            invariant=name, value=value, bound=bound, delta_raman=delta)
+def _check(name: str, values, deltas, bound: float) -> None:
+    """Raise InvariantViolation unless every value is <= bound; a NaN
+    value breaks the check.  ``deltas`` holds the detuning of each value,
+    or one for all; the error names the largest value (the first NaN, if
+    any) and its detuning."""
+    i = int(np.argmax(values))
+    value = float(np.ravel(values)[i])
+    if value <= bound:
+        return
+    delta = float(np.broadcast_to(deltas, np.shape(values)).flat[i])
+    raise InvariantViolation(
+        f"{name} invariant broken at delta_raman={delta!r} rad/s: "
+        f"{value:.3e} exceeds bound {bound:.3e}",
+        invariant=name, value=value, bound=bound, delta_raman=delta)
 
 
 def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
-    """Solve the steady-state system at ``params.delta_raman``.
-
-    The solve is the checked call of :class:`RationalLineshape` at that
-    one detuning: one factorization of the delta-free population block,
-    then the 2x2 coherence solve and the back-substitution.  Its residual,
-    trace and positivity checks are followed by one more :func:`_screen`:
-    population (none above 1 + POPULATION_TOL), then excited (none below
+    """Solve the steady-state system at ``params.delta_raman``: one
+    :class:`RationalLineshape` factorization, the 2x2 coherence solve and
+    the back-substitution of the populations.  The solution is checked in
+    order: residual and trace as in ``RationalLineshape.certify``,
+    positivity (ground populations above -POPULATION_TOL), population
+    (none above 1 + POPULATION_TOL), then excited (none below
     -EXCITED_NEG_TOL).  The first broken check, a NaN value included,
     raises InvariantViolation naming the invariant, its value, its bound
-    and the detuning.  A singular population block raises SingularSystem,
-    and so does a non-finite solution, naming the detuning.
-    ``residual_norm`` is the max of |A(delta) x - b|.
+    and the detuning.  A singular population block or a non-finite
+    solution raises SingularSystem.  ``residual_norm`` is the max of
+    |A(delta) x - b|.
     """
-    deltas = np.array([params.delta_raman])
-    x, resid = RationalLineshape(params)._checked(deltas)
+    model = RationalLineshape(params)
+    delta = params.delta_raman
+    deltas = np.array([delta])
+    x = np.empty((10, 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x[8], x[9] = model._coherences(deltas)
+        x[:8] = model.y0[:, None] - model.Z @ x[8:]
+    if not np.isfinite(x).all():
+        raise SingularSystem(f"non-finite solution at delta_raman={delta!r} rad/s")
+    # residual of the full A(delta) = A0 + delta*(e8 e8^T + e9 e9^T)
+    resid = model._A0 @ x
+    resid -= model._b[:, None]
+    resid[8:] += deltas * x[8:]
+    np.abs(resid, out=resid)
     ground = x[:8, 0]
     coherence = complex(x[8, 0], x[9, 0])
+    g = ground.tolist()
+    trace = ((g[0] + g[1]) + (g[2] + g[3])) + ((g[4] + g[5]) + (g[6] + g[7]))
     excited = excited_from_ground(ground, coherence, params)
+    _check("residual", resid, delta, model._residual_bound)
+    _check("trace", abs(trace - 1.0), delta, TRACE_TOL)
+    _check("positivity", -ground, delta, POPULATION_TOL)
     # g - 1 (exact for g in [1/2, 2]) against (1 + tol) - 1: the test g > 1 + tol
-    _screen(deltas, ("population", ground - 1.0, (1.0 + POPULATION_TOL) - 1.0),
-            ("excited", -excited, EXCITED_NEG_TOL))
+    _check("population", ground - 1.0, delta, (1.0 + POPULATION_TOL) - 1.0)
+    _check("excited", -excited, delta, EXCITED_NEG_TOL)
     if params.depolarization is Depolarization.COMPLETE:
         effective = depolarize(excited)
     else:
@@ -420,4 +417,3 @@ def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
         rho_ee=float(excited.sum()),
         residual_norm=float(resid.max()),
     )
-

@@ -14,9 +14,10 @@ parse_lines_verbatim is the scan format's line-by-line parser, kept as
 the reference for the package's bulk conversion.
 
 assemble_verbatim, factorization_verbatim and checked_call_verbatim are
-the package's own assembly, factorization and one-block checked solve
-written as fancy-indexed and sliced updates, with the delta-free scalars
-re-read on every call, one numpy operation after another.  Unlike the
+the package's own assembly, factorization, rho_ee samples and
+one-detuning solve written as fancy-indexed and sliced updates, with the
+delta-free scalars re-read on every call, one numpy operation after
+another.  Unlike the
 routes above they share the package's coupling tables: they are a bit
 for bit reference of the package's arithmetic, not of the physics.
 
@@ -393,10 +394,11 @@ def factorization_verbatim(params):
 
 
 def checked_call_verbatim(f, deltas):
-    """The solved samples x (10, n), the absolute residual of each row of
-    A(delta) x - b, the trace and the rho_ee of a checked call of at most
-    steady_state.BLOCK_SIZE + 1 detunings, from a factorization_verbatim
-    dict ``f``."""
+    """What the package forms at ``deltas`` from a factorization_verbatim
+    dict ``f``, as a (10, n) x of one column per detuning: the coherences
+    x[8:] and the rho_ee of a RationalLineshape call, and the populations
+    x[:8], the absolute residual of each row of A(delta) x - b and the
+    trace that solve_steady_state forms at its one detuning."""
     (s00, s01), (s10, s11) = f["S"].tolist()
     r0, r1 = f["r"].tolist()
     a = s00 + deltas

@@ -1,6 +1,7 @@
 """Command-line behaviors: dispatch, config merging, outputs, exit codes."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -291,7 +292,7 @@ def test_large_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_large_sweep_memory_is_bounded(tmp_path, capsys):
     # the samples and their rho_ee take 16 B per sample; everything else
-    # is bounded by one block (measured: 3.7 MB in all for 1e5 samples,
+    # is bounded by one block (measured: 2.7 MB in all for 1e5 samples,
     # where a whole-array solve and CSV took 25 MB)
     tracemalloc.start()
     try:
@@ -647,6 +648,19 @@ def test_help_states_the_defaults():
                 assert value == cli.DEFAULTS[action.dest], (name, action.dest)
                 stated.add(action.dest)
     assert stated == set(cli.DEFAULTS)
+
+
+def test_choices_are_the_enum_values():
+    # --mode offers each Depolarization (solve adds "both") and --spacing
+    # each Spacing, in enum order; the default multiple is the library's
+    _, options = cli.build_parser()
+    modes = [mode.value for mode in cptsim.Depolarization]
+    assert options["solve"]["mode"][1] == (*modes, "both")
+    for name in ("sweep", "power-broadening"):
+        assert options[name]["mode"][1] == tuple(modes)
+    assert options["sweep"]["spacing"][1] == tuple(s.value for s in cptsim.Spacing)
+    default = inspect.signature(cptsim.calibrate_power_broadening).parameters["multiple"]
+    assert cli.DEFAULTS["multiple"] == default.default
 
 
 # Each (subcommand, option) pair below was parsed and then never read:

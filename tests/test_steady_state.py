@@ -1,5 +1,6 @@
 """Solver checks against trivial limits and the verbatim-equation oracles."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,15 +8,17 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import cptsim.lineshape as lineshape_mod
 import cptsim.steady_state as steady_state_mod
 from cptsim.steady_state import (EXCITED_NEG_TOL, POPULATION_TOL, RESIDUAL_TOL,
                                  TRACE_TOL)
-from cptsim import (Depolarization, InvariantViolation, ParameterError,
-                    RationalLineshape, SingularSystem,
-                    assemble_linear_system, default_sweep_spec,
+from cptsim import (Depolarization, InvariantViolation, NoResonance,
+                    ParameterError, RationalLineshape, SingularSystem,
+                    Unbracketed, assemble_linear_system, default_sweep_spec,
                     depolarize, excited_from_ground, fwhm,
-                    hz_to_angular, lorentz_factors, pumping_strength,
-                    rabi_for_pumping_strength, solve_steady_state, sweep)
+                    hz_to_angular, lorentz_factors, physical_contrast,
+                    pumping_strength, rabi_for_pumping_strength,
+                    resonance_metrics, solve_steady_state, sweep)
 
 from conftest import make_params, random_params
 from oracles import (checked_call_verbatim, excited_verbatim,
@@ -179,7 +182,7 @@ def test_solution_matches_full_unreduced_system(mode, rng):
 
 def test_residual_norm_is_reported_and_small(rng):
     # residual_norm is max|A(delta) x - b| of the full system at the
-    # solution: the checked call's residual, and, evaluated here in
+    # solution: the residual of the verbatim arithmetic, and, evaluated here in
     # another order, the same to within eps * (|A|_inf |x|_inf + |b|_inf)
     # (measured <= 0.05 of it over 2000 draws); the verbatim equations
     # hold at the solution
@@ -187,8 +190,8 @@ def test_residual_norm_is_reported_and_small(rng):
     for _ in range(20):
         p = random_params(rng)
         sol = solve_steady_state(p)
-        checked = RationalLineshape(p)._solve(np.array([p.delta_raman]))[1]
-        assert sol.residual_norm == checked.max()
+        verbatim = checked_call_verbatim(factorization_verbatim(p), np.array([p.delta_raman]))
+        assert sol.residual_norm == verbatim[1].max()
         A, b = assemble_linear_system(p)
         x = np.array([*sol.ground, sol.coherence.real, sol.coherence.imag])
         own = np.abs(A @ x - b).max()
@@ -358,53 +361,267 @@ def test_batched_rho_ee_singular_population_block(monkeypatch):
 
 
 def test_batched_rho_ee_names_the_broken_invariant():
-    # fig-1 geometry at gamma_g = 1 Hz, s = 3e6: the trace check rejects
-    # the stiff solution (absolute tolerance), and the error says so
+    # fig-1 geometry at gamma_g = 1 Hz, s = 3e6: the certificate rejects
+    # the stiff factorization at its trace (absolute tolerance), so the
+    # call raises its error before it samples, and the error says so
     base = make_params(gamma_g=1.0)
-    p = base.replace(rabi=rabi_for_pumping_strength(base, 3e6))
-    deltas = np.array([1e3, 0.0, -1e3])
+    model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, 3e6)))
     with pytest.raises(InvariantViolation) as info:
-        RationalLineshape(p)(deltas)
+        model(np.array([1e3, 0.0, -1e3]))
     exc = info.value
-    assert exc.invariant in ("residual", "trace", "positivity")
+    assert exc.invariant == "trace"
     assert exc.value > exc.bound
-    assert exc.delta_raman in deltas
+    with pytest.raises(InvariantViolation) as certified:
+        model.certify()
+    assert str(certified.value) == str(exc)
     for text in (exc.invariant, f"{exc.value:.3e}", f"{exc.bound:.3e}",
                  repr(exc.delta_raman)):
         assert text in str(exc)
 
 
-def _checked_reference(model, deltas, solve=None):
-    """The three checks of a checked call, one detuning at a time on the
-    samples ``_solve`` (or ``solve``) gives, one column per detuning: the
-    first check, in order, that some sample breaks, as (invariant, value,
-    bound, delta) at the first detuning that breaks it; else the rho_ee
-    of every sample."""
-    x, resid = (solve or model._solve)(deltas)
-    checks = [("residual", lambda i: resid[:, i].max(),
-               RESIDUAL_TOL * max(1.0, model.params.gamma_g)),
-              ("trace", lambda i: abs(x[:8, i].sum() - 1.0), TRACE_TOL),
-              ("positivity", lambda i: -x[:8, i].min(), POPULATION_TOL)]
-    for name, value_at, bound in checks:
-        for i, delta in enumerate(deltas):
-            if not value_at(i) <= bound:
-                return name, float(value_at(i)), bound, float(delta)
-    return model.c0 + (model.g0 * x[8] + model.g1 * x[9])
+# ------------------------------------------------------------ certificate
+
+_EPS = np.finfo(float).eps
 
 
-def _solve_reference(model, delta):
-    """solve_steady_state at ``delta`` check by check on the sample
-    ``_solve`` gives there: the checked call's verdict, then population
-    and excited, as (invariant, value, bound, delta); else the ground
-    populations and the coherence."""
-    deltas = np.array([delta])
-    expected = _checked_reference(model, deltas)
-    if isinstance(expected, tuple):
-        return expected
-    x = model._solve(deltas)[0][:, 0]
-    ground, coherence = x[:8], complex(x[8], x[9])
-    excited = excited_from_ground(ground, coherence, model.params)
-    for name, value, bound in [("population", ground.max() - 1.0, (1.0 + POPULATION_TOL) - 1.0),
+def _exact_state(model, deltas):
+    """The state (y0 - Z x_coh, x_coh) of the factorization at each
+    detuning, x_coh by Cramer's rule on S + delta*I, in np.longdouble
+    (extended precision where the platform has it), one column per
+    detuning: |A(delta) x - b| of each row and the sum of the magnitudes
+    of its terms, |trace - 1|, and the populations and the sum of the
+    magnitudes of their terms."""
+    ld = np.longdouble
+    (s00, s01), (s10, s11) = model.S.astype(ld)
+    r0, r1 = model.r.astype(ld)
+    d = np.asarray(deltas, dtype=ld)
+    a, e = s00 + d, s11 + d
+    det = a * e - s01 * s10
+    x = np.empty((10, d.size), dtype=ld)
+    x[8], x[9] = (e * r0 - s01 * r1) / det, (a * r1 - s10 * r0) / det
+    y0, Z = model.y0.astype(ld)[:, None], model.Z.astype(ld)
+    x[:8] = y0 - Z @ x[8:]
+    A, b = model._A0.astype(ld), model._b.astype(ld)[:, None]
+    resid = A @ x - b
+    resid[8:] += d * x[8:]
+    terms = np.abs(A) @ np.abs(x) + np.abs(b)
+    terms[8:] += np.abs(d * x[8:])
+    pop_terms = np.abs(y0) + np.abs(Z) @ np.abs(x[8:])
+    return np.abs(resid), terms, np.abs(x[:8].sum(axis=0) - 1), x[:8], pop_terms
+
+
+def _certified(model):
+    """name -> (value, delta) of each check of ``model.certify()``: the
+    worst value and its detuning, as its error names them, recorded
+    without raising.  Every bound is -inf here, so that certify names
+    all three checks instead of returning on its first screen."""
+    worst = {}
+
+    def record(name, values, deltas, bound):
+        i = int(np.argmax(values))
+        worst[name] = (float(np.ravel(values)[i]),
+                       float(np.broadcast_to(deltas, np.shape(values)).flat[i]))
+
+    with mock.patch.object(steady_state_mod, "_check", record), \
+            mock.patch.object(steady_state_mod, "TRACE_TOL", -math.inf), \
+            mock.patch.object(steady_state_mod, "POPULATION_TOL", -math.inf), \
+            mock.patch.object(model, "_residual_bound", -math.inf):
+        model.certify()
+    return worst
+
+
+def _assert_certificate_bounds_the_grid(model, grid):
+    """The certified residual and trace maxima and population minimum are
+    never less strict than the exact state's on ``grid``, within 4 ulps of
+    the terms of each value, and each is the state's value at the detuning
+    named with it (the limit: 1e20 damping rates, where x_coh is below
+    1e-20 of its peak)."""
+    worst = _certified(model)
+    resid, terms, trace, pops, pop_terms = _exact_state(model, grid)
+    assert np.all(resid <= worst["residual"][0] + 4 * _EPS * terms)
+    assert trace.max() <= worst["trace"][0] + 4 * _EPS * pop_terms.sum(axis=0).max()
+    assert np.all(pops >= -worst["positivity"][0] - 4 * _EPS * pop_terms)
+    for name, (value, delta) in worst.items():
+        at = 1e20 * model.damping if delta == math.inf else delta
+        resid, terms, trace, pops, pop_terms = _exact_state(model, [at])
+        own, scale = {"residual": (resid.max(), terms.max()),
+                      "trace": (trace[0], pop_terms.sum()),
+                      "positivity": (-pops.min(), pop_terms.max())}[name]
+        assert abs(own - value) <= 4 * _EPS * scale, (name, own, value)
+
+
+def test_certificate_is_never_less_strict_than_a_dense_grid():
+    # 200 draws: the certificate against the exact state at 4,001
+    # detunings over +/-50 estimated half widths (a 20,001-point grid
+    # gives the same verdicts at about five times the cost); and the metrics of each
+    # certified model against the 18-unknown oracle: the contrast within
+    # 1e-9, and the closed form within 1e-10 at the detunings the width,
+    # center and asymmetry come from (the window edges, the center and
+    # the two half-depth crossings)
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        p = random_params(rng)
+        model = RationalLineshape(p)
+        _assert_certificate_bounds_the_grid(
+            model, np.linspace(-50.0, 50.0, 4001) * model.damping)
+        try:
+            m = resonance_metrics(p)
+        except (NoResonance, Unbracketed):
+            continue
+
+        def oracle(delta):
+            return solve_full_system(p.replace(delta_raman=delta))[1].sum()
+
+        far = 2e7 * model.damping
+        baseline = 0.5 * (oracle(-far) + oracle(far))
+        assert m.baseline == pytest.approx(baseline, rel=1e-9)
+        assert m.amplitude == pytest.approx(baseline - oracle(0.0), rel=1e-9)
+        dip = lineshape_mod._model_dip(model, lineshape_mod.METRIC_SPAN_HALFWIDTHS)
+        deltas = np.array([-dip.edge, dip.edge, dip.center, dip.lo, dip.hi])
+        np.testing.assert_allclose(model.c0 + model.excess(deltas),
+                                   [oracle(d) for d in deltas], rtol=1e-10, atol=0)
+
+
+def _exact_system(y0, z=()):
+    """An (A, b) whose factorization is exact: population block I with
+    b = y0, so the factorization's y0 is y0 and its Z has ``z`` as the
+    leading entries of its first column; coherence rows damped at 2 and
+    driven through ground 2 (whose Z row is zero) so that r = (0, 1), and
+    x8 = 2 / (delta^2 + 4) peaks at delta = 0."""
+    A, b = np.zeros((10, 10)), np.zeros(10)
+    A[:8, :8] = np.eye(8)
+    b[:8] = y0
+    A[:len(z), 8] = z
+    A[8, 9], A[9, 8] = -2.0, 2.0
+    A[9, 2] = -1.0 / y0[2]
+    return A, b
+
+
+_U = 0.125
+# (y0, z, (attribute, index, added) or None, (invariant, value, delta))
+NAMED_BREAKS = {
+    "trace-at-inf": ([_U * (1 + 1e-9)] * 8, (), None, ("trace", 1e-9, math.inf)),
+    "pos-at-inf": ([-1e-11, 2 * _U + 1e-11, *[_U] * 6], (), None,
+                   ("positivity", 1e-11, math.inf)),
+    "trace-first": ([-1e-11, 2 * _U + 1e-9, *[_U] * 6], (), None,
+                    ("trace", 1e-9 - 1e-11, math.inf)),
+    "trace-at-0": ([_U] * 8, (2e-9,), None, ("trace", 1e-9, 0.0)),
+    # z0 - z0 = 0: the trace holds at every detuning
+    "pos-at-0": ([_U] * 8, (2 * (_U + 1e-9), -2 * (_U + 1e-9)), None,
+                 ("positivity", 1e-9, 0.0)),
+    # a perturbed factor: residual first, although the trace breaks too
+    "residual-Z": ([_U] * 8, (), ("Z", (3, 0), 1e-6), ("residual", 5e-7, 0.0)),
+    "residual-y0": ([_U] * 8, (), ("y0", 5, 1e-6), ("residual", 1e-6, math.inf)),
+}
+
+
+@pytest.mark.parametrize("y0, z, perturb, expected", NAMED_BREAKS.values(),
+                         ids=NAMED_BREAKS)
+def test_certificate_names_the_first_check_at_its_worst_detuning(monkeypatch, y0, z,
+                                                                 perturb, expected):
+    # the first broken check of residual, trace and positivity, at the
+    # detuning of its worst value over all real detunings (inf for the
+    # limit), from certify, a call and physical_contrast alike
+    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
+                        lambda params: _exact_system(y0, z))
+    p = make_params(rabi=hz_to_angular(1e5))
+    model = RationalLineshape(p)
+    calls = [model.certify, lambda: model(np.array([1.0, -3.0]))]
+    if perturb is None:
+        calls.append(lambda: physical_contrast(p))
+    else:
+        attribute, index, added = perturb
+        getattr(model, attribute)[index] += added
+    invariant, value, delta = expected
+    bound = {"residual": RESIDUAL_TOL * max(1.0, p.gamma_g), "trace": TRACE_TOL,
+             "positivity": POPULATION_TOL}[invariant]
+    for call in calls:
+        with pytest.raises(InvariantViolation) as info:
+            call()
+        exc = info.value
+        assert (exc.invariant, exc.bound, exc.delta_raman) == (invariant, bound, delta)
+        assert exc.value == pytest.approx(value, rel=1e-6)
+
+
+def test_certificate_names_the_worst_detuning_of_a_shifted_dip(monkeypatch):
+    # an exact system with tr S = -2: x8 = (2 - delta/2) / (delta^2 - 2*delta + 4)
+    # peaks off delta = 0, and population 3 = 1/8 - x8/2 (population 4
+    # mirrors it, so the trace holds) dips below zero there; the named
+    # detuning and value are those of a fine grid
+    A, b = _exact_system([_U] * 8, (0.0, 0.0, 0.0, 0.5, -0.5))
+    A[8, 3] = 4.0  # S = [[-2, -2], [2, 0]], r = (-1/2, 1)
+    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
+                        lambda params: (A.copy(), b.copy()))
+    model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
+    assert (model.q1, model.q0) == (-2.0, 4.0)
+    grid = np.linspace(-10.0, 10.0, 200_001)
+    pop3 = _U - 0.5 * (2.0 - 0.5 * grid) / (grid * grid - 2.0 * grid + 4.0)
+    with pytest.raises(InvariantViolation) as info:
+        model.certify()
+    exc = info.value
+    assert exc.invariant == "positivity"
+    assert exc.value == pytest.approx(-pop3.min(), rel=1e-8)
+    assert abs(exc.delta_raman - grid[np.argmin(pop3)]) <= 1e-4
+    _assert_certificate_bounds_the_grid(model, grid)
+
+
+def test_a_nan_value_breaks_its_check():
+    # the error names the first NaN and its detuning, whatever the other values
+    with pytest.raises(InvariantViolation) as info:
+        steady_state_mod._check("trace", np.array([0.0, np.nan, 1.0, np.nan]),
+                                np.array([1.0, 2.0, 3.0, 4.0]), TRACE_TOL)
+    exc = info.value
+    assert (exc.invariant, exc.bound, exc.delta_raman) == ("trace", TRACE_TOL, 2.0)
+    assert math.isnan(exc.value)
+
+
+def _expect_break(model, invariant):
+    """certify raises ``invariant`` at its certified worst value and
+    detuning, which bound the exact state on a grid."""
+    worst = _certified(model)
+    with pytest.raises(InvariantViolation) as info:
+        model.certify()
+    exc = info.value
+    assert exc.invariant == invariant
+    assert (exc.value, exc.delta_raman) == worst[invariant]
+    assert exc.value > 2 * exc.bound
+    _assert_certificate_bounds_the_grid(model, np.linspace(-50.0, 50.0, 2001) * model.damping)
+
+
+def test_certificate_names_a_perturbed_factorization(rng):
+    # on real draws: y0 off by 1e-8 of itself, or Z by 1e-3 of itself,
+    # breaks the residual first; y0 moved by A0^-1 of half the residual
+    # bound in every population row, with r = -(coupling @ y0) to match,
+    # keeps the residual and breaks the trace by 4e-10 (the population
+    # block's column sums are gamma_g)
+    for _ in range(10):
+        p = random_params(rng)
+        for attribute, scale in (("y0", 1e-8), ("Z", 1e-3)):
+            model = RationalLineshape(p)
+            setattr(model, attribute, getattr(model, attribute) * (1.0 + scale))
+            _expect_break(model, "residual")
+        model = RationalLineshape(p)
+        model.y0 = model.y0 + np.linalg.solve(model._A0[:8, :8],
+                                              np.full(8, 0.5 * model._residual_bound))
+        model.r = -(model._A0[8:, :8] @ model.y0)
+        _expect_break(model, "trace")
+
+
+def _solve_reference(p):
+    """solve_steady_state check by check on the verbatim arithmetic
+    (oracles.checked_call_verbatim at params.delta_raman): residual,
+    trace, positivity, population, then excited, as (invariant, value,
+    bound, delta) of the first broken one; else the ground populations
+    and the coherence."""
+    delta = p.delta_raman
+    x, resid, trace, _ = checked_call_verbatim(factorization_verbatim(p), np.array([delta]))
+    ground, coherence = x[:8, 0], complex(x[8, 0], x[9, 0])
+    excited = excited_from_ground(ground, coherence, p)
+    for name, value, bound in [("residual", resid.max(), RESIDUAL_TOL * max(1.0, p.gamma_g)),
+                               ("trace", abs(trace[0] - 1.0), TRACE_TOL),
+                               ("positivity", -ground.min(), POPULATION_TOL),
+                               ("population", ground.max() - 1.0,
+                                (1.0 + POPULATION_TOL) - 1.0),
                                ("excited", -excited.min(), EXCITED_NEG_TOL)]:
         if not value <= bound:
             return name, float(value), bound, delta
@@ -424,156 +641,74 @@ def _log_uniform(lo, hi):
 def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_g,
                                                      omega_e, delta_opt, strength,
                                                      mode, offsets):
-    # over the fuzz range, stiff points included: the call accepts exactly
-    # when the per-point checks do, with the same doubles, and rejects
-    # with the same invariant, value, bound and detuning; so does
-    # solve_steady_state at the first detuning, with its two extra checks
+    # over the fuzz range, stiff points included: the certificate is never
+    # less strict than the exact state on a grid of +/-50 estimated half
+    # widths; a call raises its verdict, else returns the verbatim rho_ee
+    # bit for bit; solve_steady_state at the first detuning gives the
+    # verdict, populations and coherence of the per-point reference
     base = make_params(mode=mode, gamma_opt=gamma_opt, gamma_nat=gamma_nat,
                        gamma_g=gamma_g, omega_e=omega_e, delta_opt=delta_opt)
     model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, strength)))
+    _assert_certificate_bounds_the_grid(model, np.linspace(-50.0, 50.0, 2001) * model.damping)
     hw = model.params.gamma_g + model.q0**0.5  # of the order of the dip's half width
     deltas = hw * np.array([0.0, *offsets])
-    expected = _checked_reference(model, deltas)
-    # in one block (every draw fits in one), and in blocks of 4 across
-    # block boundaries, with the same verdict, check fields and doubles
-    for block_size in (steady_state_mod.BLOCK_SIZE, 4):
-        with mock.patch.object(steady_state_mod, "BLOCK_SIZE", block_size):
-            if isinstance(expected, tuple):
-                with pytest.raises(InvariantViolation) as info:
-                    model(deltas)
-                exc = info.value
-                assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
-            else:
-                np.testing.assert_array_equal(model(deltas), expected)
+    try:
+        model.certify()
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation) as info:
+            model(deltas)
+        assert str(info.value) == str(exc)
+    else:
+        rho = checked_call_verbatim(factorization_verbatim(model.params), deltas)[3]
+        np.testing.assert_array_equal(model(deltas), rho)
 
-    expected = _solve_reference(model, float(deltas[0]))
+    p = model.params.replace(delta_raman=float(deltas[0]))
+    expected = _solve_reference(p)
     if isinstance(expected[0], str):
         with pytest.raises(InvariantViolation) as info:
-            solve_steady_state(model.params.replace(delta_raman=deltas[0]))
+            solve_steady_state(p)
         exc = info.value
         assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
     else:
-        sol = solve_steady_state(model.params.replace(delta_raman=deltas[0]))
+        sol = solve_steady_state(p)
         np.testing.assert_array_equal(sol.ground, expected[0])
         assert sol.coherence == expected[1]
 
 
-def test_checked_call_names_the_first_check_at_its_first_detuning():
-    # five samples, each break less than twice its bound: positivity at
-    # delta 1, trace at 2, residual and positivity at 3, residual and
-    # trace at 4
-    model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
-    res_tol = RESIDUAL_TOL * max(1.0, model.params.gamma_g)
-    deltas = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-
-    def batch(residual=True, trace=True, positivity=True):
-        x = np.zeros((10, 5))
-        x[:8] = 0.125
-        resid = np.zeros((10, 5))
-        if residual:
-            resid[[2, 7], 3] = [1.2 * res_tol, 1.5 * res_tol]
-            resid[0, 4] = 1.8 * res_tol
-        if trace:
-            x[:8, 2] *= 1.0 + 1.5e-10
-            x[:8, 4] *= 1.0 + 1.8e-10
-        # off by -1.5e-13 within bounds, else by the positivity breaks
-        neg = (1.5e-12, 1.8e-12) if positivity else (1.5e-13, 1.5e-13)
-        x[:2, 1] = [-neg[0], 0.25 + neg[0]]
-        x[:2, 3] = [-neg[1], 0.25 + neg[1]]
-        model._solve = lambda d: (x, resid)
-        return resid
-
-    def expect(invariant, value, bound, delta):
-        with pytest.raises(InvariantViolation) as info:
-            model(deltas)
-        exc = info.value
-        assert (exc.invariant, exc.bound, exc.delta_raman) == (invariant, bound, delta)
-        assert exc.value == pytest.approx(value, rel=1e-3, nan_ok=True)
-        np.testing.assert_equal(_checked_reference(model, deltas),
-                                (invariant, exc.value, bound, delta))
-
-    batch()
-    expect("residual", 1.5 * res_tol, res_tol, 3.0)
-    batch(trace=False, positivity=False)
-    expect("residual", 1.5 * res_tol, res_tol, 3.0)
-    batch(residual=False)
-    expect("trace", 1.5e-10, TRACE_TOL, 2.0)
-    batch(residual=False, positivity=False)
-    expect("trace", 1.5e-10, TRACE_TOL, 2.0)
-    batch(residual=False, trace=False)
-    expect("positivity", 1.5e-12, POPULATION_TOL, 1.0)
-    # a NaN value breaks its check: residual at the first detuning with a NaN
-    resid = batch(residual=False, trace=False, positivity=False)
-    resid[[5, 0], [1, 4]] = np.nan
-    expect("residual", np.nan, res_tol, 1.0)
-    batch(residual=False, trace=False, positivity=False)
-    assert np.array_equal(model(deltas), _checked_reference(model, deltas))
-
-
-def _break_samples(model, **breaks):
-    """Replace ``model._solve`` by the real solve with the given samples
-    broken: ``breaks`` maps "residual" and "trace" to {delta: units of
-    the bound}, set on the residual's row or the populations' scale."""
-    solve, res_tol = model._solve, RESIDUAL_TOL * max(1.0, model.params.gamma_g)
-
-    def broken_solve(deltas):
-        x, resid = solve(deltas)
-        for delta, units in breaks.get("residual", {}).items():
-            resid[4, deltas == delta] = units * res_tol
-        for delta, units in breaks.get("trace", {}).items():
-            x[:8, deltas == delta] *= 1.0 + units * TRACE_TOL
-        return x, resid
-
-    model._solve = broken_solve
-    return res_tol
-
-
 def test_blocked_call_raises_the_earliest_ordered_check(monkeypatch):
-    # blocks of 3: trace breaks in block 1 (delta 2), the residual only in
-    # block 3 (deltas 7 and 8); the residual wins, at its first detuning
+    # the certificate comes before any block: a factorization whose
+    # residual and trace break raises the residual, as certify does,
+    # with no detuning solved
     monkeypatch.setattr(steady_state_mod, "BLOCK_SIZE", 3)
     model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
-    res_tol = _break_samples(model, trace={2.0: 1.5, 4.0: 1.8},
-                             residual={7.0: 1.5, 8.0: 1.8})
-    deltas = np.arange(9.0)
-    expected = ("residual", 1.5 * res_tol, res_tol, 7.0)
-    with pytest.raises(InvariantViolation) as info:
-        model(deltas)
-    exc = info.value
-    assert (exc.invariant, exc.value, exc.bound, exc.delta_raman) == expected
-    assert _checked_reference(model, deltas) == expected
-    with pytest.raises(InvariantViolation) as whole:
-        model._checked(deltas)
-    assert str(exc) == str(whole.value)
-
-
-def test_blocked_call_non_finite_sample_after_a_broken_block_is_singular(monkeypatch):
-    # the residual breaks in block 1; a NaN detuning in block 2 still
-    # makes the call a SingularSystem, named at that detuning
-    monkeypatch.setattr(steady_state_mod, "BLOCK_SIZE", 3)
-    model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
-    _break_samples(model, residual={1.0: 1.5})
-    deltas = np.array([0.0, 1.0, 2.0, 3.0, np.nan, 5.0, 6.0])
-    with pytest.raises(SingularSystem, match=r"delta_raman=nan rad/s"):
-        model(deltas)
-    with pytest.raises(InvariantViolation, match="residual"):
-        model(deltas[:3])
+    model.y0 = model.y0 * (1.0 + 1e-8)
+    worst = _certified(model)
+    assert worst["residual"][0] > model._residual_bound and worst["trace"][0] > TRACE_TOL
+    solved = []
+    model._coherences = solved.append
+    with pytest.raises(InvariantViolation) as certified:
+        model.certify()
+    with pytest.raises(InvariantViolation) as called:
+        model(np.arange(9.0))
+    assert certified.value.invariant == "residual"
+    assert str(called.value) == str(certified.value)
+    assert solved == []
 
 
 def test_blocked_call_solves_each_detuning_once_in_order(monkeypatch):
-    # blocks of 4 cover the input in order; a last block of one row joins
-    # the block before, and an empty call is one empty block
+    # blocks of 4 cover the input in order, the last one short; an empty
+    # call solves no block
     monkeypatch.setattr(steady_state_mod, "BLOCK_SIZE", 4)
     model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
-    solve, blocks = model._solve, []
+    solve, blocks = model._coherences, []
 
     def recording_solve(deltas):
         blocks.append(deltas.tolist())
         return solve(deltas)
 
-    model._solve = recording_solve
-    for n, sizes in [(0, [0]), (1, [1]), (4, [4]), (5, [5]), (8, [4, 4]),
-                     (9, [4, 5]), (10, [4, 4, 2])]:
+    model._coherences = recording_solve
+    for n, sizes in [(0, []), (1, [1]), (4, [4]), (5, [4, 1]), (8, [4, 4]),
+                     (9, [4, 4, 1])]:
         blocks.clear()
         deltas = np.arange(float(n))
         assert model(deltas).size == n
@@ -592,92 +727,21 @@ def test_checked_rho_ee_does_not_depend_on_the_call_it_is_in(rng):
             assert model(deltas[i:i + 1])[0] == whole[i]
 
 
-def _row_major_solve(model, deltas):
-    """``_solve``'s samples in the row-major layout it replaced, one row
-    of 10 per detuning, each formed as that layout formed it."""
-    (s00, s01), (s10, s11) = model.S.tolist()
-    r0, r1 = model.r.tolist()
-    a = s00 + deltas
-    d = s11 + deltas
-    xs = np.empty((deltas.size, 10))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = a * d - s01 * s10
-        xs[:, 8] = (d * r0 - s01 * r1) / det
-        xs[:, 9] = (a * r1 - s10 * r0) / det
-        xs[:, :8] = model.y0 - xs[:, 8:] @ model.Z.T
-    return xs
-
-
-def _row_major_residual(model, deltas, xs):
-    """|A(delta) x - b| of the row-major samples ``xs`` as that layout
-    formed it, and the sum of the magnitudes of the terms of each row."""
-    resid = xs @ model._A0.T
-    resid -= model._b
-    resid[:, 8:] += deltas[:, None] * xs[:, 8:]
-    terms = np.abs(xs) @ np.abs(model._A0).T + np.abs(model._b)
-    terms[:, 8:] += np.abs(deltas[:, None] * xs[:, 8:])
-    return np.abs(resid), terms
-
-
-def _population_terms(model, xs):
-    """Sum of the magnitudes of the terms of each population y0 - Z.x[8:]."""
-    return np.abs(model.y0) + np.abs(xs[:, 8:]) @ np.abs(model.Z).T
-
-
-_EPS = np.finfo(float).eps
-
-
-def _bits(values):
-    return np.ascontiguousarray(values).view(np.int64)
-
-
-@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
-def test_column_layout_solve_matches_the_row_major_layout(mode, rng):
-    # from one detuning to more than a block: the coherences (elementwise),
-    # each trace given its populations (numpy's pairwise sum of 8 values)
-    # and each rho_ee are the row-major layout's doubles, bit for bit; the
-    # populations and residual come from matrix products whose rounding is
-    # the BLAS kernel's, so they are held within the rounding bound of
-    # their sums, a few ulps of the summed terms
-    for _ in range(25):
-        p = random_params(rng, mode=mode)
-        model = RationalLineshape(p)
-        hw = p.gamma_g + model.q0**0.5  # of the order of the dip's half width
-        for n in (1, 5, 408, steady_state_mod.BLOCK_SIZE + 1):
-            deltas = hw * rng.uniform(-1e3, 1e3, n)
-            x, resid = model._solve(deltas)
-            xs = _row_major_solve(model, deltas)
-            np.testing.assert_array_equal(_bits(x[8:].T), _bits(xs[:, 8:]))
-            pops = np.ascontiguousarray(x[:8].T)
-            trace = model._checks(x, resid)[1][1]
-            np.testing.assert_array_equal(_bits(trace),
-                                          _bits(np.abs(pops.sum(axis=1) - 1.0)))
-            rho_ref = model.c0 + (model.g0 * xs[:, 8] + model.g1 * xs[:, 9])
-            np.testing.assert_array_equal(_bits(model(deltas)), _bits(rho_ref))
-            assert np.all(np.abs(pops - xs[:, :8]) <= 4 * _EPS * _population_terms(model, xs))
-            resid_ref, terms = _row_major_residual(model, deltas, np.ascontiguousarray(x.T))
-            assert np.all(np.abs(resid.T - resid_ref) <= 16 * _EPS * terms)
-
-
-def test_stiff_verdict_matches_the_row_major_reference():
-    # fig 1 at gamma_g/2pi = 1 Hz, s = 3e6, where the checked call rejects
-    # the stiff solution at its trace: the same invariant, bound and
-    # detuning as the row-major layout gives, and the same value within
-    # the rounding of the populations it sums
+def test_stiff_verdict_matches_a_dense_grid():
+    # fig 1 at gamma_g/2pi = 1 Hz, s = 3e6, where the certificate rejects
+    # the stiff factorization at its trace with the residual within its
+    # bound: the exact state on a grid breaks the trace bound too, within
+    # the certified value, and keeps the residual bound
     base = make_params(gamma_g=1.0)
     model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, 3e6)))
-    deltas = np.array([1e3, 0.0, -1e3])
-    xs = _row_major_solve(model, deltas)
-    invariant, value, bound, delta = _checked_reference(
-        model, deltas, lambda d: (xs.T, _row_major_residual(model, d, xs)[0].T))
-    assert invariant == "trace"
     with pytest.raises(InvariantViolation) as info:
-        model(deltas)
-    exc = info.value
-    assert (exc.invariant, exc.bound, exc.delta_raman) == (invariant, bound, delta)
-    i = deltas.tolist().index(delta)
-    terms = _population_terms(model, xs)[i].sum()
-    assert abs(exc.value - value) <= 4 * _EPS * terms + 8 * _EPS
+        model.certify()
+    assert (info.value.invariant, info.value.bound) == ("trace", TRACE_TOL)
+    grid = np.linspace(-50.0, 50.0, 20_001) * model.damping
+    _assert_certificate_bounds_the_grid(model, grid)
+    resid, _, trace, _, _ = _exact_state(model, grid)
+    assert trace.max() > TRACE_TOL
+    assert resid.max() <= model._residual_bound
 
 
 UNIFORM = np.full(8, 0.125)
@@ -695,14 +759,30 @@ BROKEN_SOLUTIONS = [
 ]
 
 
+def _solve_gives(monkeypatch, x, residual):
+    """Make solve_steady_state's one-detuning solve give x, with the
+    residual of row 4 ``residual`` units of its bound and of every other
+    row zero: each factorization gets y0 = x[:8], Z = 0, coherences x[8:]
+    and a zero A0, whose b cancels the delta*x[8:] of rows 8-9."""
+    real_init = RationalLineshape.__init__
+
+    def init(self, params):
+        real_init(self, params)
+        self.y0, self.Z = np.array(x[:8]), np.zeros((8, 2))
+        self._coherences = lambda deltas: (np.full(deltas.shape, x[8]),
+                                           np.full(deltas.shape, x[9]))
+        self._A0, self._b = np.zeros((10, 10)), np.zeros(10)
+        self._b[8:] = params.delta_raman * np.array(x[8:])
+        self._b[4] = -residual * self._residual_bound
+
+    monkeypatch.setattr(RationalLineshape, "__init__", init)
+
+
 @pytest.mark.parametrize("invariant, x, residual, value", BROKEN_SOLUTIONS,
                          ids=[case[0] for case in BROKEN_SOLUTIONS])
 def test_solve_names_each_broken_invariant(monkeypatch, invariant, x, residual, value):
-    # every sample the checked call solves is x, with the given residual
     p = make_params(rabi=hz_to_angular(1e5), delta_raman=123.0)
-    res_tol = RESIDUAL_TOL * max(1.0, p.gamma_g)
-    monkeypatch.setattr(RationalLineshape, "_solve", lambda self, deltas: (
-        np.array([x]).T, np.full((10, 1), residual * res_tol)))
+    _solve_gives(monkeypatch, x, residual)
     with pytest.raises(InvariantViolation) as info:
         solve_steady_state(p)
     exc = info.value
@@ -716,18 +796,11 @@ def test_solve_names_each_broken_invariant(monkeypatch, invariant, x, residual, 
 
 
 def test_solve_screens_a_nan_population(monkeypatch):
-    # past the checked call, a NaN ground population breaks the
-    # population check, the first of solve_steady_state's own two
-    p = make_params(rabi=hz_to_angular(1e5), delta_raman=123.0)
-    x = np.array([[np.nan, *UNIFORM[1:], 0.0, 0.0]]).T
-    monkeypatch.setattr(RationalLineshape, "_checked",
-                        lambda self, deltas: (x, np.zeros((10, 1))))
-    with pytest.raises(InvariantViolation) as info:
-        solve_steady_state(p)
-    exc = info.value
-    assert (exc.invariant, exc.bound, exc.delta_raman) == (
-        "population", (1.0 + POPULATION_TOL) - 1.0, 123.0)
-    assert np.isnan(exc.value)
+    # a NaN ground population is a non-finite solution: SingularSystem
+    # names the detuning before any check
+    _solve_gives(monkeypatch, [np.nan, *UNIFORM[1:], 0.0, 0.0], 0.0)
+    with pytest.raises(SingularSystem, match=r"delta_raman=123\.0 rad/s"):
+        solve_steady_state(make_params(rabi=hz_to_angular(1e5), delta_raman=123.0))
 
 
 def test_solve_non_finite_solution_is_singular(monkeypatch):
@@ -739,6 +812,18 @@ def test_solve_non_finite_solution_is_singular(monkeypatch):
                         lambda params: (A.copy(), np.array([*UNIFORM, 0.0, 0.0])))
     with pytest.raises(SingularSystem, match=r"delta_raman=123\.0 rad/s"):
         solve_steady_state(make_params(rabi=hz_to_angular(1e5), delta_raman=123.0))
+
+
+def test_certificate_refuses_a_real_pole(monkeypatch):
+    # the same coherence block has real poles at delta = +/-123: no state
+    # exists there, so the certificate, and every call, is SingularSystem
+    A = np.eye(10)
+    A[8, 9] = A[9, 8] = 123.0
+    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
+                        lambda params: (A.copy(), np.array([*UNIFORM, 0.0, 0.0])))
+    model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
+    with pytest.raises(SingularSystem, match="real detuning"):
+        model(np.array([0.0]))
 
 
 def test_pumping_strength_round_trip(rng):
@@ -765,9 +850,9 @@ def _factorization_cases():
 
 def test_factorization_and_checked_call_match_the_verbatim_arithmetic():
     # bytes, so the sign of every zero counts: the matrix, the factorization
-    # and its scalars, and the samples, residual, trace and rho_ee of a
-    # checked call equal those of oracles.factorization_verbatim and
-    # oracles.checked_call_verbatim
+    # and its scalars, the coherences and rho_ee of a call, and the
+    # populations, residual and trace behind solve_steady_state equal those
+    # of oracles.factorization_verbatim and oracles.checked_call_verbatim
     checked = 0
     for p in _factorization_cases():
         f = factorization_verbatim(p)
@@ -778,17 +863,23 @@ def test_factorization_and_checked_call_match_the_verbatim_arithmetic():
         model = RationalLineshape(p)
         for key in ("y0", "Z", "S", "r", "c0", "g0", "g1", "p0", "p1", "q0", "q1"):
             assert _bytes(getattr(model, key)) == _bytes(f[key]), key
-        for deltas in (np.array([p.delta_raman]),
-                       np.array([0.0, -0.0, p.delta_raman, 1e3, -1e3, 1e9])):
-            x_ref, resid_ref, trace_ref, rho_ref = checked_call_verbatim(f, deltas)
-            x, resid = model._solve(deltas)
-            trace = model._checks(x, resid)[1][1]
-            assert (_bytes(x), _bytes(resid)) == (_bytes(x_ref), _bytes(resid_ref))
-            assert _bytes(trace) == _bytes(np.abs(trace_ref - 1.0))
-            try:
-                rho = model(deltas)
-            except InvariantViolation:
-                continue
-            assert _bytes(rho) == _bytes(rho_ref)
+        deltas = np.array([0.0, -0.0, p.delta_raman, 1e3, -1e3, 1e9])
+        x_ref, _, _, rho_ref = checked_call_verbatim(f, deltas)
+        assert _bytes(model._coherences(deltas)) == _bytes(x_ref[8:])
+        try:
+            assert _bytes(model(deltas)) == _bytes(rho_ref)
             checked += 1
-    assert checked >= 0.95 * 2 * 1200
+        except InvariantViolation:
+            pass
+
+        x_ref, resid_ref, trace_ref, _ = checked_call_verbatim(f, np.array([p.delta_raman]))
+        try:
+            sol = solve_steady_state(p)
+        except InvariantViolation as exc:
+            value = {"residual": resid_ref.max(), "trace": abs(trace_ref[0] - 1.0)}
+            assert exc.value == value.get(exc.invariant, exc.value)
+            continue
+        assert _bytes(sol.ground) == _bytes(x_ref[:8, 0])
+        assert sol.coherence == complex(x_ref[8, 0], x_ref[9, 0])
+        assert sol.residual_norm == resid_ref.max()
+    assert checked >= 0.95 * 2 * 600
