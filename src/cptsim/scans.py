@@ -212,11 +212,22 @@ class FitReport:
     fwhm_direct_hz: float   # half-depth read of the raw data (cross-check)
 
 
+def _median(v: np.ndarray) -> float:
+    """``np.median`` of a non-empty finite float array, by its own steps:
+    ``np.partition`` at the kth list it builds, then ``np.mean``'s sum and
+    division of the middle one or two elements.  So the same double."""
+    k = v.size // 2
+    kth = [k, -1] if v.size % 2 else [k - 1, k, -1]
+    middle = np.partition(v, kth)[kth[0]:k + 1]
+    return float(np.add.reduce(middle)) / middle.size
+
+
 def _edge_affine(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Affine baseline through the medians of the two scan edges."""
+    """Affine baseline through the medians of the two scan edges (at the
+    edges' mean x, summed as ``np.mean`` sums)."""
     n_edge = max(3, x.size // 10)
-    xl, yl = float(np.mean(x[:n_edge])), float(np.median(y[:n_edge]))
-    xr, yr = float(np.mean(x[-n_edge:])), float(np.median(y[-n_edge:]))
+    xl, yl = float(np.add.reduce(x[:n_edge])) / n_edge, _median(y[:n_edge])
+    xr, yr = float(np.add.reduce(x[-n_edge:])) / n_edge, _median(y[-n_edge:])
     slope = (yr - yl) / (xr - xl)
     return yl - slope * xl, slope
 
@@ -230,7 +241,7 @@ def _initial_guess(x: np.ndarray, y: np.ndarray):
     i0 = int(np.argmax(np.abs(resid)))
     sign = 1 if resid[i0] >= 0 else -1
     amp0 = abs(resid[i0])
-    spacing = float(np.median(np.diff(x)))
+    spacing = _median(np.diff(x))
     lo, hi = level_crossings(x, -sign * resid, i0, -amp0 / 2.0)
     width = hi - lo
     if math.isnan(lo):
@@ -250,38 +261,41 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
     direct width of the unscaled signal, and is returned as it is, with
     the median sample spacing.
     """
-    _, exp2 = math.frexp(float(np.abs(y_raw).max()) or 1.0)
+    _, exp2 = math.frexp(float(np.maximum.reduce(np.abs(y_raw))) or 1.0)
     scale = math.ldexp(1.0, exp2)
     y = y_raw / scale
 
     theta, width, spacing = _initial_guess(x, y)
 
     def evaluate(t):
-        """Lorentzian factor, residual and squared residual at ``t``."""
+        """x - x0, its square, the Lorentzian factor, residual and squared
+        residual at ``t``."""
         a, b, sa, x0, w = t
-        lor = w**2 / ((x - x0) ** 2 + w**2)
+        dx = x - x0
+        dx2 = np.square(dx)
+        lor = w**2 / (dx2 + w**2)
         r = y - (a + b * x + sa * lor)
-        return lor, r, float(r @ r)
+        return dx, dx2, lor, r, float(r @ r)
 
-    lor, r, sse = evaluate(theta)
+    dx, dx2, lor, r, sse = evaluate(theta)
     jac = np.empty((x.size, 5))
     jac[:, 0] = 1.0
     jac[:, 1] = x
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        _, _, sa, x0, w = theta
-        dx = x - x0
-        lor2 = lor**2
+        _, _, sa, _, w = theta
+        lor2 = np.square(lor)
         jac[:, 2] = lor
         jac[:, 3] = sa * 2.0 * dx * lor2 / w**2
-        jac[:, 4] = sa * 2.0 * dx**2 * lor2 / w**3
+        jac[:, 4] = sa * 2.0 * dx2 * lor2 / w**3
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         accepted = False
         for _ in range(40):
             trial = theta + step
-            if trial[4] > 0 and np.all(np.isfinite(trial)):
-                trial_lor, trial_r, new_sse = evaluate(trial)
+            if trial[4] > 0 and np.isfinite(trial).all():
+                state = evaluate(trial)
+                new_sse = state[-1]
                 if math.isfinite(new_sse) and new_sse <= sse:
                     accepted = True
                     break
@@ -289,13 +303,30 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
         if not accepted:
             break
         change = sse - new_sse
-        theta, lor, r, sse = trial, trial_lor, trial_r, new_sse
+        theta, (dx, dx2, lor, r, sse) = trial, state
         if change <= SSE_RTOL * max(sse, 1e-300):
             converged = True
             break
     theta = theta.copy()
     theta[:3] *= scale  # offset, slope, amplitude back to input units (exact)
     return theta, sse * scale * scale, iterations, converged, width, spacing
+
+
+def _affine_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Offset and slope of the least-squares line through (x, y), by the
+    arithmetic of ``np.polynomial.polynomial.polyfit(x, y, 1)``: the design
+    rows [1, x] scaled to unit 2-norm (a zero norm counts as 1), ``lstsq``
+    at rcond n*eps, and the result divided by the scales.  Unlike polyfit it
+    neither adds 0.0 to x and y (which moves no bit) nor warns below rank 2,
+    which 16 distinct finite x of both signs reach only when the norm of x
+    overflows (|x| of order 1e153; the coefficients are the same).
+    """
+    v = np.empty((2, x.size))
+    v[0] = 1.0
+    v[1] = x
+    scl = np.sqrt(np.add.reduce(np.square(v), axis=1))
+    scl[scl == 0] = 1.0
+    return np.linalg.lstsq(v.T / scl, y, x.size * np.finfo(float).eps)[0] / scl
 
 
 def fit_resonance(scan: Scan) -> FitReport:
@@ -324,10 +355,12 @@ def fit_resonance(scan: Scan) -> FitReport:
         raise NoResonance(
             f"fitted half width {w:.3e} Hz below the sample spacing")
 
-    # A converged fit can never sit above the plain affine fit.
-    affine = np.polynomial.polynomial.polyfit(x, y, 1)
-    affine_rms = math.sqrt(float(np.mean((y - (affine[0] + affine[1] * x)) ** 2)))
-    converged = converged and rms <= affine_rms * (1.0 + 1e-12)
+    if converged:
+        # A converged fit can never sit above the plain affine fit.
+        c = _affine_fit(x, y)
+        affine_r = y - (c[0] + c[1] * x)
+        affine_rms = math.sqrt(float(np.add.reduce(affine_r * affine_r)) / x.size)
+        converged = rms <= affine_rms * (1.0 + 1e-12)
 
     baseline_at_center = a + b * x0
     peak_level = baseline_at_center + sign * amp

@@ -11,7 +11,9 @@ code with the package.  Two routes are provided:
   populations kept as explicit unknowns.
 
 parse_lines_verbatim is the scan format's line-by-line parser, kept as
-the reference for the package's bulk conversion.
+the reference for the package's bulk conversion.  fit_verbatim is the
+scan fit written with numpy's own wrappers (np.median, np.mean, the
+polynomial package's polyfit), the reference for the package's fit.
 
 assemble_verbatim, factorization_verbatim and checked_call_verbatim are
 the package's own assembly, factorization, rho_ee samples and
@@ -29,9 +31,12 @@ import math
 
 import numpy as np
 
-from cptsim.errors import ParseError
+from cptsim.errors import NoResonance, ParseError
+from cptsim.lineshape import (ResonanceMetrics, _antisymmetric_fraction,
+                              _mirrored_offsets, level_crossings)
 from cptsim.params import Depolarization, lorentz_factors
-from cptsim.scans import CSV_HEADER, Scan, _parse_metadata_value
+from cptsim.scans import (CSV_HEADER, MAX_ITERATIONS, SSE_RTOL, FitModel,
+                          FitReport, Scan, _parse_metadata_value)
 from cptsim.steady_state import (_A_EXC, _B, _C, _I10, _I20, _IS_UPPER, _W,
                                  _W_EXC)
 
@@ -315,6 +320,104 @@ def parse_lines_verbatim(lines):
         freqs.append(f)
         sigs.append(y)
     return Scan(np.array(freqs), np.array(sigs), metadata)
+
+
+def fit_verbatim(scan):
+    """fit_resonance's FitReport (or error) for ``scan``, through np.mean,
+    np.median, (x - x0) ** 2 and numpy.polynomial's polyfit: the edge
+    baseline, the half-depth initial guess, Gauss-Newton with step halving
+    on a power-of-two scaled signal, then the NoResonance checks and the
+    affine guard on ``converged``."""
+    f, y_raw = scan.frequency, scan.signal
+    f_mid = 0.5 * (float(f[0]) + float(f[-1]))
+    x = f - f_mid
+
+    _, exp2 = math.frexp(float(np.abs(y_raw).max()) or 1.0)
+    scale = math.ldexp(1.0, exp2)
+    y = y_raw / scale
+    n_edge = max(3, x.size // 10)
+    xl, yl = float(np.mean(x[:n_edge])), float(np.median(y[:n_edge]))
+    xr, yr = float(np.mean(x[-n_edge:])), float(np.median(y[-n_edge:]))
+    b0 = (yr - yl) / (xr - xl)
+    a0 = yl - b0 * xl
+    resid = y - (a0 + b0 * x)
+    i0 = int(np.argmax(np.abs(resid)))
+    sign = 1 if resid[i0] >= 0 else -1
+    amp0 = abs(resid[i0])
+    spacing = float(np.median(np.diff(x)))
+    lo, hi = level_crossings(x, -sign * resid, i0, -amp0 / 2.0)
+    direct_fwhm = hi - lo
+    if math.isnan(lo):
+        lo = x[i0] - spacing
+    if math.isnan(hi):
+        hi = x[i0] + spacing
+    theta = np.array([a0, b0, sign * amp0, float(x[i0]), max((hi - lo) / 2.0, spacing)])
+
+    def evaluate(t):
+        a, b, sa, x0, w = t
+        lor = w**2 / ((x - x0) ** 2 + w**2)
+        r = y - (a + b * x + sa * lor)
+        return lor, r, float(r @ r)
+
+    lor, r, sse = evaluate(theta)
+    jac = np.empty((x.size, 5))
+    jac[:, 0] = 1.0
+    jac[:, 1] = x
+    iterations = 0
+    converged = False
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        _, _, sa, x0, w = theta
+        dx = x - x0
+        jac[:, 2] = lor
+        jac[:, 3] = sa * 2.0 * dx * lor**2 / w**2
+        jac[:, 4] = sa * 2.0 * dx**2 * lor**2 / w**3
+        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        accepted = False
+        for _ in range(40):
+            trial = theta + step
+            if trial[4] > 0 and np.all(np.isfinite(trial)):
+                trial_lor, trial_r, new_sse = evaluate(trial)
+                if math.isfinite(new_sse) and new_sse <= sse:
+                    accepted = True
+                    break
+            step = step / 2.0
+        if not accepted:
+            break
+        change = sse - new_sse
+        theta, lor, r, sse = trial, trial_lor, trial_r, new_sse
+        if change <= SSE_RTOL * max(sse, 1e-300):
+            converged = True
+            break
+
+    y = y_raw
+    a, b, sa, x0, w = (float(t) for t in theta)
+    a, b, sa = a * scale, b * scale, sa * scale
+    sign = 1 if sa >= 0 else -1
+    amp = abs(sa)
+    rms = math.sqrt(sse * scale * scale / x.size)
+    if amp <= 3.0 * rms:
+        raise NoResonance(
+            f"fitted amplitude {amp:.3e} not above 3x residual rms {rms:.3e}")
+    if w < spacing:
+        raise NoResonance(
+            f"fitted half width {w:.3e} Hz below the sample spacing")
+    affine = np.polynomial.polynomial.polyfit(x, y, 1)
+    affine_rms = math.sqrt(float(np.mean((y - (affine[0] + affine[1] * x)) ** 2)))
+    converged = converged and rms <= affine_rms * (1.0 + 1e-12)
+
+    baseline_at_center = a + b * x0
+    contrast = amp / (baseline_at_center + sign * amp)
+    fwhm_hz = 2.0 * w
+    mirrored = np.interp(_mirrored_offsets(x0, 0.0, fwhm_hz, 100), x, y - (a + b * x))
+    metrics = ResonanceMetrics(
+        baseline=baseline_at_center, amplitude=amp, physical_contrast=contrast,
+        fwhm_hz=fwhm_hz, center_hz=f_mid + x0,
+        asymmetry=_antisymmetric_fraction(mirrored, 0.0), qfactor=contrast / fwhm_hz)
+    model = FitModel(offset=a - b * f_mid, slope=b, center_hz=f_mid + x0,
+                     half_width_hz=w, amplitude=amp, sign=sign)
+    return FitReport(model=model, metrics=metrics, rms_residual=rms,
+                     iterations=iterations, converged=converged,
+                     fwhm_direct_hz=direct_fwhm)
 
 
 def assemble_verbatim(params):

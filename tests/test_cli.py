@@ -883,3 +883,25 @@ sys.exit(max([main(argv) for argv in {commands!r}]))
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sweep.csv").read_text().startswith("delta_hz,rho_ee\n")
+
+
+def test_analyze_leaves_numpy_polynomial_unimported(tmp_path):
+    # the fit's affine guard is polyfit's arithmetic without the
+    # numpy.polynomial package (about 1.7 MB and a few ms per process)
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    for i in range(3):
+        write_scan(scans / f"s{i}.csv", seed=i, meta={"intensity_mW_cm2": 0.1 * (i + 1)})
+    out = tmp_path / "table.csv"
+    script = f"""
+import sys
+from cptsim.cli import main
+code = main(["analyze", {str(scans)!r}, "--out", {str(out)!r}])
+print(code, "numpy.polynomial" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout == "0 False\n", proc.stderr
+    table = out.read_text()
+    # three converged fits: the guard ran on each
+    assert table.count(",ok,") == 3 and table.count(",true\n") == 3

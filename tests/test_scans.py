@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from cptsim import (Depolarization, MonotonicityError, NoResonance,
                     rabi_for_pumping_strength, sweep, write_scan_csv)
 
 from cptsim.lineshape import level_crossings
-from cptsim.scans import CSV_HEADER, _bulk_columns
+from cptsim.scans import CSV_HEADER, _affine_fit, _bulk_columns, _median
 
 from conftest import make_params
-from oracles import lorentzian_scan, parse_lines_verbatim
+from oracles import fit_verbatim, lorentzian_scan, parse_lines_verbatim
 
 
 def scan_text(rows, header=True, meta=()):
@@ -362,6 +363,102 @@ def test_converged_fit_beats_affine_baseline():
     affine = np.polyfit(f, y, 1)
     affine_rms = float(np.sqrt(np.mean((y - np.polyval(affine, f)) ** 2)))
     assert report.rms_residual <= affine_rms
+
+
+def _outcome(fit, scan):
+    """repr of a fit's report, or its error's type and message."""
+    try:
+        return repr(fit(scan))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+GUARDED_LINES = (771, 1288, 1444, 2371, 2437, 2487, 2803)
+
+
+def _verbatim_cases(rng):
+    """Scans for the verbatim-fit property (see its test)."""
+    mix = []
+    for i in range(180):
+        n = (201, 401, 801)[i % 3]
+        noise = (0.003, 0.01, 0.03)[(i // 3) % 3]
+        fwhm = 10 ** rng.uniform(math.log10(300.0), math.log10(3000.0))
+        span = fwhm * rng.uniform(8.0, 15.0)
+        center = 6.834682610904e9 + rng.uniform(-0.1, 0.1) * span
+        slope = rng.uniform(-0.02, 0.02) / span
+        f, y, _ = lorentzian_scan(rng, n=n, span_hz=span, center_hz=center,
+                                  fwhm_hz=fwhm, contrast=rng.uniform(0.01, 0.1),
+                                  baseline=1.0 - slope * center, slope=slope,
+                                  noise_frac=noise, sign=1 if i % 2 else -1)
+        mix.append((f, y))
+    cases = list(mix)
+    # power-of-two rescaled signals
+    for f, y in mix[:20]:
+        cases += [(f, np.ldexp(y, e)) for e in (-7, 0, 3, 17, 40)]
+    for n in (201, 401, 801):
+        f = np.linspace(-5000.0, 5000.0, n)
+        for sign in (1, -1):
+            # a peak at the scan edge (nan direct width), and flat noise
+            cases.append((f, 1.0 + sign * 0.05 * 150.0**2 / ((f - 4900.0) ** 2 + 150.0**2)
+                          + rng.normal(0.0, 1e-4, n)))
+            cases.append((f, 1.0 + rng.normal(0.0, 1e-3, n)))
+            # edges made of exact +-0.0 ties around a peak
+            for _ in range(4):
+                y = sign * 0.05 * 200.0**2 / (f**2 + 200.0**2)
+                edge = max(3, n // 10)
+                y[:edge] = rng.choice([0.0, -0.0], edge)
+                y[-edge:] = rng.choice([0.0, -0.0], edge)
+                cases.append((f, y))
+    # noisy sloped lines whose fit converges above the least-squares line,
+    # so that the affine guard turns converged off (kept last)
+    for k in GUARDED_LINES:
+        line = np.random.default_rng([7, k])
+        n = int(line.integers(16, 64))
+        f = np.sort(line.uniform(-1e3, 1e3, n))
+        cases.append((f, line.normal(0.0, 1.0, n) + line.normal() * f))
+    return cases
+
+
+def test_fit_matches_the_verbatim_fit():
+    # the package's fit is the same floating-point arithmetic as the one
+    # written with np.median, np.mean and numpy.polynomial's polyfit
+    cases = _verbatim_cases(np.random.default_rng(4711))
+    assert len(cases) >= 300
+    outcomes = [(_outcome(fit_resonance, Scan(f, y)), _outcome(fit_verbatim, Scan(f, y)))
+                for f, y in cases]
+    for got, want in outcomes:
+        assert got == want
+    reports = [got for got, _ in outcomes if got.startswith("FitReport")]
+    assert sum("fwhm_direct_hz=nan" in r for r in reports) >= 6
+    assert sum(got.startswith("NoResonance") for got, _ in outcomes) >= 6
+    assert sum("converged=True" in r for r in reports) >= 0.9 * len(reports)
+    assert all("converged=False" in got for got, _ in outcomes[-len(GUARDED_LINES):])
+
+
+def test_median_is_numpys_median():
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -1.0, 0.5])
+    for n in range(1, 201):
+        for v in (rng.choice(pool, n), rng.choice([0.0, -0.0], n),
+                  np.round(rng.normal(0.0, 3.0, n)), rng.choice([1e308, -1e308], n)):
+            with np.errstate(over="ignore"):  # the even case may overflow to inf
+                got, want = _median(v), np.median(v)
+            assert repr(got) == repr(float(want)), v
+
+
+def test_affine_fit_is_polyfit():
+    rng = np.random.default_rng(6)
+    for n in (16, 17, 201):
+        for ex in range(-300, 301, 50):
+            for ey in range(-300, 301, 100):
+                x = np.sort(rng.normal(0.0, 1.0, n)) * 10.0**ex
+                y = rng.normal(1.0, 1.0, n) * 10.0**ey
+                x[n // 2], y[::3] = -0.0, -0.0
+                with warnings.catch_warnings(), np.errstate(all="ignore"):
+                    warnings.simplefilter("ignore")  # rank and overflow at the extremes
+                    got = _affine_fit(x, y)
+                    want = np.polynomial.polynomial.polyfit(x, y, 1)
+                assert got.tobytes() == want.tobytes(), (n, ex, ey)
 
 
 def test_fit_model_lineshape_export():
