@@ -16,7 +16,7 @@ from .errors import (ConfigError, CptsimError, InvalidSpin,
 from .lineshape import (ContrastSummary, Lineshape, ResonanceMetrics,
                         Spacing, SweepSpec, asymmetry,
                         calibrate_power_broadening, default_sweep_spec,
-                        fwhm, physical_contrast, qfactor, resonance_center,
+                        fwhm, physical_contrast, resonance_center,
                         resonance_metrics, sweep)
 from .params import (Depolarization, LorentzFactors, ModelParams,
                      angular_to_hz, hz_to_angular, lorentz_factors,

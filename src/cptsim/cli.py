@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -84,21 +85,13 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, default=_jsonable) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
@@ -240,17 +233,11 @@ def _build_params(opts: dict):
 
 
 def _params_hz_dict(p: ModelParams) -> dict:
-    return {
-        "rabi_hz": angular_to_hz(p.rabi),
-        "gamma_opt_hz": angular_to_hz(p.gamma_opt),
-        "gamma_nat_hz": angular_to_hz(p.gamma_nat),
-        "gamma_g_hz": angular_to_hz(p.gamma_g),
-        "omega_e_hz": angular_to_hz(p.omega_e),
-        "delta_opt_hz": angular_to_hz(p.delta_opt),
-        "delta_raman_hz": angular_to_hz(p.delta_raman),
-        "mode": p.depolarization.value,
-        "pumping_strength": pumping_strength(p),
-    }
+    """Each rate of ``p`` in Hz, in field order, then its mode and strength."""
+    rates_hz = {f"{field.name}_hz": angular_to_hz(getattr(p, field.name))
+                for field in dataclasses.fields(p) if field.name != "depolarization"}
+    return {**rates_hz, "mode": p.depolarization.value,
+            "pumping_strength": pumping_strength(p)}
 
 
 def _level_name(level) -> str:
@@ -327,13 +314,7 @@ def cmd_sweep(opts: dict) -> int:
 
     metrics_block = {
         "params_hz": _params_hz_dict(params),
-        "baseline": metrics.baseline,
-        "amplitude": metrics.amplitude,
-        "physical_contrast": metrics.physical_contrast,
-        "fwhm_hz": metrics.fwhm_hz,
-        "center_hz": metrics.center_hz,
-        "asymmetry": metrics.asymmetry,
-        "qfactor": metrics.qfactor,
+        **dataclasses.asdict(metrics),
         "n_samples": int(shape.deltas.size),
     }
     out = opts.get("out")

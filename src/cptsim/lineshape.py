@@ -542,13 +542,6 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> flo
         fb = f(b)
 
 
-def qfactor(metrics: ResonanceMetrics) -> float:
-    """Contrast-to-width ratio (per Hz)."""
-    if not metrics.fwhm_hz > 0:
-        raise ParameterError("fwhm_hz must be > 0")
-    return metrics.physical_contrast / metrics.fwhm_hz
-
-
 def resonance_metrics(params: ModelParams) -> ResonanceMetrics:
     """All figures of merit for one parameter set, from one RationalLineshape.
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -396,23 +396,13 @@ class BatchResult:
 
 
 def _row_from_report(metadata: dict, report: FitReport) -> dict:
+    """The table row of a fitted scan: its metadata, ``status`` ok, then
+    the ``ResonanceMetrics`` fields and the fit's own figures, named by
+    METRIC_COLUMNS."""
     m = report.metrics
-    row = dict(metadata)
-    row["status"] = "ok"
-    row.update({
-        "baseline": m.baseline,
-        "amplitude": m.amplitude,
-        "contrast": m.physical_contrast,
-        "fwhm_hz": m.fwhm_hz,
-        "center_hz": m.center_hz,
-        "asymmetry": m.asymmetry,
-        "qfactor": m.qfactor,
-        "fwhm_direct_hz": report.fwhm_direct_hz,
-        "rms_residual": report.rms_residual,
-        "iterations": report.iterations,
-        "converged": report.converged,
-    })
-    return row
+    values = (*(getattr(m, f.name) for f in fields(m)), report.fwhm_direct_hz,
+              report.rms_residual, report.iterations, report.converged)
+    return {**metadata, "status": "ok", **dict(zip(METRIC_COLUMNS, values, strict=True))}
 
 
 def failed_row(metadata: dict, exc: Exception) -> dict:

@@ -235,8 +235,6 @@ class RationalLineshape:
         self.r = -(coupling @ self.y0)
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
-        # the delta-free terms of each 2x2 solve (see _coherences)
-        self._coherence_terms = (s00, s11, s01 * s10, r0, r1, s01 * r1, s10 * r0)
 
         prefac = _excitation_prefactor(params)
         w_pop = _A_EXC.T @ prefac
@@ -340,13 +338,13 @@ class RationalLineshape:
         return rho
 
     def _coherences(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Re and Im rho21 at each detuning: Cramer's rule on S + delta*I,
-        with the products of two scalars of S and r formed in ``__init__``."""
-        s00, s11, s01s10, r0, r1, s01r1, s10r0 = self._coherence_terms
+        """Re and Im rho21 at each detuning: Cramer's rule on S + delta*I."""
+        (s00, s01), (s10, s11) = self.S.tolist()
+        r0, r1 = self.r.tolist()
         a = s00 + deltas
         d = s11 + deltas
-        det = a * d - s01s10
-        return (d * r0 - s01r1) / det, (a * r1 - s10r0) / det
+        det = a * d - s01 * s10
+        return (d * r0 - s01 * r1) / det, (a * r1 - s10 * r0) / det
 
 
 def _check(name: str, values, deltas, bound: float) -> None:

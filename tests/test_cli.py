@@ -152,6 +152,75 @@ def test_sweep_sidecar_is_the_library_metrics(tmp_path, capsys, grid):
     assert sidecar["n_samples"] == len(out.read_text().splitlines()) - 1
 
 
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+def test_each_output_comes_from_one_source(tmp_path, capsys, monkeypatch):
+    # every printed value reaches _fmt or _dump_json as a plain Python
+    # scalar, so neither needs a case for numpy's scalars
+    printed = []
+    real_fmt, real_dump_json = cli._fmt, cli._dump_json
+
+    def fmt(value):
+        printed.append(value)
+        return real_fmt(value)
+
+    def dump_json(obj):
+        printed.extend(_leaves(obj))
+        return real_dump_json(obj)
+
+    monkeypatch.setattr(cli, "_fmt", fmt)
+    monkeypatch.setattr(cli, "_dump_json", dump_json)
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    write_scan(scans / "a.csv", seed=1, meta={"gas": "Ne", "intensity_mW_cm2": 0.1})
+    write_scan(scans / "b.csv", seed=2, sign=-1, meta={"gas": "N2", "intensity_mW_cm2": 0.2})
+    (scans / "c_text.csv").write_text("frequency_hz,signal\n1,2\nbad\n")
+    table, shape = tmp_path / "table.csv", tmp_path / "shape.csv"
+    commands = [("sweep", "--preset", "fig1", "--n-points", "101", "--out", str(shape)),
+                ("sweep", "--preset", "fig1", "--n-points", "101", "--format", "json"),
+                ("analyze", str(scans), "--out", str(table))]
+    for fmt_name in ("csv", "json"):
+        commands += [("solve", "--preset", "fig1", "--mode", "both", "--format", fmt_name),
+                     ("contrast-ratio", "--pumping-strengths", "1,1e3", "--format", fmt_name),
+                     ("power-broadening", "--format", fmt_name),
+                     ("spin-exchange", "--t-max-c", "52", "--format", fmt_name),
+                     ("analyze", str(scans), "--format", fmt_name)]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert {type(value) for value in printed} == {float, int, bool, str, type(None)}
+
+    sidecar = json.loads((tmp_path / "shape_metrics.json").read_text())
+    assert list(sidecar) == ["params_hz", "baseline", "amplitude", "physical_contrast",
+                             "fwhm_hz", "center_hz", "asymmetry", "qfactor", "n_samples"]
+    assert list(sidecar)[1:-1] == [f.name for f in dataclasses.fields(cptsim.ResonanceMetrics)]
+    params_hz = list(sidecar["params_hz"])
+    assert params_hz == ["rabi_hz", "gamma_opt_hz", "gamma_nat_hz", "gamma_g_hz",
+                         "omega_e_hz", "delta_opt_hz", "delta_raman_hz", "mode",
+                         "pumping_strength"]
+    assert [f"{f.name}_hz" for f in dataclasses.fields(cptsim.ModelParams)][:-1] == params_hz[:-2]
+
+    columns = list(cptsim.scans.METRIC_COLUMNS)
+    assert table.read_text().splitlines()[0].split(",")[-len(columns):] == columns
+    mirror = json.loads((tmp_path / "table.json").read_text())
+    for row in mirror["rows"] + mirror["qmax"]:
+        keys = list(row)
+        assert keys[keys.index("status") + 1:] == columns
+    report = cptsim.fit_resonance(cptsim.load_scan(scans / "a.csv"))
+    m = report.metrics
+    assert [mirror["rows"][0][c] for c in columns] == [
+        m.baseline, m.amplitude, m.physical_contrast, m.fwhm_hz, m.center_hz, m.asymmetry,
+        m.qfactor, report.fwhm_direct_hz, report.rms_residual, report.iterations,
+        report.converged]
+
+
 @pytest.mark.parametrize("n_points", [301, 2001])
 @pytest.mark.parametrize("mode", ["none", "complete"])
 @pytest.mark.parametrize("spacing", list(cptsim.Spacing))
@@ -557,6 +626,16 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_naming_a_directory_is_config_error_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "se"
+    out.mkdir()
+    code, _, err = run(capsys, "spin-exchange", "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
 
 
 def test_stray_tmp_directory_does_not_block_write(tmp_path, capsys):

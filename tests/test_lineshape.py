@@ -9,10 +9,10 @@ import cptsim.lineshape as lineshape_mod
 import cptsim.steady_state as steady_state_mod
 from cptsim import (Depolarization, InvariantViolation, Lineshape,
                     NoResonance, NotBracketed, ParameterError,
-                    RationalLineshape, ResonanceMetrics, Spacing, SweepSpec,
+                    RationalLineshape, Spacing, SweepSpec,
                     Unbracketed, asymmetry,
                     calibrate_power_broadening, default_sweep_spec, fwhm,
-                    physical_contrast, qfactor, rabi_for_pumping_strength,
+                    physical_contrast, rabi_for_pumping_strength,
                     resonance_center, resonance_metrics, sweep)
 from cptsim.lineshape import calibration_fwhm, halfwidth_estimate
 
@@ -608,26 +608,24 @@ def test_calibration_factorization_count(monkeypatch):
     assert max(counts) <= 16
 
 
-# ---------------------------------------------------------------- qfactor
+@pytest.mark.parametrize("f, root", [(lambda x: (x - 0.3) ** 9, 0.3),
+                                     (lambda x: -1.0 if x < 0.123 else 1.0, 0.123)],
+                         ids=["ninth-power", "step"])
+def test_brent_root_bisects_where_interpolation_fails(f, root):
+    # no calibration takes the bisection steps: a flat ninth-power root
+    # refuses the interpolated step, and a step function leaves |fa| <= |fb|.
+    # They keep the count within four bisections of the bracket, 22 steps
+    # each (measured: 63 and 22; with either step dropped, 168 to 3962)
+    evaluated = []
 
-def test_qfactor_arithmetic():
-    m = ResonanceMetrics(baseline=1.0, amplitude=0.05, physical_contrast=0.05,
-                         fwhm_hz=1000.0, center_hz=0.0, asymmetry=0.0,
-                         qfactor=0.0)
-    assert qfactor(m) == pytest.approx(5e-5)
-    z = ResonanceMetrics(baseline=1.0, amplitude=0.0, physical_contrast=0.0,
-                         fwhm_hz=1000.0, center_hz=0.0, asymmetry=0.0,
-                         qfactor=0.0)
-    assert qfactor(z) == 0.0
-    d = ResonanceMetrics(baseline=1.0, amplitude=0.1, physical_contrast=0.1,
-                         fwhm_hz=1000.0, center_hz=0.0, asymmetry=0.0,
-                         qfactor=0.0)
-    assert qfactor(d) == pytest.approx(2 * qfactor(m))
-    bad = ResonanceMetrics(baseline=1.0, amplitude=0.1, physical_contrast=0.1,
-                           fwhm_hz=0.0, center_hz=0.0, asymmetry=0.0,
-                           qfactor=0.0)
-    with pytest.raises(ParameterError):
-        qfactor(bad)
+    def recording(x):
+        evaluated.append(x)
+        return f(x)
+
+    x = lineshape_mod._brent_root(recording, -1.0, 2.0, f(-1.0), f(2.0), 1e-6)
+    assert x in evaluated
+    assert abs(x - root) <= 1e-6
+    assert len(evaluated) <= 4 * math.ceil(math.log2(3.0 / 1e-6))
 
 
 def test_resonance_metrics_composition():
