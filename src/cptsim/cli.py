@@ -99,7 +99,8 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     same directory, then rename; a large output streams, chunk by chunk.
 
     The temp file is removed on failure.  An unwritable destination is a
-    ConfigError (exit code 2).
+    ConfigError (exit code 2) that names ``path`` and the system's reason,
+    not the temp file.
     """
     path = Path(path)
     tmp = None
@@ -115,7 +116,7 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if tmp is not None:
             with contextlib.suppress(OSError):

@@ -349,16 +349,31 @@ def asymmetry(shape: Lineshape) -> float:
 def _mirrored_offsets(center: float, d_lo: float, d_hi: float,
                       n_half: int) -> np.ndarray:
     """center + x, then center - x, for n_half + 1 offsets x across half
-    the window [d_lo, d_hi]."""
-    xs = np.linspace(0.0, (d_hi - d_lo) / 2.0, n_half + 1)
-    return center + np.concatenate([xs, -xs])
+    the window [d_lo, d_hi]: the x of np.linspace(0.0, stop, n_half + 1),
+    formed with linspace's own arithmetic, and center - x, which is the
+    same double as center + (-x)."""
+    stop = (d_hi - d_lo) / 2.0
+    xs = np.arange(n_half + 1.0)
+    step = stop / n_half
+    if step == 0.0:  # the step underflows: scale as linspace does
+        xs /= n_half
+        xs *= stop
+    else:
+        xs *= step
+    xs += 0.0
+    xs[-1] = stop
+    out = np.empty(2 * xs.size)
+    np.add(center, xs, out=out[:xs.size])
+    np.subtract(center, xs, out=out[xs.size:])
+    return out
 
 
 def _antisymmetric_fraction(values: np.ndarray, baseline: float) -> float:
     """||rho(+x) - rho(-x)|| / ||baseline - rho|| over mirrored values."""
     up, dn = values.reshape(2, -1)
-    num = math.sqrt(((up - dn) ** 2).sum())
-    den = math.sqrt(((baseline - up) ** 2).sum() + ((baseline - dn) ** 2).sum())
+    dev = np.square(baseline - values)
+    num = math.sqrt(np.add.reduce(np.square(up - dn)))
+    den = math.sqrt(np.add.reduce(dev[:up.size]) + np.add.reduce(dev[up.size:]))
     return num / den if den else 0.0
 
 

@@ -61,7 +61,8 @@ for _e, _rows in TABLES.branch.items():
 _C = 2.0 * _A_EXC
 _W = 2.0 * _W_EXC  # pump-scale weight
 
-_IS_UPPER = np.array(EXCITED_IS_UPPER)
+# 0 for an F_e=2 sublevel, 1 for F_e=1: indexes the pair (upper, lower)
+_LOWER = np.array([0 if upper else 1 for upper in EXCITED_IS_UPPER])
 _I20 = GROUND_INDEX[(2, 0)]
 _I10 = GROUND_INDEX[(1, 0)]
 
@@ -69,6 +70,10 @@ POPULATION_TOL = 1e-12     # allowed negative excursion of ground populations
 TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
 RESIDUAL_TOL = 1e-10       # residual bound, relative to max(1, gamma_g)
 EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
+
+# The check of each of the 19 rows RationalLineshape.certify bounds:
+# 0 residual (rows 0-9), 1 trace (row 10), 2 positivity (rows 11-18).
+_CHECK_OF_ROW = np.repeat([0, 1, 2], [10, 1, 8])
 
 # Detunings per block of a call: its temporaries, a few arrays of one
 # block of doubles (32 kB each), stay in cache and bound its memory.
@@ -117,7 +122,7 @@ def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     gg = params.gamma_g
     # excitation rates: gamma*rho_e = K @ ground + kw*Re(rho21)
     v2 = params.rabi**2
-    vl = np.where(_IS_UPPER, v2 * lf.lu, v2 * lf.ld)  # V^2 l_e
+    vl = np.array((v2 * lf.lu, v2 * lf.ld))[_LOWER]  # V^2 l_e
     K, kw = vl[:, None] * _C, vl * _W
 
     P = v2 * (lf.lu + lf.ld / 3.0)              # coherence pump rate
@@ -129,7 +134,7 @@ def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     # Population rows: spontaneous feed, entering with a minus sign on
     # the left, then relaxation + pump-out on the diagonal.  The pump-out
     # of ground g is the column sum of K (all routes out).
-    pump_out = K.sum(axis=0)
+    pump_out = np.add.reduce(K, axis=0)
     if params.depolarization is Depolarization.COMPLETE:
         # Every ground sublevel receives gamma*mean(excited); the
         # branching matrix is doubly stochastic so the row weight is 1.
@@ -164,8 +169,8 @@ def _excitation_prefactor(params: ModelParams) -> np.ndarray:
     """2 V^2 l_e / gamma of each excited sublevel, in EXCITED_LEVELS order."""
     lf = lorentz_factors(params)
     scale = 2.0 * params.rabi**2
-    return np.where(_IS_UPPER, scale * lf.lu / params.gamma_nat,
-                    scale * lf.ld / params.gamma_nat)
+    return np.array((scale * lf.lu / params.gamma_nat,
+                     scale * lf.ld / params.gamma_nat))[_LOWER]
 
 
 def excited_from_ground(ground: np.ndarray, coherence: complex,
@@ -306,17 +311,17 @@ class RationalLineshape:
         np.subtract(c, (0.5 * a) * (a / (q + (q == 0.0))), out=values[1])
         worst = np.abs(values)
         np.negative(values[:, 11:], out=worst[:, 11:])
-        checks = (("residual", np.s_[:10], self._residual_bound),
-                  ("trace", np.s_[10:11], TRACE_TOL),
-                  ("positivity", np.s_[11:], POPULATION_TOL))
-        if all(worst[:, cols].max() <= bound for _, cols, bound in checks):
+        bounds = (self._residual_bound, TRACE_TOL, POPULATION_TOL)
+        if (worst <= np.array(bounds)[_CHECK_OF_ROW]).all():  # a NaN fails, as in _check
             return
         if not np.isfinite(rows).all():
             raise SingularSystem("non-finite factorization")
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.array([a * hw2 / q, -q / a])
         deltas = np.where(np.isfinite(t), t - 0.5 * q1, math.inf)
-        for name, cols, bound in checks:
+        for check, (name, bound) in enumerate(zip(("residual", "trace", "positivity"),
+                                                  bounds)):
+            cols = _CHECK_OF_ROW == check
             _check(name, worst[:, cols], deltas[:, cols], bound)
 
     def __call__(self, deltas: np.ndarray) -> np.ndarray:

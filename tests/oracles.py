@@ -13,7 +13,9 @@ code with the package.  Two routes are provided:
 parse_lines_verbatim is the scan format's line-by-line parser, kept as
 the reference for the package's bulk conversion.  fit_verbatim is the
 scan fit written with numpy's own wrappers (np.median, np.mean, the
-polynomial package's polyfit), the reference for the package's fit.
+polynomial package's polyfit, np.linspace and .sum()), the reference for
+the package's fit; mirrored_offsets_verbatim and
+antisymmetric_fraction_verbatim are its asymmetry helpers.
 
 assemble_verbatim, factorization_verbatim and checked_call_verbatim are
 the package's own assembly, factorization, rho_ee samples and
@@ -31,14 +33,15 @@ import math
 
 import numpy as np
 
+from cptsim.couplings import EXCITED_IS_UPPER
 from cptsim.errors import NoResonance, ParseError
-from cptsim.lineshape import (ResonanceMetrics, _antisymmetric_fraction,
-                              _mirrored_offsets, level_crossings)
+from cptsim.lineshape import ResonanceMetrics, level_crossings
 from cptsim.params import Depolarization, lorentz_factors
 from cptsim.scans import (CSV_HEADER, MAX_ITERATIONS, SSE_RTOL, FitModel,
                           FitReport, Scan, _parse_metadata_value)
-from cptsim.steady_state import (_A_EXC, _B, _C, _I10, _I20, _IS_UPPER, _W,
-                                 _W_EXC)
+from cptsim.steady_state import _A_EXC, _B, _C, _I10, _I20, _W, _W_EXC
+
+_IS_UPPER = np.array(EXCITED_IS_UPPER)
 
 
 def _rates(params):
@@ -322,6 +325,22 @@ def parse_lines_verbatim(lines):
     return Scan(np.array(freqs), np.array(sigs), metadata)
 
 
+def mirrored_offsets_verbatim(center, d_lo, d_hi, n_half):
+    """center + x, then center - x, for the n_half + 1 offsets x of
+    np.linspace across half the window [d_lo, d_hi]."""
+    xs = np.linspace(0.0, (d_hi - d_lo) / 2.0, n_half + 1)
+    return center + np.concatenate([xs, -xs])
+
+
+def antisymmetric_fraction_verbatim(values, baseline):
+    """||v(+x) - v(-x)|| / ||baseline - v|| over mirrored values, with
+    numpy's ``** 2`` and ``.sum()``."""
+    up, dn = values.reshape(2, -1)
+    num = math.sqrt(((up - dn) ** 2).sum())
+    den = math.sqrt(((baseline - up) ** 2).sum() + ((baseline - dn) ** 2).sum())
+    return num / den if den else 0.0
+
+
 def fit_verbatim(scan):
     """fit_resonance's FitReport (or error) for ``scan``, through np.mean,
     np.median, (x - x0) ** 2 and numpy.polynomial's polyfit: the edge
@@ -408,11 +427,13 @@ def fit_verbatim(scan):
     baseline_at_center = a + b * x0
     contrast = amp / (baseline_at_center + sign * amp)
     fwhm_hz = 2.0 * w
-    mirrored = np.interp(_mirrored_offsets(x0, 0.0, fwhm_hz, 100), x, y - (a + b * x))
+    mirrored = np.interp(mirrored_offsets_verbatim(x0, 0.0, fwhm_hz, 100), x,
+                         y - (a + b * x))
     metrics = ResonanceMetrics(
         baseline=baseline_at_center, amplitude=amp, physical_contrast=contrast,
         fwhm_hz=fwhm_hz, center_hz=f_mid + x0,
-        asymmetry=_antisymmetric_fraction(mirrored, 0.0), qfactor=contrast / fwhm_hz)
+        asymmetry=antisymmetric_fraction_verbatim(mirrored, 0.0),
+        qfactor=contrast / fwhm_hz)
     model = FitModel(offset=a - b * f_mid, slope=b, center_hz=f_mid + x0,
                      half_width_hz=w, amplitude=amp, sign=sign)
     return FitReport(model=model, metrics=metrics, rms_residual=rms,

@@ -17,7 +17,8 @@ from cptsim import (Depolarization, InvariantViolation, Lineshape,
 from cptsim.lineshape import calibration_fwhm, halfwidth_estimate
 
 from conftest import make_params, random_params
-from oracles import solve_full_system
+from oracles import (antisymmetric_fraction_verbatim, mirrored_offsets_verbatim,
+                     solve_full_system)
 
 TWO_PI = 2 * np.pi
 
@@ -201,6 +202,39 @@ def test_low_power_fwhm_approaches_ground_relaxation():
 def test_asymmetry_zero_for_even_function():
     shape = synthetic_dip(half_width=2.0, span=40.0, n=2001)
     assert asymmetry(shape) < 1e-10
+
+
+@pytest.mark.parametrize("n_half", [100, 200])
+@pytest.mark.parametrize("center", [0.0, -0.0, 1.25e9, -3.5])
+def test_mirrored_offsets_match_linspace(n_half, center):
+    # byte for byte the linspace + concatenate form, from a subnormal half
+    # width (whose step underflows to 0) up to 1e300, on windows at 0 and
+    # around 0; half width 0 and -0.0 windows included
+    for half in (0.0, 5e-324, 1e-322, 1e-320, 2.2250738585072014e-308,
+                 1e-300, 3e-7, 0.1, 1.0, 7.0, 1e5, 6.8e9, 1e300):
+        for d_lo, d_hi in ((0.0, 2.0 * half), (-half, half), (half, -half),
+                           (-0.0, -0.0)):
+            got = lineshape_mod._mirrored_offsets(center, d_lo, d_hi, n_half)
+            want = mirrored_offsets_verbatim(center, d_lo, d_hi, n_half)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (center, d_lo, d_hi)
+
+
+def test_antisymmetric_fraction_matches_verbatim():
+    # byte for byte the ** 2 and .sum() form: random mirrored values at
+    # several scales, an exactly symmetric set, and a zero denominator
+    rng = np.random.default_rng(20261022)
+    cases = [(np.full(202, 0.75), 0.75), (np.zeros(402), 0.0),
+             (np.tile(rng.normal(size=101), 2), 0.5)]
+    for n in (101, 201):
+        for scale in (1e-170, 1e-3, 1.0, 1e150):
+            values = scale * rng.normal(size=2 * n)
+            cases += [(values, 0.0), (values, scale * rng.normal())]
+    for values, baseline in cases:
+        got = lineshape_mod._antisymmetric_fraction(values, baseline)
+        want = antisymmetric_fraction_verbatim(values, baseline)
+        assert type(got) is type(want) and got.hex() == want.hex()
+    assert lineshape_mod._antisymmetric_fraction(np.full(202, 0.75), 0.75) == 0.0
 
 
 def test_asymmetry_complete_mode_symmetric():

@@ -607,6 +607,52 @@ def test_certificate_names_a_perturbed_factorization(rng):
         _expect_break(model, "trace")
 
 
+_BOUND_OF = {"residual": (None, "_residual_bound"),
+             "trace": (steady_state_mod, "TRACE_TOL"),
+             "positivity": (steady_state_mod, "POPULATION_TOL")}
+
+
+@pytest.mark.parametrize("invariant", _BOUND_OF)
+def test_certificate_screen_passes_at_its_bound_and_breaks_one_ulp_below(invariant):
+    # on real draws: with one check's bound set to its certified worst
+    # value the certificate passes; one ulp below, it raises that check
+    # at that value
+    rng = np.random.default_rng(20261020)
+    for _ in range(5):
+        model = RationalLineshape(random_params(rng))
+        value, delta = _certified(model)[invariant]
+        owner, name = _BOUND_OF[invariant]
+        owner = model if owner is None else owner
+        with mock.patch.object(owner, name, value):
+            model.certify()
+        with mock.patch.object(owner, name, float(np.nextafter(value, -math.inf))), \
+                pytest.raises(InvariantViolation) as info:
+            model.certify()
+        assert (info.value.invariant, info.value.value, info.value.delta_raman) == \
+            (invariant, value, delta)
+
+
+@pytest.mark.parametrize("row", range(19))
+def test_certificate_screen_breaks_on_a_nan_in_any_row(monkeypatch, row):
+    # a NaN extreme in any of the 19 certified rows (10 residual, the
+    # trace, 8 populations) raises its check with a NaN value, on a draw
+    # that passes as it is
+    model = RationalLineshape(random_params(np.random.default_rng(20261021)))
+    model.certify()
+    real_abs = np.abs
+
+    def abs_with_nan(values, *args, **kwargs):
+        values[0, row] = np.nan  # the extremes, before the rows take |.|
+        return real_abs(values, *args, **kwargs)
+
+    monkeypatch.setattr(steady_state_mod.np, "abs", abs_with_nan)
+    with pytest.raises(InvariantViolation) as info:
+        model.certify()
+    monkeypatch.undo()
+    invariant = "residual" if row < 10 else "trace" if row == 10 else "positivity"
+    assert info.value.invariant == invariant and math.isnan(info.value.value)
+
+
 def _solve_reference(p):
     """solve_steady_state check by check on the verbatim arithmetic
     (oracles.checked_call_verbatim at params.delta_raman): residual,
