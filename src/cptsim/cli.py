@@ -47,7 +47,7 @@ from .params import (Depolarization, ModelParams, angular_to_hz,
                      rabi_for_pumping_strength)
 from .scans import (FILE_KEY, METRIC_COLUMNS, VARY_KEY, Scan, batch_metrics,
                     failed_row, load_scan)
-from .steady_state import BLOCK_SIZE, RationalLineshape, solve_steady_state
+from .steady_state import RationalLineshape, solve_steady_state
 from .vapor import (ATOMIC_MASS_UNIT_KG, RB87_MASS_AMU, RB87_NUCLEAR_SPIN,
                     RB87_SIGMA_SE_CM2, VaporParams, spin_exchange)
 
@@ -57,6 +57,8 @@ FIG1_PRESET_HZ = {
     "delta_opt_hz": -30e6,
     "delta_raman_hz": 0.0,
 }
+
+BLOCK_SIZE = 4096  # rows per chunk of the sweep CSV (see _sweep_csv)
 
 # the fig-1 geometry, then each value the library also states, read from it
 DEFAULTS = {
@@ -295,7 +297,7 @@ def _sweep_spec_from(opts: dict, params: ModelParams) -> SweepSpec:
 
 def _sweep_csv(shape: Lineshape) -> Iterator[str]:
     """The sweep CSV in chunks of BLOCK_SIZE rows, so no more than one
-    block of lines is held at once; each column converted once per block,
+    chunk of lines is held at once; each column converted once per chunk,
     each number its repr."""
     yield "delta_hz,rho_ee\n"
     for start in range(0, shape.deltas.size, BLOCK_SIZE):

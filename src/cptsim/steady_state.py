@@ -75,10 +75,6 @@ EXCITED_NEG_TOL = 1e-15    # numerical-noise floor for excited populations
 # 0 residual (rows 0-9), 1 trace (row 10), 2 positivity (rows 11-18).
 _CHECK_OF_ROW = np.repeat([0, 1, 2], [10, 1, 8])
 
-# Detunings per block of a call: its temporaries, a few arrays of one
-# block of doubles (32 kB each), stay in cache and bound its memory.
-BLOCK_SIZE = 4096
-
 
 @dataclass(frozen=True)
 class SteadyStateSolution:
@@ -213,10 +209,9 @@ class RationalLineshape:
     with q1 = tr S, q0 = det S, p1 = g.r and p0 = g.adj(S).r.
     :meth:`excess` evaluates the closed form, and :meth:`certify` checks
     the state at every real detuning and as delta -> inf at once.
-    Calling the object certifies, then returns c0 + g.x[8:] of each
-    detuning, with x[8:] from Cramer's rule on S + delta*I elementwise,
-    so the bits of a detuning's rho_ee do not depend on the other
-    detunings of the call.
+    Calling the object certifies, then returns the closed form at each
+    detuning in one elementwise pass, so the bits of a detuning's rho_ee
+    do not depend on the other detunings of the call.
 
     ``damping`` is the rate at which the coherence rows damp (the entry
     A0[9, 8]); it equals ``lineshape.halfwidth_estimate`` of the
@@ -246,7 +241,7 @@ class RationalLineshape:
         w_coh = float(_W_EXC @ prefac)
         z0, z1 = (self.Z.T @ w_pop).tolist()
 
-        self.g0, self.g1 = g0, g1 = w_coh - z0, 0.0 - z1
+        g0, g1 = w_coh - z0, 0.0 - z1
         self.c0 = float(w_pop @ self.y0)
         self.q1 = s00 + s11
         self.q0 = s00 * s11 - s01 * s10
@@ -325,17 +320,14 @@ class RationalLineshape:
             _check(name, worst[:, cols], deltas[:, cols], bound)
 
     def __call__(self, deltas: np.ndarray) -> np.ndarray:
-        """rho_ee at each detuning, after :meth:`certify`: c0 + g.x[8:] of
-        its coherences, formed in blocks of BLOCK_SIZE detunings to bound
-        the temporaries.  SingularSystem names the first detuning whose
+        """rho_ee at each detuning, after :meth:`certify`: c0 plus
+        :meth:`excess`.  SingularSystem names the first detuning whose
         value is not finite."""
         self.certify()
         deltas = np.asarray(deltas, dtype=float).ravel()
-        rho = np.empty(deltas.size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for start in range(0, deltas.size, BLOCK_SIZE):
-                x8, x9 = self._coherences(deltas[start:start + BLOCK_SIZE])
-                rho[start:start + BLOCK_SIZE] = self.c0 + (self.g0 * x8 + self.g1 * x9)
+            rho = self.excess(deltas)
+            rho += self.c0
         finite = np.isfinite(rho)
         if not finite.all():
             delta = float(deltas[np.argmin(finite)])
@@ -343,7 +335,8 @@ class RationalLineshape:
         return rho
 
     def _coherences(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Re and Im rho21 at each detuning: Cramer's rule on S + delta*I."""
+        """Re and Im rho21 at each detuning: Cramer's rule on S + delta*I
+        (the 2x2 solve of solve_steady_state)."""
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
         a = s00 + deltas

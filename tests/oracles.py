@@ -487,8 +487,8 @@ def assemble_verbatim(params):
 
 def factorization_verbatim(params):
     """What steady_state.RationalLineshape(params) forms, as a dict: the
-    delta-free A0 and b, y0, Z, S, r, and the scalars c0, g0, g1, p0, p1,
-    q0, q1.  The Lorentz factors are formed once more for the excitation
+    delta-free A0 and b, y0, Z, S, r, and the scalars c0, p0, p1, q0, q1.
+    The Lorentz factors are formed once more for the excitation
     prefactors."""
     A0, b = assemble_verbatim(params)
     A0[8, 8] = A0[9, 9] = 0.0
@@ -510,7 +510,7 @@ def factorization_verbatim(params):
     g0, g1 = (np.array([w_coh, 0.0]) - Z.T @ w_pop).tolist()
     return {
         "A0": A0, "b": b, "y0": y0, "Z": Z, "S": S, "r": r,
-        "c0": float(w_pop @ y0), "g0": g0, "g1": g1,
+        "c0": float(w_pop @ y0),
         "q1": s00 + s11, "q0": s00 * s11 - s01 * s10,
         "p1": g0 * r0 + g1 * r1,
         "p0": g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0),
@@ -520,9 +520,10 @@ def factorization_verbatim(params):
 def checked_call_verbatim(f, deltas):
     """What the package forms at ``deltas`` from a factorization_verbatim
     dict ``f``, as a (10, n) x of one column per detuning: the coherences
-    x[8:] and the rho_ee of a RationalLineshape call, and the populations
-    x[:8], the absolute residual of each row of A(delta) x - b and the
-    trace that solve_steady_state forms at its one detuning."""
+    x[8:], the populations x[:8], the absolute residual of each row of
+    A(delta) x - b and the trace that solve_steady_state forms at its one
+    detuning, and the rho_ee of a RationalLineshape call: the closed form
+    c0 + (p1*delta + p0) / (delta^2 + q1*delta + q0) of f's scalars."""
     (s00, s01), (s10, s11) = f["S"].tolist()
     r0, r1 = f["r"].tolist()
     a = s00 + deltas
@@ -533,11 +534,11 @@ def checked_call_verbatim(f, deltas):
         np.divide(d * r0 - s01 * r1, det, out=x[8])
         np.divide(a * r1 - s10 * r0, det, out=x[9])
         x[:8] = f["y0"][:, None] - f["Z"] @ x[8:]
+        rho = f["c0"] + (f["p1"] * deltas + f["p0"]) / ((deltas + f["q1"]) * deltas + f["q0"])
     resid = f["A0"] @ x
     resid -= f["b"][:, None]
     resid[8:] += deltas * x[8:]
     np.abs(resid, out=resid)
     p = x[:8]
     trace = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-    rho = f["c0"] + (f["g0"] * x[8] + f["g1"] * x[9])
     return x, resid, trace, rho

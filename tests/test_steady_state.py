@@ -334,15 +334,15 @@ def test_batched_rho_ee_matches_full_unreduced_system(mode, rng):
 @given(seed=st.integers(0, 2**32 - 1),
        mode=st.sampled_from([Depolarization.NONE, Depolarization.COMPLETE]))
 def test_rational_lineshape_matches_batched_and_unreduced_solves(seed, mode):
-    # c0 + (p1*d + p0)/(d^2 + q1*d + q0) is exact: it equals the checked
-    # per-detuning solves and the un-reduced 18-unknown oracle
+    # c0 + (p1*d + p0)/(d^2 + q1*d + q0) is exact: the checked call
+    # returns it bit for bit, and it equals the un-reduced 18-unknown oracle
     p = random_params(np.random.default_rng(seed), mode=mode)
     model = RationalLineshape(p)
     hw = p.gamma_g + model.q0**0.5  # of the order of the dip's half width
     deltas = np.concatenate([p.delta_raman * np.array([-3.0, -1.0, 0.5, 2.0]),
                              hw * np.array([-20.0, -1.0, 0.0, 0.3, 1.0, 20.0])])
     closed = model.c0 + model.excess(deltas)
-    np.testing.assert_allclose(closed, RationalLineshape(p)(deltas), rtol=1e-12, atol=0)
+    assert RationalLineshape(p)(deltas).tobytes() == closed.tobytes()
     oracle = [solve_full_system(p.replace(delta_raman=d))[1].sum() for d in deltas]
     np.testing.assert_allclose(closed, oracle, rtol=1e-10, atol=0)
 
@@ -721,45 +721,42 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
         assert sol.coherence == expected[1]
 
 
-def test_blocked_call_raises_the_earliest_ordered_check(monkeypatch):
-    # the certificate comes before any block: a factorization whose
-    # residual and trace break raises the residual, as certify does,
-    # with no detuning solved
-    monkeypatch.setattr(steady_state_mod, "BLOCK_SIZE", 3)
+def test_blocked_call_raises_the_earliest_ordered_check():
+    # the certificate comes before any detuning is evaluated: a
+    # factorization whose residual and trace break raises the residual,
+    # as certify does, with no closed form evaluated
     model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
     model.y0 = model.y0 * (1.0 + 1e-8)
     worst = _certified(model)
     assert worst["residual"][0] > model._residual_bound and worst["trace"][0] > TRACE_TOL
-    solved = []
-    model._coherences = solved.append
+    evaluated = []
+    model.excess = evaluated.append
     with pytest.raises(InvariantViolation) as certified:
         model.certify()
     with pytest.raises(InvariantViolation) as called:
         model(np.arange(9.0))
     assert certified.value.invariant == "residual"
     assert str(called.value) == str(certified.value)
-    assert solved == []
+    assert evaluated == []
 
 
-def test_blocked_call_solves_each_detuning_once_in_order(monkeypatch):
-    # blocks of 4 cover the input in order, the last one short; an empty
-    # call solves no block
-    monkeypatch.setattr(steady_state_mod, "BLOCK_SIZE", 4)
+def test_call_evaluates_each_detuning_once_in_order():
+    # one pass of the closed form over the whole input, in input order;
+    # an empty call returns an empty array
     model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
-    solve, blocks = model._coherences, []
+    excess, passes = model.excess, []
 
-    def recording_solve(deltas):
-        blocks.append(deltas.tolist())
-        return solve(deltas)
+    def recording_excess(deltas):
+        passes.append(deltas.tolist())
+        return excess(deltas)
 
-    model._coherences = recording_solve
-    for n, sizes in [(0, []), (1, [1]), (4, [4]), (5, [4, 1]), (8, [4, 4]),
-                     (9, [4, 4, 1])]:
-        blocks.clear()
-        deltas = np.arange(float(n))
-        assert model(deltas).size == n
-        assert [len(block) for block in blocks] == sizes
-        assert sum(blocks, []) == deltas.tolist()
+    model.excess = recording_excess
+    for n in (0, 1, 5, 10_000):
+        passes.clear()
+        deltas = np.arange(float(n))[::-1]
+        rho = model(deltas)
+        assert rho.shape == (n,)
+        assert passes == [deltas.tolist()]
 
 
 def test_checked_rho_ee_does_not_depend_on_the_call_it_is_in(rng):
@@ -896,9 +893,10 @@ def _factorization_cases():
 
 def test_factorization_and_checked_call_match_the_verbatim_arithmetic():
     # bytes, so the sign of every zero counts: the matrix, the factorization
-    # and its scalars, the coherences and rho_ee of a call, and the
-    # populations, residual and trace behind solve_steady_state equal those
-    # of oracles.factorization_verbatim and oracles.checked_call_verbatim
+    # and its scalars, the rho_ee of a call (the closed form of the verbatim
+    # scalars), and the coherences, populations, residual and trace behind
+    # solve_steady_state equal those of oracles.factorization_verbatim and
+    # oracles.checked_call_verbatim
     checked = 0
     for p in _factorization_cases():
         f = factorization_verbatim(p)
@@ -907,7 +905,7 @@ def test_factorization_and_checked_call_match_the_verbatim_arithmetic():
         A_ref[8, 8] = A_ref[9, 9] = p.delta_raman
         assert (_bytes(A), _bytes(b)) == (_bytes(A_ref), _bytes(b_ref))
         model = RationalLineshape(p)
-        for key in ("y0", "Z", "S", "r", "c0", "g0", "g1", "p0", "p1", "q0", "q1"):
+        for key in ("y0", "Z", "S", "r", "c0", "p0", "p1", "q0", "q1"):
             assert _bytes(getattr(model, key)) == _bytes(f[key]), key
         deltas = np.array([0.0, -0.0, p.delta_raman, 1e3, -1e3, 1e9])
         x_ref, _, _, rho_ref = checked_call_verbatim(f, deltas)

@@ -10,6 +10,8 @@ that tree's ``cptsim`` and evaluates ``FUNCTIONS`` on the same inputs:
 ``N_DRAWS`` draws of ``tests/conftest.py::random_params`` from
 ``np.random.default_rng(SEED)``, then the five fault-1 points (fig-1
 geometry at the ``FAULT1_POINTS`` gamma_g, pumping strength and mode).
+``sweep_linear`` and ``sweep_adaptive`` are ``sweep(p, default_sweep_spec(p))``
+in each spacing: the sampled deltas and rho_ee of the library's sweep.
 
 Each result is written out bit for bit: every float and array by its
 bytes, every dataclass field by field, and a raised error by its type,
@@ -34,7 +36,8 @@ from cli_bytes import export
 SEED = 5
 N_DRAWS = 2000
 FUNCTIONS = ("resonance_metrics", "physical_contrast", "calibration_fwhm",
-             "calibrate_power_broadening", "solve_steady_state")
+             "calibrate_power_broadening", "solve_steady_state",
+             "sweep_linear", "sweep_adaptive")
 # (gamma_g/2pi in Hz, pumping strength, mode) at the fig-1 geometry
 FAULT1_POINTS = (
     (0.1, 1e7, "NONE"), (0.1, 1e7, "COMPLETE"), (0.1, 3e6, "COMPLETE"),
@@ -71,9 +74,14 @@ inputs = [random_params(rng) for _ in range(N_DRAWS)]
 for gamma_g, s, mode in FAULT1_POINTS:
     base = make_params(mode=Depolarization[mode], gamma_g=gamma_g)
     inputs.append(base.replace(rabi=rabi_for_pumping_strength(base, s)))
+
+def sweep_in(spacing):
+    return lambda p: lineshape.sweep(p, lineshape.default_sweep_spec(p, spacing=spacing))
+
+sweeps = {"sweep_" + s.name.lower(): sweep_in(s) for s in lineshape.Spacing}
 digests = {}
 for name in FUNCTIONS:
-    fn = getattr(lineshape, name, None) or getattr(steady_state, name)
+    fn = sweeps.get(name) or getattr(lineshape, name, None) or getattr(steady_state, name)
     out = []
     for p in inputs:
         try:
