@@ -289,7 +289,10 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
         jac[:, 2] = lor
         jac[:, 3] = sa * 2.0 * dx * lor2 / w**2
         jac[:, 4] = sa * 2.0 * dx2 * lor2 / w**3
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        try:
+            step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        except np.linalg.LinAlgError as exc:  # non-finite or extreme-scale Jacobian
+            raise NoResonance(f"resonance fit failed: {exc}") from exc
         accepted = False
         for _ in range(40):
             trial = theta + step
@@ -333,7 +336,8 @@ def fit_resonance(scan: Scan) -> FitReport:
     """Fit baseline + Lorentzian to a scan and extract metrics.
 
     Raises NoResonance when the fitted amplitude is below three times
-    the residual RMS.  A fit that stalls before the SSE tolerance is
+    the residual RMS, or when a fit step's least-squares solve fails (as
+    at extreme frequency scales).  A fit that stalls before the SSE tolerance is
     returned with converged=False rather than raised.
     """
     f = scan.frequency

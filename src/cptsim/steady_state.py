@@ -41,30 +41,62 @@ from .params import Depolarization, ModelParams, lorentz_factors
 
 TABLES = build_coupling_tables()
 
-# Float views of the rational tables, laid out for vectorized assembly.
+# Float views of the rational tables.
 # _A_EXC[e, g], _W_EXC[e]: excitation prefactors of excited_from_ground.
-# _C[e, g]: pump-bracket coefficient of ground g feeding excited e, so that
-#           gamma*rho_e = V^2*l_e * (_C[e] @ ground + _W[e]*Re(rho21));
-#           by detailed balance (c = 2a) twice the excitation view, exactly.
-# _B[g, e]: branching ratio of excited e decaying into ground g.
 _A_EXC = np.zeros((8, 8))
 _W_EXC = np.zeros(8)
-_B = np.zeros((8, 8))
 for _e, _rows in TABLES.excitation.items():
     for _g, _a in _rows:
         _A_EXC[EXCITED_INDEX[_e], GROUND_INDEX[_g]] = float(_a)
 for _e, _w in TABLES.coherence_weight.items():
     _W_EXC[EXCITED_INDEX[_e]] = float(_w)
-for _e, _rows in TABLES.branch.items():
-    for _g, _b in _rows:
-        _B[GROUND_INDEX[_g], EXCITED_INDEX[_e]] = float(_b)
-_C = 2.0 * _A_EXC
-_W = 2.0 * _W_EXC  # pump-scale weight
-
-# 0 for an F_e=2 sublevel, 1 for F_e=1: indexes the pair (upper, lower)
-_LOWER = np.array([0 if upper else 1 for upper in EXCITED_IS_UPPER])
+_UPPER = np.array(EXCITED_IS_UPPER)
 _I20 = GROUND_INDEX[(2, 0)]
 _I10 = GROUND_INDEX[(1, 0)]
+
+
+def _exact_rate_tables(depolarization: Depolarization) -> tuple[list, list]:
+    """Exact (blocks, pump_out) per unit pump rate of each optical branch,
+    index 0 for F_e=2 (rate V^2*lu) and 1 for F_e=1 (rate V^2*ld), as
+    lists of Fraction (or int 0).
+
+    blocks[k] is the part of A linear in that rate, flattened 10x10: the
+    population rows over the ground columns and Re(rho21) (column 8).  A
+    route of pump coefficient c from column j into excited level e
+    (c = 2a, and 2w for Re(rho21)) puts its pump-out c on row j (for
+    Re(rho21), c/2 on each m=0 row) and takes the spontaneous feed off
+    the rows e decays to: b*c with branching ratio b in NONE mode, c/8 on
+    every row in COMPLETE mode.  So every column sums to 0.  pump_out[k]
+    sums c over the routes of each column: gamma * d(rho_ee)/dx, by
+    detailed balance.
+    """
+    blocks = [[0] * 100, [0] * 100]
+    pump_out = [[0] * 9, [0] * 9]
+    for e, rows in TABLES.excitation.items():
+        k = 0 if EXCITED_IS_UPPER[EXCITED_INDEX[e]] else 1
+        routes = [(GROUND_INDEX[g], 2 * a, [GROUND_INDEX[g]]) for g, a in rows]
+        if e in TABLES.coherence_weight:
+            routes.append((8, 2 * TABLES.coherence_weight[e], [_I20, _I10]))
+        for j, c, out in routes:
+            pump_out[k][j] += c
+            for g in out:
+                blocks[k][10 * g + j] += c / len(out)
+            if depolarization is Depolarization.COMPLETE:
+                feed = zip(range(8), [c / 8] * 8)
+            else:
+                feed = ((GROUND_INDEX[g], b * c) for g, b in TABLES.branch[e])
+            for g, f in feed:
+                blocks[k][10 * g + j] -= f
+    return blocks, pump_out
+
+
+# Each exact table rounded once: _RATE_BLOCKS[mode] is (2, 100), and
+# _PUMP_OUT (2, 9) is the same in both modes.
+_RATE_BLOCKS = {}
+for _mode in Depolarization:
+    _blocks, _pump_out = _exact_rate_tables(_mode)
+    _RATE_BLOCKS[_mode] = np.array(_blocks, dtype=float)
+_PUMP_OUT = np.array(_pump_out, dtype=float)
 
 POPULATION_TOL = 1e-12     # allowed negative excursion of ground populations
 TRACE_TOL = 1e-10          # |sum(ground) - 1| bound
@@ -108,44 +140,28 @@ class SteadyStateSolution:
 def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Build the 10x10 real system A @ x = b for the unknown ordering above.
 
-    The population block is written once, as 0 - (spontaneous feed) with
-    the relaxation and pump-out then added on its diagonal; every other
-    nonzero entry is set on its own.  An entry that starts from a feed or
-    coupling term is written as 0.0 minus (or plus) that term, as an
-    update of a zero matrix gives it, so a zero term leaves +0.0 there.
+    The population rows over the ground columns and Re(rho21) are
+    linear in the two pump rates V^2*lu and V^2*ld: they are formed in one
+    combination of the rounded exact tables of each rate (see
+    :func:`_exact_rate_tables`), with gamma_g then added on the diagonal;
+    its sums start from +0.0, so a zero rate leaves +0.0 there.
+    Every other nonzero entry is set on its own.  An entry that starts
+    from a coupling term is written as 0.0 minus (or plus) that term, so
+    a zero term leaves +0.0 there.
     """
     lf = lorentz_factors(params)
     gg = params.gamma_g
-    # excitation rates: gamma*rho_e = K @ ground + kw*Re(rho21)
     v2 = params.rabi**2
-    vl = np.array((v2 * lf.lu, v2 * lf.ld))[_LOWER]  # V^2 l_e
-    K, kw = vl[:, None] * _C, vl * _W
-
     P = v2 * (lf.lu + lf.ld / 3.0)              # coherence pump rate
     D = lf.du + lf.dd / 3.0                     # dispersive cross-coupling
 
-    A = np.zeros((10, 10))
+    A = np.dot((v2 * lf.lu, v2 * lf.ld), _RATE_BLOCKS[params.depolarization]).reshape(10, 10)
+    A.reshape(-1)[:80:11] += gg  # the diagonal of A[:8, :8]
     b = np.zeros(10)
-
-    # Population rows: spontaneous feed, entering with a minus sign on
-    # the left, then relaxation + pump-out on the diagonal.  The pump-out
-    # of ground g is the column sum of K (all routes out).
-    pump_out = np.add.reduce(K, axis=0)
-    if params.depolarization is Depolarization.COMPLETE:
-        # Every ground sublevel receives gamma*mean(excited); the
-        # branching matrix is doubly stochastic so the row weight is 1.
-        feed, feed_coh = pump_out / 8.0, kw.sum() / 8.0
-    else:
-        feed, feed_coh = _B @ K, _B @ kw
-    np.subtract(0.0, feed, out=A[:8, :8])
-    A.reshape(-1)[:80:11] += gg + pump_out  # the diagonal of A[:8, :8]
-    np.subtract(0.0, feed_coh, out=A[:8, 8])
     b[:8] = gg / 8.0
 
-    # Direct coherence coupling of the two working (m=0) populations.
-    A[_I20, 8] -= P / 2.0
+    # Dispersive coupling of the two working (m=0) populations.
     A[_I20, 9] = 0.0 - D / 2.0
-    A[_I10, 8] -= P / 2.0
     A[_I10, 9] = 0.0 + D / 2.0
 
     # Coherence equation, real and imaginary parts.
@@ -165,8 +181,8 @@ def _excitation_prefactor(params: ModelParams) -> np.ndarray:
     """2 V^2 l_e / gamma of each excited sublevel, in EXCITED_LEVELS order."""
     lf = lorentz_factors(params)
     scale = 2.0 * params.rabi**2
-    return np.array((scale * lf.lu / params.gamma_nat,
-                     scale * lf.ld / params.gamma_nat))[_LOWER]
+    return np.where(_UPPER, scale * lf.lu / params.gamma_nat,
+                    scale * lf.ld / params.gamma_nat)
 
 
 def excited_from_ground(ground: np.ndarray, coherence: complex,
@@ -236,13 +252,13 @@ class RationalLineshape:
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
 
-        prefac = _excitation_prefactor(params)
-        w_pop = _A_EXC.T @ prefac
-        w_coh = float(_W_EXC @ prefac)
-        z0, z1 = (self.Z.T @ w_pop).tolist()
+        # w = [w_pop | w_coh]: each unknown's pump-out over gamma (c = 2a)
+        lf = lorentz_factors(params)
+        v2g = params.rabi**2 / params.gamma_nat
+        w = np.dot((v2g * lf.lu, v2g * lf.ld), _PUMP_OUT)
+        self.c0, z0, z1 = (w[:8] @ Y).tolist()
 
-        g0, g1 = w_coh - z0, 0.0 - z1
-        self.c0 = float(w_pop @ self.y0)
+        g0, g1 = float(w[8]) - z0, 0.0 - z1
         self.q1 = s00 + s11
         self.q0 = s00 * s11 - s01 * s10
         self.p1 = g0 * r0 + g1 * r1

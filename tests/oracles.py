@@ -21,27 +21,30 @@ assemble_verbatim, factorization_verbatim and checked_call_verbatim are
 the package's own assembly, factorization, rho_ee samples and
 one-detuning solve written as fancy-indexed and sliced updates, with the
 delta-free scalars re-read on every call, one numpy operation after
-another.  Unlike the
-routes above they share the package's coupling tables: they are a bit
-for bit reference of the package's arithmetic, not of the physics.
+another.  Their per-rate tables come from rate_tables_verbatim, dense
+Fraction products of the full coupling tables rather than the package's
+sparse loop over them.  Unlike the routes above they share the package's
+coupling tables: they are a bit for bit reference of the package's
+arithmetic, not of the physics.
 
 Ground ordering matches the package: (2,-2), (2,-1), (2,0), (2,1),
 (2,2), (1,-1), (1,0), (1,1); excited ordering u(-2..2) then d(-1..1).
 """
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from cptsim.couplings import EXCITED_IS_UPPER
+from cptsim.couplings import (EXCITED_INDEX, EXCITED_IS_UPPER, GROUND_INDEX,
+                              build_coupling_tables)
 from cptsim.errors import NoResonance, ParseError
 from cptsim.lineshape import ResonanceMetrics, level_crossings
 from cptsim.params import Depolarization, lorentz_factors
 from cptsim.scans import (CSV_HEADER, MAX_ITERATIONS, SSE_RTOL, FitModel,
                           FitReport, Scan, _parse_metadata_value)
-from cptsim.steady_state import _A_EXC, _B, _C, _I10, _I20, _W, _W_EXC
-
-_IS_UPPER = np.array(EXCITED_IS_UPPER)
+from cptsim.steady_state import _I10, _I20
 
 
 def _rates(params):
@@ -390,7 +393,10 @@ def fit_verbatim(scan):
         jac[:, 2] = lor
         jac[:, 3] = sa * 2.0 * dx * lor**2 / w**2
         jac[:, 4] = sa * 2.0 * dx**2 * lor**2 / w**3
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        try:
+            step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise NoResonance(f"resonance fit failed: {exc}") from exc
         accepted = False
         for _ in range(40):
             trial = theta + step
@@ -441,36 +447,77 @@ def fit_verbatim(scan):
                      fwhm_direct_hz=direct_fwhm)
 
 
+def rate_tables_verbatim(depolarization):
+    """Exact (blocks, weights) of each optical branch k (0: F_e=2, 1:
+    F_e=1) from dense Fraction products of the full tables: C_k is the
+    8x9 pump-coefficient matrix (the pump table's c, and 2w for Re(rho21)
+    in column 8) of k's excited levels, F the 8x8 feed matrix (the
+    branching table in NONE mode, 1/8 everywhere in COMPLETE mode), O the
+    pump-out placement (the identity, and 1/2 on the m=0 rows in column
+    8).  blocks[k] = O * colsum(C_k) - F @ C_k, padded to a flattened
+    10x10; weights[k] is 2 * (the excitation table's a, and w) summed over
+    k's excited levels, per column."""
+    tables = build_coupling_tables()
+    zero = Fraction(0)
+    complete = depolarization is Depolarization.COMPLETE
+    feed = [[Fraction(1, 8) if complete else zero] * 8 for _ in range(8)]
+    if not complete:
+        for e, rows in tables.branch.items():
+            for g, b in rows:
+                feed[GROUND_INDEX[g]][EXCITED_INDEX[e]] = b
+    pump = [[zero] * 9 for _ in range(8)]
+    excitation = [[zero] * 9 for _ in range(8)]
+    for g, rows in tables.pump.items():
+        for e, c in rows:
+            pump[EXCITED_INDEX[e]][GROUND_INDEX[g]] = c
+    for e, rows in tables.excitation.items():
+        for g, a in rows:
+            excitation[EXCITED_INDEX[e]][GROUND_INDEX[g]] = a
+    for e, w in tables.coherence_weight.items():
+        pump[EXCITED_INDEX[e]][8] = 2 * w
+        excitation[EXCITED_INDEX[e]][8] = w
+    placement = [[Fraction(g == j) for j in range(8)] + [Fraction(g in (_I20, _I10), 2)]
+                 for g in range(8)]
+    blocks, weights = [], []
+    for upper in (True, False):
+        ck = [row if EXCITED_IS_UPPER[e] == upper else [zero] * 9
+              for e, row in enumerate(pump)]
+        pump_out = [sum(ck[e][j] for e in range(8)) for j in range(9)]
+        block = [[zero] * 10 for _ in range(10)]
+        for g in range(8):
+            for j in range(9):
+                block[g][j] = (placement[g][j] * pump_out[j]
+                               - sum(feed[g][e] * ck[e][j] for e in range(8)))
+        blocks.append([x for row in block for x in row])
+        weights.append([2 * sum(excitation[e][j] for e in range(8)
+                                if EXCITED_IS_UPPER[e] == upper) for j in range(9)])
+    return blocks, weights
+
+
+@functools.cache
+def _rounded_rate_tables(depolarization):
+    """rate_tables_verbatim as float arrays, built once per mode on first
+    use, so that importing this module stays cheap."""
+    return tuple(np.array(t, dtype=float) for t in rate_tables_verbatim(depolarization))
+
+
 def assemble_verbatim(params):
-    """(A, b) of steady_state.assemble_linear_system, built one update of
-    a zero matrix at a time."""
+    """(A, b) of steady_state.assemble_linear_system: the two branch
+    rates times rate_tables_verbatim's rounded blocks, in the package's
+    np.dot, then one update at a time."""
     lf = lorentz_factors(params)
     gg = params.gamma_g
     v2 = params.rabi**2
-    l_e = np.where(_IS_UPPER, lf.lu, lf.ld)
-    K = (v2 * l_e)[:, None] * _C
-    kw = v2 * l_e * _W
-
     P = params.rabi**2 * (lf.lu + lf.ld / 3.0)
     D = lf.du + lf.dd / 3.0
 
-    A = np.zeros((10, 10))
+    A = np.dot((v2 * lf.lu, v2 * lf.ld), _rounded_rate_tables(params.depolarization)[0])
+    A = A.reshape(10, 10)
+    A[np.arange(8), np.arange(8)] += gg
     b = np.zeros(10)
-    pump_out = K.sum(axis=0)
-    A[np.arange(8), np.arange(8)] = gg + pump_out
     b[:8] = gg / 8.0
-    if params.depolarization is Depolarization.COMPLETE:
-        mean_pop = pump_out / 8.0
-        mean_coh = kw.sum() / 8.0
-        A[:8, :8] -= mean_pop[None, :]
-        A[:8, 8] -= mean_coh
-    else:
-        A[:8, :8] -= _B @ K
-        A[:8, 8] -= _B @ kw
 
-    A[_I20, 8] -= P / 2.0
     A[_I20, 9] -= D / 2.0
-    A[_I10, 8] -= P / 2.0
     A[_I10, 9] += D / 2.0
 
     width = gg + P / 2.0
@@ -488,8 +535,9 @@ def assemble_verbatim(params):
 def factorization_verbatim(params):
     """What steady_state.RationalLineshape(params) forms, as a dict: the
     delta-free A0 and b, y0, Z, S, r, and the scalars c0, p0, p1, q0, q1.
-    The Lorentz factors are formed once more for the excitation
-    prefactors."""
+    The Lorentz factors are formed once more for the rho_ee weights, the
+    two branch rates over gamma times rate_tables_verbatim's rounded
+    weights."""
     A0, b = assemble_verbatim(params)
     A0[8, 8] = A0[9, 9] = 0.0
     rhs = np.empty((8, 3))
@@ -502,15 +550,13 @@ def factorization_verbatim(params):
     r0, r1 = r.tolist()
 
     lf = lorentz_factors(params)
-    scale = 2.0 * params.rabi**2
-    prefac = np.where(_IS_UPPER, scale * lf.lu / params.gamma_nat,
-                      scale * lf.ld / params.gamma_nat)
-    w_pop = _A_EXC.T @ prefac
-    w_coh = float(_W_EXC @ prefac)
-    g0, g1 = (np.array([w_coh, 0.0]) - Z.T @ w_pop).tolist()
+    v2g = params.rabi**2 / params.gamma_nat
+    w = np.dot((v2g * lf.lu, v2g * lf.ld), _rounded_rate_tables(params.depolarization)[1])
+    c0, z0, z1 = (w[:8] @ Y).tolist()
+    g0, g1 = float(w[8]) - z0, 0.0 - z1
     return {
         "A0": A0, "b": b, "y0": y0, "Z": Z, "S": S, "r": r,
-        "c0": float(w_pop @ y0),
+        "c0": c0,
         "q1": s00 + s11, "q0": s00 * s11 - s01 * s10,
         "p1": g0 * r0 + g1 * r1,
         "p0": g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0),

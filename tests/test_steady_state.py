@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cptsim.lineshape as lineshape_mod
 import cptsim.steady_state as steady_state_mod
+from cptsim.couplings import EXCITED_INDEX, EXCITED_IS_UPPER, GROUND_LEVELS
 from cptsim.steady_state import (EXCITED_NEG_TOL, POPULATION_TOL, RESIDUAL_TOL,
                                  TRACE_TOL)
 from cptsim import (Depolarization, InvariantViolation, NoResonance,
@@ -22,8 +23,8 @@ from cptsim import (Depolarization, InvariantViolation, NoResonance,
 
 from conftest import make_params, random_params
 from oracles import (checked_call_verbatim, excited_verbatim,
-                     factorization_verbatim, residual_verbatim,
-                     solve_full_system)
+                     factorization_verbatim, rate_tables_verbatim,
+                     residual_verbatim, solve_full_system)
 
 # no shrink phase: shrinking a failure of these solver properties runs for
 # tens of seconds to minutes while its memory grows; the failing draw as
@@ -66,12 +67,16 @@ def test_dark_cell_limit():
 
 
 def test_zero_rabi_matrix_is_block_diagonal():
-    A, b = assemble_linear_system(make_params(rabi=0.0))
     gg = make_params().gamma_g
-    assert np.allclose(A[:8, :8], np.eye(8) * gg)
-    assert np.all(A[:8, 8:] == 0)
-    assert np.all(A[8:, :8] == 0)
-    assert np.allclose(b[:8], gg / 8)
+    for mode in Depolarization:
+        A, b = assemble_linear_system(make_params(rabi=0.0, mode=mode))
+        assert np.allclose(A[:8, :8], np.eye(8) * gg)
+        assert np.all(A[:8, 8:] == 0)
+        assert np.all(A[8:, :8] == 0)
+        # population rows: +0.0, though the tables' negative feed entries
+        # times a zero rate are -0.0 products
+        assert not np.signbit(A[:8][A[:8] == 0]).any()
+        assert np.allclose(b[:8], gg / 8)
 
 
 # ------------------------------------------------------ row-sum identity
@@ -88,6 +93,25 @@ def test_population_row_sum_identity(mode, rng):
         expect[:8] = p.gamma_g
         assert np.allclose(row_sum, expect, rtol=0, atol=1e-9 * p.gamma_g)
         assert b[:8].sum() == pytest.approx(p.gamma_g)
+
+
+@pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
+def test_rate_tables_are_exact_and_conserve_population(mode):
+    # the package's sparse build of the per-rate tables equals the dense
+    # Fraction products of the oracle; every column sums to exactly 0
+    # (population conservation); each float is the rounding of its
+    # Fraction; and gamma times each branch's rho_ee weight is that
+    # branch's pump-out from the pump table (detailed balance, c = 2a)
+    blocks, weights = rate_tables_verbatim(mode)
+    pump_out = [[sum(c for e, c in steady_state_mod.TABLES.pump[g]
+                     if EXCITED_IS_UPPER[EXCITED_INDEX[e]] == upper) for g in GROUND_LEVELS]
+                for upper in (True, False)]
+    for k in range(2):
+        assert weights[k][:8] == pump_out[k]
+        assert [sum(blocks[k][j::10]) for j in range(10)] == [0] * 10
+        assert steady_state_mod._RATE_BLOCKS[mode][k].tolist() == [float(x) for x in blocks[k]]
+        assert steady_state_mod._PUMP_OUT[k].tolist() == [float(x) for x in weights[k]]
+    assert steady_state_mod._exact_rate_tables(mode) == (blocks, weights)
 
 
 def test_complete_mode_feed_is_uniform(rng):
@@ -361,11 +385,11 @@ def test_batched_rho_ee_singular_population_block(monkeypatch):
 
 
 def test_batched_rho_ee_names_the_broken_invariant():
-    # fig-1 geometry at gamma_g = 1 Hz, s = 3e6: the certificate rejects
+    # fig-1 geometry at gamma_g = 0.1 Hz, s = 1e7: the certificate rejects
     # the stiff factorization at its trace (absolute tolerance), so the
     # call raises its error before it samples, and the error says so
-    base = make_params(gamma_g=1.0)
-    model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, 3e6)))
+    base = make_params(gamma_g=0.1)
+    model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, 1e7)))
     with pytest.raises(InvariantViolation) as info:
         model(np.array([1e3, 0.0, -1e3]))
     exc = info.value
@@ -771,12 +795,12 @@ def test_checked_rho_ee_does_not_depend_on_the_call_it_is_in(rng):
 
 
 def test_stiff_verdict_matches_a_dense_grid():
-    # fig 1 at gamma_g/2pi = 1 Hz, s = 3e6, where the certificate rejects
+    # fig 1 at gamma_g/2pi = 0.1 Hz, s = 1e7, where the certificate rejects
     # the stiff factorization at its trace with the residual within its
     # bound: the exact state on a grid breaks the trace bound too, within
     # the certified value, and keeps the residual bound
-    base = make_params(gamma_g=1.0)
-    model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, 3e6)))
+    base = make_params(gamma_g=0.1)
+    model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, 1e7)))
     with pytest.raises(InvariantViolation) as info:
         model.certify()
     assert (info.value.invariant, info.value.bound) == ("trace", TRACE_TOL)
