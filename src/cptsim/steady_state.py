@@ -37,7 +37,7 @@ import numpy as np
 from .couplings import (EXCITED_INDEX, EXCITED_IS_UPPER, EXCITED_LEVELS,
                         GROUND_INDEX, GROUND_LEVELS, build_coupling_tables)
 from .errors import InvariantViolation, SingularSystem
-from .params import Depolarization, ModelParams, lorentz_factors
+from .params import Depolarization, LorentzFactors, ModelParams, lorentz_factors
 
 TABLES = build_coupling_tables()
 
@@ -90,12 +90,34 @@ def _exact_rate_tables(depolarization: Depolarization) -> tuple[list, list]:
     return blocks, pump_out
 
 
-# Each exact table rounded once: _RATE_BLOCKS[mode] is (2, 100), and
-# _PUMP_OUT (2, 9) is the same in both modes.
-_RATE_BLOCKS = {}
+def _system_table(blocks: list) -> np.ndarray:
+    """The delta-free system [A0 | b | A0[:, 8:]] per unit of each of the
+    five scalars of :func:`_delta_free_system` (V^2*lu, V^2*ld, gamma_g,
+    D, gamma_g/8), as a (5, 130) float array that reshapes to (5, 10, 13).
+
+    The two rate rows are the exact ``blocks`` of
+    :func:`_exact_rate_tables`, rounded once per entry.  The constant rows
+    put gamma_g on the diagonal of the population block, -D/2 and +D/2 on
+    the m=0 rows of column 9 (the dispersive coupling of the two working
+    populations) and gamma_g/8 in the b column.  Columns 11-12 of the
+    population rows repeat columns 8-9, so the product holds the
+    right-hand sides of the population solve; the coherence rows are zero.
+    """
+    table = np.zeros((5, 10, 13))
+    table[:2, :, :10] = np.array(blocks, dtype=float).reshape(2, 10, 10)
+    table[2, range(8), range(8)] = 1.0
+    table[3, _I20, 9], table[3, _I10, 9] = -0.5, 0.5
+    table[4, :8, 10] = 1.0
+    table[:, :8, 11:] = table[:, :8, 8:10]
+    return table.reshape(5, 130)
+
+
+# One table per mode; _PUMP_OUT (2, 9), the rho_ee weights per unit pump
+# rate, is the same in both modes.
+_SYSTEM_TABLE = {}
 for _mode in Depolarization:
     _blocks, _pump_out = _exact_rate_tables(_mode)
-    _RATE_BLOCKS[_mode] = np.array(_blocks, dtype=float)
+    _SYSTEM_TABLE[_mode] = _system_table(_blocks)
 _PUMP_OUT = np.array(_pump_out, dtype=float)
 
 POPULATION_TOL = 1e-12     # allowed negative excursion of ground populations
@@ -137,43 +159,53 @@ class SteadyStateSolution:
         return {lvl: float(v) for lvl, v in zip(EXCITED_LEVELS, arr)}
 
 
-def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Build the 10x10 real system A @ x = b for the unknown ordering above.
+def _delta_free_system(params: ModelParams,
+                       lf: LorentzFactors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A0, b, rhs) of the delta-free system, from the Lorentz factors
+    ``lf`` of ``params``: views of one (10, 13) array [A0 | b | A0[:, 8:]],
+    with rhs = [b | A0[:8, 8:]] the right-hand sides of the population
+    solve.  A0 is A(delta) with 0.0 on the two coherence diagonals.
 
-    The population rows over the ground columns and Re(rho21) are
-    linear in the two pump rates V^2*lu and V^2*ld: they are formed in one
-    combination of the rounded exact tables of each rate (see
-    :func:`_exact_rate_tables`), with gamma_g then added on the diagonal;
-    its sums start from +0.0, so a zero rate leaves +0.0 there.
-    Every other nonzero entry is set on its own.  An entry that starts
-    from a coupling term is written as 0.0 minus (or plus) that term, so
-    a zero term leaves +0.0 there.
+    Its population rows are one np.dot of the five scalars V^2*lu, V^2*ld,
+    gamma_g, D and gamma_g/8 with the mode's exact table (see
+    :func:`_system_table`); its coherence rows are zero there, and six of
+    their entries are then set one scalar expression each.
     """
-    lf = lorentz_factors(params)
     gg = params.gamma_g
     v2 = params.rabi**2
     P = v2 * (lf.lu + lf.ld / 3.0)              # coherence pump rate
     D = lf.du + lf.dd / 3.0                     # dispersive cross-coupling
-
-    A = np.dot((v2 * lf.lu, v2 * lf.ld), _RATE_BLOCKS[params.depolarization]).reshape(10, 10)
-    A.reshape(-1)[:80:11] += gg  # the diagonal of A[:8, :8]
-    b = np.zeros(10)
-    b[:8] = gg / 8.0
-
-    # Dispersive coupling of the two working (m=0) populations.
-    A[_I20, 9] = 0.0 - D / 2.0
-    A[_I10, 9] = 0.0 + D / 2.0
+    M = np.dot((v2 * lf.lu, v2 * lf.ld, gg, D, gg / 8.0),
+               _SYSTEM_TABLE[params.depolarization]).reshape(10, 13)
 
     # Coherence equation, real and imaginary parts.
     width = gg + P / 2.0
-    A[8, 8] = params.delta_raman
-    A[8, 9] = -width
-    A[8, _I20] = -D / 4.0
-    A[8, _I10] = +D / 4.0
-    A[9, 8] = width
-    A[9, 9] = params.delta_raman
-    A[9, _I20] = -P / 4.0
-    A[9, _I10] = -P / 4.0
+    M[8, 9] = -width
+    M[8, _I20] = -D / 4.0
+    M[8, _I10] = +D / 4.0
+    M[9, 8] = width
+    M[9, _I20] = -P / 4.0
+    M[9, _I10] = -P / 4.0
+    return M[:, :10], M[:, 10], M[:8, 10:]
+
+
+def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Build the 10x10 real system A @ x = b for the unknown ordering above:
+    the delta-free system of :class:`RationalLineshape`, with
+    ``params.delta_raman`` on the two coherence diagonals.  A and b are
+    views of one array.
+
+    The population rows, over all ten columns, and b are one combination
+    of the rounded exact tables (see :func:`_system_table`) whose sums
+    start from +0.0, so every zero there is +0.0, at V = 0 too.  The six
+    coherence-row entries keep the sign their scalar expressions give: at
+    V = 0, -P/4 is -0.0 in both m=0 columns of row 9, and -D/4 and +D/4
+    in row 8 are zeros of opposite sign, set by the sign of D.  The other
+    coherence-row entries are +0.0, or delta_raman as given on the
+    diagonals.
+    """
+    A, b, _ = _delta_free_system(params, lorentz_factors(params))
+    A[8, 8] = A[9, 9] = params.delta_raman
     return A, b
 
 
@@ -236,11 +268,9 @@ class RationalLineshape:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        A0, b = assemble_linear_system(params)
-        A0[8, 8] = A0[9, 9] = 0.0  # the delta-free part
+        lf = lorentz_factors(params)
+        A0, b, rhs = _delta_free_system(params, lf)
         self.damping = float(A0[9, 8])
-        rhs = np.empty((8, 3))
-        rhs[:, 0], rhs[:, 1:] = b[:8], A0[:8, 8:]
         try:
             Y = np.linalg.solve(A0[:8, :8], rhs)
         except np.linalg.LinAlgError as exc:
@@ -253,7 +283,6 @@ class RationalLineshape:
         r0, r1 = self.r.tolist()
 
         # w = [w_pop | w_coh]: each unknown's pump-out over gamma (c = 2a)
-        lf = lorentz_factors(params)
         v2g = params.rabi**2 / params.gamma_nat
         w = np.dot((v2g * lf.lu, v2g * lf.ld), _PUMP_OUT)
         self.c0, z0, z1 = (w[:8] @ Y).tolist()

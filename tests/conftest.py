@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cptsim.steady_state as steady_state_mod
 from cptsim import Depolarization, ModelParams, hz_to_angular
 
 FIG1_HZ = {
@@ -45,6 +46,21 @@ def random_params(rng: np.random.Generator, mode=None) -> ModelParams:
     hw = gamma_g * (1.0 + strength)
     delta_raman = rng.uniform(-5.0, 5.0) * hw
     return p.replace(rabi=rabi, delta_raman=delta_raman)
+
+
+def use_fake_system(monkeypatch, A, b):
+    """Make every factorization solve the fake system A @ x = b: patch the
+    private builder of steady_state to give its delta-free (A0, b, rhs),
+    A0 being A with 0.0 on the two coherence diagonals and rhs
+    [b | A0[:8, 8:]], fresh at each call."""
+    def build(params, lf):
+        A0 = np.array(A, dtype=float)
+        A0[8, 8] = A0[9, 9] = 0.0
+        rhs = np.empty((8, 3))
+        rhs[:, 0], rhs[:, 1:] = b[:8], A0[:8, 8:]
+        return A0, np.array(b, dtype=float), rhs
+
+    monkeypatch.setattr(steady_state_mod, "_delta_free_system", build)
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """The summary of tools/bench_pair.py on canned paired runs."""
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 from bench_pair import quartiles, summarize  # noqa: E402
 
 RATE = {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
@@ -74,3 +76,22 @@ def test_a_larger_failed_share_is_never_resolved():
                      runs([b + 10.0 for b in BASE], "work_per_s", failed=5))
     assert (line["wins"], line["verdict"]) == (10, "more failed")
     assert (line["base"]["failed"], line["head"]["failed"]) == (40, 50)
+
+
+def test_trajectory_lines_name_the_benchmark_s_workloads_and_metrics():
+    # BENCH_TRAJECTORY.json: one JSON object per line, each naming a
+    # workload and end-to-end metrics of BENCHMARK.json (a metric's parent
+    # and change medians, or null where none was recorded), in PR order
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    prs = []
+    for text in (ROOT / "BENCH_TRAJECTORY.json").read_text().splitlines():
+        line = json.loads(text)
+        assert line["workload"] in workloads
+        named = set(line) - {"pr", "date", "machine", "workload", "source"}
+        assert named and named <= metrics
+        for name in named:
+            assert line[name] is None or set(line[name]) == {"parent", "change"}
+        prs.append(line["pr"])
+    assert prs and prs == sorted(prs)

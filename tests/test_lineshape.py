@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import cptsim.lineshape as lineshape_mod
-import cptsim.steady_state as steady_state_mod
 from cptsim import (Depolarization, InvariantViolation, Lineshape,
                     NoResonance, NotBracketed, ParameterError,
                     RationalLineshape, Spacing, SweepSpec,
@@ -16,7 +15,7 @@ from cptsim import (Depolarization, InvariantViolation, Lineshape,
                     resonance_center, resonance_metrics, sweep)
 from cptsim.lineshape import calibration_fwhm, halfwidth_estimate
 
-from conftest import make_params, random_params
+from conftest import make_params, random_params, use_fake_system
 from oracles import (antisymmetric_fraction_verbatim, mirrored_offsets_verbatim,
                      solve_full_system)
 
@@ -352,8 +351,7 @@ def test_contrast_checks_the_far_detuned_state(monkeypatch):
     uniform = [0.125] * 8
     for y0, invariant, value in [([0.125 * (1 + 1e-9)] * 8, "trace", 1e-9),
                                  ([-1e-11, 0.25 + 1e-11, *uniform[2:]], "positivity", 1e-11)]:
-        monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
-                            lambda params, y0=y0: far_state(y0))
+        use_fake_system(monkeypatch, *far_state(y0))
         with pytest.raises(InvariantViolation) as err:
             physical_contrast(params_at_strength(8.9))
         assert (err.value.invariant, err.value.delta_raman) == (invariant, math.inf)

@@ -21,7 +21,7 @@ from cptsim import (Depolarization, InvariantViolation, NoResonance,
                     pumping_strength, rabi_for_pumping_strength,
                     resonance_metrics, solve_steady_state, sweep)
 
-from conftest import make_params, random_params
+from conftest import make_params, random_params, use_fake_system
 from oracles import (checked_call_verbatim, excited_verbatim,
                      factorization_verbatim, rate_tables_verbatim,
                      residual_verbatim, solve_full_system)
@@ -106,11 +106,24 @@ def test_rate_tables_are_exact_and_conserve_population(mode):
     pump_out = [[sum(c for e, c in steady_state_mod.TABLES.pump[g]
                      if EXCITED_IS_UPPER[EXCITED_INDEX[e]] == upper) for g in GROUND_LEVELS]
                 for upper in (True, False)]
+    # the one table: [A0 | b | A0[:, 8:]] per unit of V^2*lu, V^2*ld,
+    # gamma_g, D and gamma_g/8
+    table = steady_state_mod._SYSTEM_TABLE[mode].reshape(5, 10, 13)
     for k in range(2):
         assert weights[k][:8] == pump_out[k]
         assert [sum(blocks[k][j::10]) for j in range(10)] == [0] * 10
-        assert steady_state_mod._RATE_BLOCKS[mode][k].tolist() == [float(x) for x in blocks[k]]
+        assert table[k, :, :10].ravel().tolist() == [float(x) for x in blocks[k]]
         assert steady_state_mod._PUMP_OUT[k].tolist() == [float(x) for x in weights[k]]
+    assert not table[:2, :, 10].any()
+    constant = np.zeros((3, 10, 11))
+    constant[0, range(8), range(8)] = 1.0
+    constant[1, steady_state_mod._I20, 9], constant[1, steady_state_mod._I10, 9] = -0.5, 0.5
+    constant[2, :8, 10] = 1.0
+    assert table[2:, :, :11].tobytes() == constant.tobytes()
+    # the right-hand sides repeat A0[:8, 8:] entry for entry; the
+    # coherence rows have none
+    assert table[:, :8, 11:].tobytes() == table[:, :8, 8:10].tobytes()
+    assert not table[:, 8:, 10:].any()
     assert steady_state_mod._exact_rate_tables(mode) == (blocks, weights)
 
 
@@ -378,8 +391,7 @@ def test_batched_rho_ee_non_finite_sample_is_singular():
 
 
 def test_batched_rho_ee_singular_population_block(monkeypatch):
-    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
-                        lambda params: (np.zeros((10, 10)), np.ones(10)))
+    use_fake_system(monkeypatch, np.zeros((10, 10)), np.ones(10))
     with pytest.raises(SingularSystem, match="population block"):
         RationalLineshape(make_params())(np.array([0.0]))
 
@@ -546,8 +558,7 @@ def test_certificate_names_the_first_check_at_its_worst_detuning(monkeypatch, y0
     # the first broken check of residual, trace and positivity, at the
     # detuning of its worst value over all real detunings (inf for the
     # limit), from certify, a call and physical_contrast alike
-    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
-                        lambda params: _exact_system(y0, z))
+    use_fake_system(monkeypatch, *_exact_system(y0, z))
     p = make_params(rabi=hz_to_angular(1e5))
     model = RationalLineshape(p)
     calls = [model.certify, lambda: model(np.array([1.0, -3.0]))]
@@ -574,8 +585,7 @@ def test_certificate_names_the_worst_detuning_of_a_shifted_dip(monkeypatch):
     # detuning and value are those of a fine grid
     A, b = _exact_system([_U] * 8, (0.0, 0.0, 0.0, 0.5, -0.5))
     A[8, 3] = 4.0  # S = [[-2, -2], [2, 0]], r = (-1/2, 1)
-    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
-                        lambda params: (A.copy(), b.copy()))
+    use_fake_system(monkeypatch, A, b)
     model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
     assert (model.q1, model.q0) == (-2.0, 4.0)
     grid = np.linspace(-10.0, 10.0, 200_001)
@@ -875,8 +885,7 @@ def test_solve_non_finite_solution_is_singular(monkeypatch):
     # = delta^2 - 123^2 and r = 0: the 2x2 solve is 0/0 at delta = 123
     A = np.eye(10)
     A[8, 9] = A[9, 8] = 123.0
-    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
-                        lambda params: (A.copy(), np.array([*UNIFORM, 0.0, 0.0])))
+    use_fake_system(monkeypatch, A, np.array([*UNIFORM, 0.0, 0.0]))
     with pytest.raises(SingularSystem, match=r"delta_raman=123\.0 rad/s"):
         solve_steady_state(make_params(rabi=hz_to_angular(1e5), delta_raman=123.0))
 
@@ -886,8 +895,7 @@ def test_certificate_refuses_a_real_pole(monkeypatch):
     # exists there, so the certificate, and every call, is SingularSystem
     A = np.eye(10)
     A[8, 9] = A[9, 8] = 123.0
-    monkeypatch.setattr(steady_state_mod, "assemble_linear_system",
-                        lambda params: (A.copy(), np.array([*UNIFORM, 0.0, 0.0])))
+    use_fake_system(monkeypatch, A, np.array([*UNIFORM, 0.0, 0.0]))
     model = RationalLineshape(make_params(rabi=hz_to_angular(1e5)))
     with pytest.raises(SingularSystem, match="real detuning"):
         model(np.array([0.0]))
@@ -913,6 +921,30 @@ def _factorization_cases():
         for _ in range(200):
             p = random_params(rng, mode=mode)
             yield from (p, p.replace(rabi=0.0), p.replace(delta_raman=0.0))
+
+
+def test_assembled_system_is_the_factorization_s_system():
+    # one builder: A(delta) is the factorization's A0 with delta on the two
+    # coherence diagonals, and b is its b, byte for byte
+    for p in _factorization_cases():
+        A, b = assemble_linear_system(p)
+        model = RationalLineshape(p)
+        A0 = model._A0.copy()
+        A0[8, 8] = A0[9, 9] = p.delta_raman
+        assert (_bytes(A), _bytes(b)) == (_bytes(A0), _bytes(model._b))
+
+
+def test_a_factorization_forms_the_lorentz_factors_once(monkeypatch):
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return lorentz_factors(params)
+
+    monkeypatch.setattr(steady_state_mod, "lorentz_factors", counting)
+    p = make_params(rabi=hz_to_angular(1e5))
+    RationalLineshape(p)
+    assert calls == [p]
 
 
 def test_factorization_and_checked_call_match_the_verbatim_arithmetic():

@@ -12,9 +12,15 @@ that tree's ``cptsim`` and evaluates ``FUNCTIONS`` on the same inputs:
 geometry at the ``FAULT1_POINTS`` gamma_g, pumping strength and mode).
 ``sweep_linear`` and ``sweep_adaptive`` are ``sweep(p, default_sweep_spec(p))``
 in each spacing: the sampled deltas and rho_ee of the library's sweep.
+The functions of ``EACH_CASE`` are evaluated at each input as drawn, at
+rabi = 0 and at delta_raman = 0, as ``tests/test_steady_state.py``'s
+``_factorization_cases`` are: ``assemble_linear_system`` gives A and b,
+and ``factorization`` the y0, Z, S, r, c0, p0, p1, q0, q1 and ``damping``
+of ``RationalLineshape(p)``.
 
 Each result is written out bit for bit: every float and array by its
-bytes, every dataclass field by field, and a raised error by its type,
+bytes (so the sign of every zero counts), every tuple item by item and
+every dataclass field by field, and a raised error by its type,
 message and attributes.  The tool prints, per function, how many inputs
 give a different result, and the first of them.  The exit status is 0
 when no result differs, 1 when any does, and 2 on a usage or git error.
@@ -37,7 +43,9 @@ SEED = 5
 N_DRAWS = 2000
 FUNCTIONS = ("resonance_metrics", "physical_contrast", "calibration_fwhm",
              "calibrate_power_broadening", "solve_steady_state",
-             "sweep_linear", "sweep_adaptive")
+             "sweep_linear", "sweep_adaptive", "assemble_linear_system",
+             "factorization")
+EACH_CASE = ("assemble_linear_system", "factorization")
 # (gamma_g/2pi in Hz, pumping strength, mode) at the fig-1 geometry
 FAULT1_POINTS = (
     (0.1, 1e7, "NONE"), (0.1, 1e7, "COMPLETE"), (0.1, 3e6, "COMPLETE"),
@@ -61,6 +69,8 @@ def canon(obj):
         return "%s(%s)" % (type(obj).__name__, ", ".join(
             "%s=%s" % (f.name, canon(getattr(obj, f.name)))
             for f in dataclasses.fields(obj)))
+    if isinstance(obj, tuple):
+        return "(%s)" % ", ".join(canon(item) for item in obj)
     if isinstance(obj, np.ndarray):
         return "array(%s, %s, %s)" % (obj.dtype.str, obj.shape, obj.tobytes().hex())
     if isinstance(obj, float):
@@ -78,12 +88,19 @@ for gamma_g, s, mode in FAULT1_POINTS:
 def sweep_in(spacing):
     return lambda p: lineshape.sweep(p, lineshape.default_sweep_spec(p, spacing=spacing))
 
-sweeps = {"sweep_" + s.name.lower(): sweep_in(s) for s in lineshape.Spacing}
+def factorization(p):
+    model = steady_state.RationalLineshape(p)
+    return tuple(getattr(model, key) for key in
+                 ("y0", "Z", "S", "r", "c0", "p0", "p1", "q0", "q1", "damping"))
+
+own = {"sweep_" + s.name.lower(): sweep_in(s) for s in lineshape.Spacing}
+own["factorization"] = factorization
+cases = [q for p in inputs for q in (p, p.replace(rabi=0.0), p.replace(delta_raman=0.0))]
 digests = {}
 for name in FUNCTIONS:
-    fn = sweeps.get(name) or getattr(lineshape, name, None) or getattr(steady_state, name)
+    fn = own.get(name) or getattr(lineshape, name, None) or getattr(steady_state, name)
     out = []
-    for p in inputs:
+    for p in (cases if name in EACH_CASE else inputs):
         try:
             text = canon(fn(p))
         except Exception as exc:
@@ -98,7 +115,7 @@ print(json.dumps(digests))
 def run_tree(tree: Path) -> dict[str, list[str]]:
     """Digests of FUNCTIONS on every input, evaluated in ``tree``."""
     code = (f"SEED, N_DRAWS = {SEED}, {N_DRAWS}\nFUNCTIONS = {FUNCTIONS!r}\n"
-            f"FAULT1_POINTS = {FAULT1_POINTS!r}\n{CHILD}")
+            f"EACH_CASE = {EACH_CASE!r}\nFAULT1_POINTS = {FAULT1_POINTS!r}\n{CHILD}")
     proc = subprocess.run([sys.executable, "-c", code, str(tree)], cwd=tree,
                           capture_output=True, text=True, timeout=3600)
     if proc.returncode:
@@ -117,14 +134,13 @@ def main(argv: list[str]) -> int:
             tree = Path(tmp) / side
             print(f"{side}: {rev} = {export(rev, tree)}")
             results.append(run_tree(tree))
-    n_inputs = N_DRAWS + len(FAULT1_POINTS)
     any_differ = False
     for name in FUNCTIONS:
         differ = [i for i, (old, new) in enumerate(zip(results[0][name], results[1][name]))
                   if old != new]
         any_differ = any_differ or bool(differ)
         first = f", the first is input {differ[0]}" if differ else ""
-        print(f"{name}: {len(differ)} of {n_inputs} inputs differ{first}")
+        print(f"{name}: {len(differ)} of {len(results[0][name])} inputs differ{first}")
     return 1 if any_differ else 0
 
 
