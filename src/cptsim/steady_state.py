@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .couplings import (EXCITED_INDEX, EXCITED_IS_UPPER, EXCITED_LEVELS,
                         GROUND_INDEX, GROUND_LEVELS, build_coupling_tables)
@@ -209,12 +210,14 @@ def assemble_linear_system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     return A, b
 
 
-def _excitation_prefactor(params: ModelParams) -> np.ndarray:
-    """2 V^2 l_e / gamma of each excited sublevel, in EXCITED_LEVELS order."""
-    lf = lorentz_factors(params)
+def _excited(ground: np.ndarray, coherence: complex, params: ModelParams,
+             lf: LorentzFactors) -> np.ndarray:
+    """:func:`excited_from_ground` from the Lorentz factors ``lf`` of
+    ``params``."""
     scale = 2.0 * params.rabi**2
-    return np.where(_UPPER, scale * lf.lu / params.gamma_nat,
-                    scale * lf.ld / params.gamma_nat)
+    prefactor = np.where(_UPPER, scale * lf.lu / params.gamma_nat,
+                         scale * lf.ld / params.gamma_nat)
+    return prefactor * (_A_EXC @ ground + _W_EXC * coherence.real)
 
 
 def excited_from_ground(ground: np.ndarray, coherence: complex,
@@ -226,8 +229,13 @@ def excited_from_ground(ground: np.ndarray, coherence: complex,
     has no sigma+ pathway and is identically zero; the two m=+1
     sublevels carry the dark-state bracket with -2*Re(rho21).
     """
-    ground = np.asarray(ground, dtype=float)
-    return _excitation_prefactor(params) * (_A_EXC @ ground + _W_EXC * coherence.real)
+    return _excited(np.asarray(ground, dtype=float), coherence, params,
+                    lorentz_factors(params))
+
+
+def _raise_singular(err, flag):
+    """The error callback of np.linalg.solve: LAPACK found a zero pivot."""
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 def depolarize(excited: np.ndarray) -> np.ndarray:
@@ -272,7 +280,11 @@ class RationalLineshape:
         A0, b, rhs = _delta_free_system(params, lf)
         self.damping = float(A0[9, 8])
         try:
-            Y = np.linalg.solve(A0[:8, :8], rhs)
+            # np.linalg.solve's own gufunc call, without its checks and
+            # wrapping: the block is always an 8x8 float64 view
+            with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                             divide="ignore", under="ignore"):
+                Y = _umath_linalg.solve(A0[:8, :8], rhs, signature="dd->d")
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"population block is singular: {exc}") from exc
         self.y0, self.Z = Y[:, 0], Y[:, 1:]
@@ -293,7 +305,7 @@ class RationalLineshape:
         self.p1 = g0 * r0 + g1 * r1
         self.p0 = g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0)
 
-        self._A0, self._b, self._rhs = A0, b, rhs
+        self._A0, self._b, self._rhs, self._lf = A0, b, rhs, lf
         self._residual_bound = RESIDUAL_TOL * max(1.0, params.gamma_g)
 
     def excess(self, deltas):
@@ -437,7 +449,7 @@ def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
     coherence = complex(x[8, 0], x[9, 0])
     g = ground.tolist()
     trace = ((g[0] + g[1]) + (g[2] + g[3])) + ((g[4] + g[5]) + (g[6] + g[7]))
-    excited = excited_from_ground(ground, coherence, params)
+    excited = _excited(ground, coherence, params, model._lf)
     _check("residual", resid, delta, model._residual_bound)
     _check("trace", abs(trace - 1.0), delta, TRACE_TOL)
     _check("positivity", -ground, delta, POPULATION_TOL)

@@ -396,6 +396,69 @@ def test_batched_rho_ee_singular_population_block(monkeypatch):
         RationalLineshape(make_params())(np.array([0.0]))
 
 
+_SINGULAR_BLOCK = "population block is singular: Singular matrix"
+
+
+def _fake_coherent_system(block):
+    """A fake system with population block ``block``, b = 1 and a
+    coherence block [[0, -1], [1, 0]] that rotates (no real pole)."""
+    A = np.zeros((10, 10))
+    A[:8, :8] = block
+    A[8, 9], A[9, 8] = -1.0, 1.0
+    return A, np.ones(10)
+
+
+def test_a_rank_deficient_population_block_is_singular(monkeypatch):
+    # nonzero, but every row a multiple of the first: LAPACK meets a zero
+    # pivot, and the factorization, a call and solve_steady_state say so
+    use_fake_system(monkeypatch,
+                    *_fake_coherent_system(np.outer(np.arange(1.0, 9.0), np.ones(8))))
+    p = make_params(rabi=hz_to_angular(1e5))
+    for call in (lambda: RationalLineshape(p), lambda: solve_steady_state(p),
+                 lambda: physical_contrast(p)):
+        with pytest.raises(SingularSystem) as info:
+            call()
+        assert str(info.value) == _SINGULAR_BLOCK
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_a_nan_in_the_population_block_is_a_non_finite_factorization(monkeypatch):
+    # a NaN is no zero pivot: LAPACK solves through it, as np.linalg.solve
+    # does, and the NaN it spreads into y0, Z, S and r is refused after
+    # the solve, by the certificate and by solve_steady_state's screen
+    block = np.eye(8)
+    block[2, 5] = np.nan
+    use_fake_system(monkeypatch, *_fake_coherent_system(block))
+    p = make_params(rabi=hz_to_angular(1e5))
+    model = RationalLineshape(p)
+    assert np.isnan(model.y0).any() and math.isnan(model.q0)
+    with pytest.raises(SingularSystem, match=r"real detuning: q0 - q1\^2/4 = nan"):
+        model(np.array([0.0]))
+    with pytest.raises(SingularSystem, match=r"non-finite solution at delta_raman=0\.0"):
+        solve_steady_state(p)
+
+
+def test_a_callers_errstate_neither_reaches_nor_survives_the_solve(monkeypatch):
+    # under all="raise", a zero pivot is still SingularSystem (not a
+    # FloatingPointError), a regular block gives the same bits as under
+    # numpy's default state, and the caller's state is as it was after each
+    p = make_params(rabi=hz_to_angular(1e5))
+    plain = RationalLineshape(p)
+    outer = np.geterr(), np.geterrcall()
+    with np.errstate(all="raise"):
+        state = np.geterr(), np.geterrcall()
+        model = RationalLineshape(p)
+        assert (np.geterr(), np.geterrcall()) == state
+        for key in ("y0", "Z", "S", "r", "c0", "p0", "p1", "q0", "q1"):
+            assert _bytes(getattr(model, key)) == _bytes(getattr(plain, key)), key
+        use_fake_system(monkeypatch, np.zeros((10, 10)), np.ones(10))
+        with pytest.raises(SingularSystem) as info:
+            RationalLineshape(p)
+        assert str(info.value) == _SINGULAR_BLOCK
+        assert (np.geterr(), np.geterrcall()) == state
+    assert (np.geterr(), np.geterrcall()) == outer
+
+
 def test_batched_rho_ee_names_the_broken_invariant():
     # fig-1 geometry at gamma_g = 0.1 Hz, s = 1e7: the certificate rejects
     # the stiff factorization at its trace (absolute tolerance), so the
@@ -934,7 +997,8 @@ def test_assembled_system_is_the_factorization_s_system():
         assert (_bytes(A), _bytes(b)) == (_bytes(A0), _bytes(model._b))
 
 
-def test_a_factorization_forms_the_lorentz_factors_once(monkeypatch):
+def _count_lorentz_factors(monkeypatch):
+    """The list of params of each later lorentz_factors call of steady_state."""
     calls = []
 
     def counting(params):
@@ -942,8 +1006,21 @@ def test_a_factorization_forms_the_lorentz_factors_once(monkeypatch):
         return lorentz_factors(params)
 
     monkeypatch.setattr(steady_state_mod, "lorentz_factors", counting)
+    return calls
+
+
+def test_a_factorization_forms_the_lorentz_factors_once(monkeypatch):
+    calls = _count_lorentz_factors(monkeypatch)
     p = make_params(rabi=hz_to_angular(1e5))
     RationalLineshape(p)
+    assert calls == [p]
+
+
+def test_solve_steady_state_forms_the_lorentz_factors_once(monkeypatch):
+    # the excited populations reuse the factorization's factors
+    calls = _count_lorentz_factors(monkeypatch)
+    p = make_params(rabi=hz_to_angular(1e5), delta_raman=37.0)
+    solve_steady_state(p)
     assert calls == [p]
 
 
