@@ -71,6 +71,12 @@ class ModelParams:
                      "delta_opt", "delta_raman"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite")
+        # lorentz_factors squares these by x**2, which raises OverflowError
+        for name, value in (("rabi", self.rabi), ("gamma_opt", self.gamma_opt),
+                            ("delta_opt", self.delta_opt),
+                            ("omega_e", self.delta_opt + self.omega_e)):
+            if math.isinf(value * value):
+                raise ParameterError(f"{name} too large: a square in the model overflows")
 
     def replace(self, **changes) -> "ModelParams":
         return replace(self, **changes)

@@ -137,8 +137,9 @@ class SteadyStateSolution:
 
     ``excited_bare`` holds the excitation-equation values evaluated at
     the solution; ``excited_effective`` is the same distribution after
-    the depolarization map (identical to bare in NONE mode).  Their
-    sums agree exactly; ``rho_ee`` is that common total.
+    the depolarization map (identical to bare in NONE mode).  ``rho_ee``
+    is the closed form of a :class:`RationalLineshape` call at the
+    detuning; it equals either sum to within rounding, not bit for bit.
     """
 
     params: ModelParams
@@ -264,7 +265,8 @@ class RationalLineshape:
 
     with q1 = tr S, q0 = det S, p1 = g.r and p0 = g.adj(S).r.
     :meth:`excess` evaluates the closed form, and :meth:`certify` checks
-    the state at every real detuning and as delta -> inf at once.
+    the state at every real detuning and as delta -> inf at once, from
+    the rows that :func:`solve_steady_state` reads at one detuning.
     Calling the object certifies, then returns the closed form at each
     detuning in one elementwise pass, so the bits of a detuning's rho_ee
     do not depend on the other detunings of the call.
@@ -277,7 +279,7 @@ class RationalLineshape:
     def __init__(self, params: ModelParams):
         self.params = params
         lf = lorentz_factors(params)
-        A0, b, rhs = _delta_free_system(params, lf)
+        A0, _, rhs = _delta_free_system(params, lf)
         self.damping = float(A0[9, 8])
         try:
             # np.linalg.solve's own gufunc call, without its checks and
@@ -302,10 +304,11 @@ class RationalLineshape:
         g0, g1 = float(w[8]) - z0, 0.0 - z1
         self.q1 = s00 + s11
         self.q0 = s00 * s11 - s01 * s10
+        self._hw2 = self.q0 - 0.25 * self.q1 * self.q1
         self.p1 = g0 * r0 + g1 * r1
         self.p0 = g0 * (s11 * r0 - s01 * r1) + g1 * (s00 * r1 - s10 * r0)
 
-        self._A0, self._b, self._rhs, self._lf = A0, b, rhs, lf
+        self._A0, self._rhs, self._lf = A0, rhs, lf
         self._residual_bound = RESIDUAL_TOL * max(1.0, params.gamma_g)
 
     def excess(self, deltas):
@@ -313,33 +316,17 @@ class RationalLineshape:
         them, unchecked."""
         return (self.p1 * deltas + self.p0) / ((deltas + self.q1) * deltas + self.q0)
 
-    def certify(self) -> None:
-        """Check the state of the factorization at every real detuning and
-        as delta -> inf: residual (each row of |A(delta) x - b| within
-        RESIDUAL_TOL * max(1, gamma_g)), trace (within TRACE_TOL), then
-        positivity (ground populations above -POPULATION_TOL).
-
-        The state is (y0 - Z @ x_coh, x_coh), with x_coh = (delta*r +
-        adj(S) @ r) / (delta^2 + q1*delta + q0) exact, so each quantity is
-        c - w @ x_coh for a delta-free row [c | w] over Y = [y0 | Z]: the
-        residual A0[:, :8] @ Y - [b | A0[:8, 8:]] of the population solve,
-        plus [r | S - A0[8:, 8:]] in rows 8-9 (delta*x_coh = r - S @ x_coh);
-        the column sums of Y less [1 | 0] (trace); and Y (populations).
-        With t = delta + q1/2, hw2 = q0 - q1^2/4, a = -w @ r and
-        b = -w @ adj(S) @ r - a*q1/2, that is c + (a*t + b) / (t^2 + hw2),
-        whose extremes over real t and t -> inf are, with q = b +
-        copysign(hypot(b, a*sqrt(hw2)), b), c + q/(2 hw2) at t = a*hw2/q
-        and c - a^2/(2q) at t = -q/a.
-
-        The first broken check, a NaN value included, raises
-        InvariantViolation at its worst detuning (inf for the limit).  A
-        real pole (hw2 <= 0) or a non-finite row raises SingularSystem.
-        """
-        q1 = self.q1
-        hw2 = self.q0 - 0.25 * q1 * q1
-        if not 0.0 < hw2 < math.inf:
-            raise SingularSystem(
-                f"coherence block singular at a real detuning: q0 - q1^2/4 = {hw2!r}")
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The 19 delta-free rows of the state, as (rows, a, b): at delta,
+        row i is c + (a[i]*t + b[i]) / (t^2 + hw2) with c = rows[i, 0], t =
+        delta + q1/2 and hw2 = q0 - q1^2/4.  The state is (y0 - Z @ x_coh,
+        x_coh), with x_coh = (delta*r + adj(S) @ r) / (delta^2 + q1*delta +
+        q0) exact, so each row is c - w @ x_coh for rows[i] = [c | w] over
+        Y = [y0 | Z], a = -w @ r and b = -w @ adj(S) @ r - a*q1/2.  Rows
+        0-9 are the residual A0[:, :8] @ Y - [b | A0[:8, 8:]] of the
+        population solve, plus [r | S - A0[8:, 8:]] in rows 8-9 (delta*x_coh
+        = r - S @ x_coh); row 10 the column sums of Y less [1 | 0] (trace);
+        rows 11-18 Y (the ground populations)."""
         (s00, s01), (s10, s11) = self.S.tolist()
         r0, r1 = self.r.tolist()
         rows = np.empty((19, 3))
@@ -351,11 +338,32 @@ class RationalLineshape:
         rows[8:10, 1:] += self.S - self._A0[8:, 8:]
         np.add.reduce(Y, axis=0, out=rows[10])
         rows[10, 0] -= 1.0
-        c = rows[:, 0]
         ab = rows[:, 1:] @ np.array([[-r0, s01 * r1 - s11 * r0],
                                      [-r1, s10 * r0 - s00 * r1]])
         a = ab[:, 0]
-        b = ab[:, 1] - (0.5 * q1) * a
+        return rows, a, ab[:, 1] - (0.5 * self.q1) * a
+
+    def certify(self) -> None:
+        """Check the state of the factorization at every real detuning and
+        as delta -> inf: residual (each row of |A(delta) x - b| within
+        RESIDUAL_TOL * max(1, gamma_g)), trace (within TRACE_TOL), then
+        positivity (ground populations above -POPULATION_TOL).
+
+        Each row c + (a*t + b) / (t^2 + hw2) of :meth:`_rows` has its
+        extremes over real t and t -> inf, with q = b + copysign(hypot(b,
+        a*sqrt(hw2)), b), at c + q/(2 hw2) (t = a*hw2/q) and c - a^2/(2q)
+        (t = -q/a).
+
+        The first broken check, a NaN value included, raises
+        InvariantViolation at its worst detuning (inf for the limit).  A
+        real pole (hw2 <= 0) or a non-finite row raises SingularSystem.
+        """
+        q1, hw2 = self.q1, self._hw2
+        if not 0.0 < hw2 < math.inf:
+            raise SingularSystem(
+                f"coherence block singular at a real detuning: q0 - q1^2/4 = {hw2!r}")
+        rows, a, b = self._rows()
+        c = rows[:, 0]
         q = b + np.copysign(np.hypot(b, a * math.sqrt(hw2)), b)
         values = np.empty((2, 19))  # c plus each extreme, one row each
         np.add(c, q / (2.0 * hw2), out=values[0])
@@ -391,16 +399,6 @@ class RationalLineshape:
             raise SingularSystem(f"non-finite solution at delta_raman={delta!r} rad/s")
         return rho
 
-    def _coherences(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Re and Im rho21 at each detuning: Cramer's rule on S + delta*I
-        (the 2x2 solve of solve_steady_state)."""
-        (s00, s01), (s10, s11) = self.S.tolist()
-        r0, r1 = self.r.tolist()
-        a = s00 + deltas
-        d = s11 + deltas
-        det = a * d - s01 * s10
-        return (d * r0 - s01 * r1) / det, (a * r1 - s10 * r0) / det
-
 
 def _check(name: str, values, deltas, bound: float) -> None:
     """Raise InvariantViolation unless every value is <= bound; a NaN
@@ -419,54 +417,46 @@ def _check(name: str, values, deltas, bound: float) -> None:
 
 
 def solve_steady_state(params: ModelParams) -> SteadyStateSolution:
-    """Solve the steady-state system at ``params.delta_raman``: one
-    :class:`RationalLineshape` factorization, the 2x2 coherence solve and
-    the back-substitution of the populations.  The solution is checked in
-    order: residual and trace as in ``RationalLineshape.certify``,
-    positivity (ground populations above -POPULATION_TOL), population
+    """The state at ``params.delta_raman``: the rows of one
+    :class:`RationalLineshape` factorization's ``_rows`` at that detuning,
+    the coherences as the rows [0 | -I] of the same closed form, and
+    rho_ee a call's value there.  It is checked at that detuning only, in
+    order: residual and trace as in ``certify``, positivity, population
     (none above 1 + POPULATION_TOL), then excited (none below
     -EXCITED_NEG_TOL).  The first broken check, a NaN value included,
     raises InvariantViolation naming the invariant, its value, its bound
-    and the detuning.  A singular population block or a non-finite
-    solution raises SingularSystem.  ``residual_norm`` is the max of
-    |A(delta) x - b|.
-    """
+    and the detuning; a singular population block or a non-finite
+    population, coherence or rho_ee raises SingularSystem.
+    ``residual_norm`` is the largest residual row."""
     model = RationalLineshape(params)
     delta = params.delta_raman
-    deltas = np.array([delta])
-    x = np.empty((10, 1))
+    (s00, s01), (s10, s11) = model.S.tolist()
+    r0, r1 = model.r.tolist()
+    half_q1 = 0.5 * model.q1
+    t = delta + half_q1
+    den = t * t + model._hw2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x[8], x[9] = model._coherences(deltas)
-        x[:8] = model.y0[:, None] - model.Z @ x[8:]
-    if not np.isfinite(x).all():
+        rows, a, b = model._rows()
+        x = rows[:, 0] + (a * t + b) / den
+        # Re and Im rho21, the rows [0 | -I]: a = r, b = adj(S) @ r - r*q1/2
+        b_coh = np.array([s11 * r0 - s01 * r1, s00 * r1 - s10 * r0]) - half_q1 * model.r
+        coh = (model.r * t + b_coh) / den
+        rho = model.excess(np.array([delta]))
+        rho += model.c0
+    ground = x[11:]
+    if not (np.isfinite(ground).all() and np.isfinite(coh).all() and np.isfinite(rho[0])):
         raise SingularSystem(f"non-finite solution at delta_raman={delta!r} rad/s")
-    # residual of the full A(delta) = A0 + delta*(e8 e8^T + e9 e9^T)
-    resid = model._A0 @ x
-    resid -= model._b[:, None]
-    resid[8:] += deltas * x[8:]
-    np.abs(resid, out=resid)
-    ground = x[:8, 0]
-    coherence = complex(x[8, 0], x[9, 0])
-    g = ground.tolist()
-    trace = ((g[0] + g[1]) + (g[2] + g[3])) + ((g[4] + g[5]) + (g[6] + g[7]))
+    coherence = complex(coh[0], coh[1])
     excited = _excited(ground, coherence, params, model._lf)
-    _check("residual", resid, delta, model._residual_bound)
-    _check("trace", abs(trace - 1.0), delta, TRACE_TOL)
+    residual = np.abs(x[:10])
+    _check("residual", residual, delta, model._residual_bound)
+    _check("trace", abs(x[10]), delta, TRACE_TOL)
     _check("positivity", -ground, delta, POPULATION_TOL)
     # g - 1 (exact for g in [1/2, 2]) against (1 + tol) - 1: the test g > 1 + tol
     _check("population", ground - 1.0, delta, (1.0 + POPULATION_TOL) - 1.0)
     _check("excited", -excited, delta, EXCITED_NEG_TOL)
-    if params.depolarization is Depolarization.COMPLETE:
-        effective = depolarize(excited)
-    else:
-        effective = excited.copy()
-
-    return SteadyStateSolution(
-        params=params,
-        ground=ground,
-        coherence=coherence,
-        excited_bare=excited,
-        excited_effective=effective,
-        rho_ee=float(excited.sum()),
-        residual_norm=float(resid.max()),
-    )
+    complete = params.depolarization is Depolarization.COMPLETE
+    effective = depolarize(excited) if complete else excited.copy()
+    return SteadyStateSolution(params=params, ground=ground, coherence=coherence,
+                               excited_bare=excited, excited_effective=effective,
+                               rho_ee=float(rho[0]), residual_norm=float(residual.max()))

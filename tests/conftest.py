@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import cptsim.steady_state as steady_state_mod
-from cptsim import Depolarization, ModelParams, hz_to_angular
+from cptsim import Depolarization, ModelParams, hz_to_angular, rabi_for_pumping_strength
 
 FIG1_HZ = {
     "gamma_opt": 1e9,
@@ -46,6 +48,29 @@ def random_params(rng: np.random.Generator, mode=None) -> ModelParams:
     hw = gamma_g * (1.0 + strength)
     delta_raman = rng.uniform(-5.0, 5.0) * hw
     return p.replace(rabi=rabi, delta_raman=delta_raman)
+
+
+def fuzz_range_draws(n=2000, seed=17):
+    """ROADMAP item 6's fuzz range, stiff points kept: a list of n seeded
+    (pumping strength s, params) draws at delta_raman = 0; Gamma, gamma,
+    Gamma_g, omega_e in Hz and s log-uniform, Delta uniform, the mode by
+    a coin."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+
+    rates = dict(gamma_opt=log_uniform(1e7, 1e10), gamma_nat=log_uniform(1e5, 3e7),
+                 gamma_g=log_uniform(0.1, 1e4), omega_e=log_uniform(1e7, 3e9),
+                 delta_opt=rng.uniform(-2e9, 2e9, n))
+    strengths = log_uniform(1e-4, 1e7)
+    modes = rng.integers(0, 2, n)
+    draws = []
+    for i, s in enumerate(strengths.tolist()):
+        base = make_params(mode=(Depolarization.NONE, Depolarization.COMPLETE)[modes[i]],
+                           **{name: float(v[i]) for name, v in rates.items()})
+        draws.append((s, base.replace(rabi=rabi_for_pumping_strength(base, s))))
+    return draws
 
 
 def use_fake_system(monkeypatch, A, b):

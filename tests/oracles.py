@@ -19,7 +19,7 @@ antisymmetric_fraction_verbatim are its asymmetry helpers.
 
 assemble_verbatim, factorization_verbatim and checked_call_verbatim are
 the package's own assembly, factorization, rho_ee samples and
-one-detuning solve written as fancy-indexed and sliced updates, with the
+one-detuning state written as fancy-indexed and sliced updates, with the
 delta-free scalars re-read on every call, one numpy operation after
 another.  Their per-rate tables come from rate_tables_verbatim, dense
 Fraction products of the full coupling tables rather than the package's
@@ -565,26 +565,40 @@ def factorization_verbatim(params):
 
 def checked_call_verbatim(f, deltas):
     """What the package forms at ``deltas`` from a factorization_verbatim
-    dict ``f``, as a (10, n) x of one column per detuning: the coherences
-    x[8:], the populations x[:8], the absolute residual of each row of
-    A(delta) x - b and the trace that solve_steady_state forms at its one
-    detuning, and the rho_ee of a RationalLineshape call: the closed form
-    c0 + (p1*delta + p0) / (delta^2 + q1*delta + q0) of f's scalars."""
+    dict ``f``, as (x, rho) with one column of x per detuning.  x holds the
+    19 delta-free rows of RationalLineshape._rows (rows 0-9 the residual
+    A(delta) x - b, row 10 the trace less 1, rows 11-18 the ground
+    populations), each evaluated as c + (a*t + b) / (t^2 + hw2) with t =
+    delta + q1/2, then Re and Im rho21 as (a*t + b) / (t^2 + hw2) of the
+    rows [0 | -I]: what solve_steady_state forms at its one detuning.  rho
+    is the rho_ee of a RationalLineshape call: the closed form c0 +
+    (p1*delta + p0) / (delta^2 + q1*delta + q0) of f's scalars."""
     (s00, s01), (s10, s11) = f["S"].tolist()
     r0, r1 = f["r"].tolist()
-    a = s00 + deltas
-    d = s11 + deltas
-    x = np.empty((10, deltas.size))
+    Y = np.empty((8, 3))
+    Y[:, 0] = f["y0"]
+    Y[:, 1:] = f["Z"]
+    rows = np.empty((19, 3))
+    rows[:10] = f["A0"][:, :8] @ Y
+    rows[:8, 0] -= f["b"][:8]
+    rows[:8, 1:] -= f["A0"][:8, 8:]
+    rows[8:10, 0] += f["r"]
+    rows[8:10, 1:] += f["S"] - f["A0"][8:, 8:]
+    rows[10] = Y.sum(axis=0)
+    rows[10, 0] -= 1.0
+    rows[11:] = Y
+    ab = rows[:, 1:] @ np.array([[-r0, s01 * r1 - s11 * r0],
+                                 [-r1, s10 * r0 - s00 * r1]])
+    a = ab[:, 0]
+    b = ab[:, 1] - (0.5 * f["q1"]) * a
+    b_coh = np.empty(2)
+    b_coh[0] = s11 * r0 - s01 * r1 - (0.5 * f["q1"]) * r0
+    b_coh[1] = s00 * r1 - s10 * r0 - (0.5 * f["q1"]) * r1
+    t = deltas + 0.5 * f["q1"]
+    den = t * t + (f["q0"] - 0.25 * f["q1"] * f["q1"])
+    x = np.empty((21, deltas.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = a * d - s01 * s10
-        np.divide(d * r0 - s01 * r1, det, out=x[8])
-        np.divide(a * r1 - s10 * r0, det, out=x[9])
-        x[:8] = f["y0"][:, None] - f["Z"] @ x[8:]
+        x[:19] = rows[:, :1] + (a[:, None] * t + b[:, None]) / den
+        x[19:] = (f["r"][:, None] * t + b_coh[:, None]) / den
         rho = f["c0"] + (f["p1"] * deltas + f["p0"]) / ((deltas + f["q1"]) * deltas + f["q0"])
-    resid = f["A0"] @ x
-    resid -= f["b"][:, None]
-    resid[8:] += deltas * x[8:]
-    np.abs(resid, out=resid)
-    p = x[:8]
-    trace = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-    return x, resid, trace, rho
+    return x, rho

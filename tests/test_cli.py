@@ -91,6 +91,25 @@ def test_hz_round_trip_full_precision(capsys):
     assert data["params_hz"]["rabi_hz"] == float(rabi)
 
 
+def test_solve_at_a_huge_detuning_prints_the_call_s_rho_ee(capsys):
+    # at 1e160 Hz the state is its far-detuned limit, and rho_ee is what a
+    # RationalLineshape call returns at that detuning
+    code, out, err = run(capsys, "solve", "--rabi-hz", "1e5", "--delta-raman-hz", "1e160",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    p = make_params(rabi=cptsim.hz_to_angular(1e5), delta_raman=cptsim.hz_to_angular(1e160))
+    assert json.loads(out)["rho_ee"] == cptsim.RationalLineshape(p)(np.array([p.delta_raman]))[0]
+
+
+@pytest.mark.parametrize("flag, field", [("--rabi-hz", "rabi"), ("--gamma-opt-hz", "gamma_opt"),
+                                         ("--delta-opt-hz", "delta_opt"),
+                                         ("--omega-e-hz", "omega_e")])
+def test_solve_with_an_overflowing_rate_is_a_parameter_error(capsys, flag, field):
+    code, out, err = run(capsys, "solve", "--rabi-hz", "1e5", flag, "1e160")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: ParameterError: {field} too large: ")
+
+
 def test_mode_both_rejected_outside_solve(capsys, tmp_path):
     # argparse's --mode choices, and the same choices for a config file,
     # refuse 'both' before a subcommand other than solve runs

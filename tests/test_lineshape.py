@@ -15,7 +15,7 @@ from cptsim import (Depolarization, InvariantViolation, Lineshape,
                     resonance_center, resonance_metrics, sweep)
 from cptsim.lineshape import calibration_fwhm, halfwidth_estimate
 
-from conftest import make_params, random_params, use_fake_system
+from conftest import fuzz_range_draws, make_params, random_params, use_fake_system
 from oracles import (antisymmetric_fraction_verbatim, mirrored_offsets_verbatim,
                      solve_full_system)
 
@@ -551,32 +551,19 @@ RAISED_AT_RATCHET = frozenset((
 
 
 def test_stiff_verdicts_over_the_fuzz_range():
-    # a ratchet over ROADMAP item 6's fuzz range, stiff points kept (seeded,
-    # 2000 draws; Gamma, gamma, Gamma_g, omega_e in Hz and s log-uniform,
-    # Delta uniform, mode by coin): resonance_metrics raises only at draws
+    # a ratchet over ROADMAP item 6's fuzz range, stiff points kept
+    # (conftest.fuzz_range_draws): resonance_metrics raises only at draws
     # of the 59 measured when the ratchet was set, and only at s >= 1e5;
     # drop a draw from the set as its stiff point is fixed
-    n = 2000
-    rng = np.random.default_rng(17)
-
-    def log_uniform(lo, hi):
-        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
-
-    rates = dict(gamma_opt=log_uniform(1e7, 1e10), gamma_nat=log_uniform(1e5, 3e7),
-                 gamma_g=log_uniform(0.1, 1e4), omega_e=log_uniform(1e7, 3e9),
-                 delta_opt=rng.uniform(-2e9, 2e9, n))
-    strengths = log_uniform(1e-4, 1e7)
-    modes = rng.integers(0, 2, n)
+    draws = fuzz_range_draws()
     raised = []
-    for i, s in enumerate(strengths.tolist()):
-        mode = (Depolarization.NONE, Depolarization.COMPLETE)[modes[i]]
+    for i, (_, p) in enumerate(draws):
         try:
-            resonance_metrics(params_at_strength(
-                s, mode=mode, **{name: float(v[i]) for name, v in rates.items()}))
+            resonance_metrics(p)
         except InvariantViolation:
             raised.append(i)
     assert set(raised) <= RAISED_AT_RATCHET, sorted(set(raised) - RAISED_AT_RATCHET)
-    assert min(strengths[raised], default=math.inf) >= 1e5
+    assert min((draws[i][0] for i in raised), default=math.inf) >= 1e5
 
 
 # ------------------------------------------------------------ calibration

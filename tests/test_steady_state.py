@@ -1,5 +1,6 @@
 """Solver checks against trivial limits and the verbatim-equation oracles."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -13,7 +14,7 @@ import cptsim.steady_state as steady_state_mod
 from cptsim.couplings import EXCITED_INDEX, EXCITED_IS_UPPER, GROUND_LEVELS
 from cptsim.steady_state import (EXCITED_NEG_TOL, POPULATION_TOL, RESIDUAL_TOL,
                                  TRACE_TOL)
-from cptsim import (Depolarization, InvariantViolation, NoResonance,
+from cptsim import (Depolarization, InvariantViolation, ModelParams, NoResonance,
                     ParameterError, RationalLineshape, SingularSystem,
                     Unbracketed, assemble_linear_system, default_sweep_spec,
                     depolarize, excited_from_ground, fwhm,
@@ -21,7 +22,7 @@ from cptsim import (Depolarization, InvariantViolation, NoResonance,
                     pumping_strength, rabi_for_pumping_strength,
                     resonance_metrics, solve_steady_state, sweep)
 
-from conftest import make_params, random_params, use_fake_system
+from conftest import fuzz_range_draws, make_params, random_params, use_fake_system
 from oracles import (checked_call_verbatim, excited_verbatim,
                      factorization_verbatim, rate_tables_verbatim,
                      residual_verbatim, solve_full_system)
@@ -43,6 +44,18 @@ def test_parameter_invariants_enforced():
         make_params(rabi=-5.0)
     with pytest.raises(ParameterError):
         make_params(omega_e=0.0)
+
+
+@pytest.mark.parametrize("field", ["rabi", "gamma_opt", "delta_opt", "omega_e"])
+def test_an_overflowing_square_is_a_parameter_error(field):
+    # the Lorentz factors square rabi, gamma_opt, delta_opt and
+    # delta_opt + omega_e: a value whose square overflows is refused by
+    # name, one whose square is finite is accepted
+    rates = dataclasses.asdict(make_params(rabi=hz_to_angular(1e5)))
+    message = rf"^{field} too large: a square in the model overflows$"
+    with pytest.raises(ParameterError, match=message):
+        ModelParams(**{**rates, field: 1e160})
+    ModelParams(**{**rates, field: 1e154})
 
 
 def test_validity_flags_reported_not_enforced():
@@ -219,16 +232,16 @@ def test_solution_matches_full_unreduced_system(mode, rng):
 
 def test_residual_norm_is_reported_and_small(rng):
     # residual_norm is max|A(delta) x - b| of the full system at the
-    # solution: the residual of the verbatim arithmetic, and, evaluated here in
-    # another order, the same to within eps * (|A|_inf |x|_inf + |b|_inf)
-    # (measured <= 0.05 of it over 2000 draws); the verbatim equations
-    # hold at the solution
+    # solution: the largest residual row of the verbatim arithmetic, and,
+    # evaluated here in another order, the same to within
+    # eps * (|A|_inf |x|_inf + |b|_inf) (measured <= 0.81 of it over 2000
+    # draws); the verbatim equations hold at the solution
     eps = np.finfo(float).eps
     for _ in range(20):
         p = random_params(rng)
         sol = solve_steady_state(p)
-        verbatim = checked_call_verbatim(factorization_verbatim(p), np.array([p.delta_raman]))
-        assert sol.residual_norm == verbatim[1].max()
+        x, _ = checked_call_verbatim(factorization_verbatim(p), np.array([p.delta_raman]))
+        assert sol.residual_norm == np.abs(x[:10]).max()
         A, b = assemble_linear_system(p)
         x = np.array([*sol.ground, sol.coherence.real, sol.coherence.imag])
         own = np.abs(A @ x - b).max()
@@ -500,7 +513,7 @@ def _exact_state(model, deltas):
     x[8], x[9] = (e * r0 - s01 * r1) / det, (a * r1 - s10 * r0) / det
     y0, Z = model.y0.astype(ld)[:, None], model.Z.astype(ld)
     x[:8] = y0 - Z @ x[8:]
-    A, b = model._A0.astype(ld), model._b.astype(ld)[:, None]
+    A, b = model._A0.astype(ld), np.append(model._rhs[:, 0], (0.0, 0.0)).astype(ld)[:, None]
     resid = A @ x - b
     resid[8:] += d * x[8:]
     terms = np.abs(A) @ np.abs(x) + np.abs(b)
@@ -754,21 +767,22 @@ def _solve_reference(p):
     """solve_steady_state check by check on the verbatim arithmetic
     (oracles.checked_call_verbatim at params.delta_raman): residual,
     trace, positivity, population, then excited, as (invariant, value,
-    bound, delta) of the first broken one; else the ground populations
-    and the coherence."""
+    bound, delta) of the first broken one; else the ground populations,
+    the coherence and rho_ee."""
     delta = p.delta_raman
-    x, resid, trace, _ = checked_call_verbatim(factorization_verbatim(p), np.array([delta]))
-    ground, coherence = x[:8, 0], complex(x[8, 0], x[9, 0])
+    x, rho = checked_call_verbatim(factorization_verbatim(p), np.array([delta]))
+    ground, coherence = x[11:19, 0], complex(x[19, 0], x[20, 0])
     excited = excited_from_ground(ground, coherence, p)
-    for name, value, bound in [("residual", resid.max(), RESIDUAL_TOL * max(1.0, p.gamma_g)),
-                               ("trace", abs(trace[0] - 1.0), TRACE_TOL),
+    for name, value, bound in [("residual", np.abs(x[:10]).max(),
+                                RESIDUAL_TOL * max(1.0, p.gamma_g)),
+                               ("trace", abs(x[10, 0]), TRACE_TOL),
                                ("positivity", -ground.min(), POPULATION_TOL),
                                ("population", ground.max() - 1.0,
                                 (1.0 + POPULATION_TOL) - 1.0),
                                ("excited", -excited.min(), EXCITED_NEG_TOL)]:
         if not value <= bound:
             return name, float(value), bound, delta
-    return ground, coherence
+    return ground, coherence, rho[0]
 
 
 def _log_uniform(lo, hi):
@@ -788,7 +802,7 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
     # less strict than the exact state on a grid of +/-50 estimated half
     # widths; a call raises its verdict, else returns the verbatim rho_ee
     # bit for bit; solve_steady_state at the first detuning gives the
-    # verdict, populations and coherence of the per-point reference
+    # verdict, populations, coherence and rho_ee of the per-point reference
     base = make_params(mode=mode, gamma_opt=gamma_opt, gamma_nat=gamma_nat,
                        gamma_g=gamma_g, omega_e=omega_e, delta_opt=delta_opt)
     model = RationalLineshape(base.replace(rabi=rabi_for_pumping_strength(base, strength)))
@@ -802,7 +816,7 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
             model(deltas)
         assert str(info.value) == str(exc)
     else:
-        rho = checked_call_verbatim(factorization_verbatim(model.params), deltas)[3]
+        rho = checked_call_verbatim(factorization_verbatim(model.params), deltas)[1]
         np.testing.assert_array_equal(model(deltas), rho)
 
     p = model.params.replace(delta_raman=float(deltas[0]))
@@ -815,7 +829,7 @@ def test_checked_call_matches_a_per_point_reference(gamma_opt, gamma_nat, gamma_
     else:
         sol = solve_steady_state(p)
         np.testing.assert_array_equal(sol.ground, expected[0])
-        assert sol.coherence == expected[1]
+        assert (sol.coherence, sol.rho_ee) == expected[1:]
 
 
 def test_blocked_call_raises_the_earliest_ordered_check():
@@ -884,6 +898,48 @@ def test_stiff_verdict_matches_a_dense_grid():
     assert resid.max() <= model._residual_bound
 
 
+def test_solve_reads_the_exact_state_at_its_detuning():
+    # the residual rows, trace and ground populations that
+    # solve_steady_state checks are those of the exact state at its
+    # detuning, within 4 ulps of the terms of each value, as the
+    # certificate's are; residual_norm is the largest residual row
+    rng = np.random.default_rng(20261022)
+    for _ in range(200):
+        p = random_params(rng)
+        checked = {}
+
+        def record(name, values, deltas, bound):
+            checked[name] = np.ravel(values)
+
+        with mock.patch.object(steady_state_mod, "_check", record):
+            sol = solve_steady_state(p)
+        resid, terms, trace, pops, pop_terms = _exact_state(RationalLineshape(p),
+                                                            [p.delta_raman])
+        assert np.all(abs(checked["residual"] - resid[:, 0]) <= 4 * _EPS * terms[:, 0])
+        assert sol.residual_norm == checked["residual"].max()
+        assert abs(checked["trace"][0] - trace[0]) <= 4 * _EPS * pop_terms.sum()
+        assert np.all(abs(sol.ground - pops[:, 0]) <= 4 * _EPS * pop_terms[:, 0])
+
+
+def test_solve_raises_nothing_where_the_certificate_passes():
+    # one rule over ROADMAP item 6's fuzz range, stiff points kept: at
+    # delta = 0, 0.7 and -3 estimated half widths Gamma_g (1 + s) of each
+    # draw whose certificate passes, solve_steady_state raises nothing and
+    # its rho_ee has the bits of a call at its detuning
+    certified = 0
+    for s, p in fuzz_range_draws():
+        model = RationalLineshape(p)
+        try:
+            model.certify()
+        except InvariantViolation:
+            continue
+        certified += 1
+        for delta in (np.array([0.0, 0.7, -3.0]) * (p.gamma_g * (1.0 + s))).tolist():
+            sol = solve_steady_state(p.replace(delta_raman=delta))
+            assert _bytes(sol.rho_ee) == _bytes(model(np.array([delta])))
+    assert certified == 2000 - 59
+
+
 UNIFORM = np.full(8, 0.125)
 
 
@@ -900,20 +956,24 @@ BROKEN_SOLUTIONS = [
 
 
 def _solve_gives(monkeypatch, x, residual):
-    """Make solve_steady_state's one-detuning solve give x, with the
-    residual of row 4 ``residual`` units of its bound and of every other
-    row zero: each factorization gets y0 = x[:8], Z = 0, coherences x[8:]
-    and a zero A0, whose b cancels the delta*x[8:] of rows 8-9."""
+    """Make solve_steady_state's closed form give x at the detuning delta
+    of its params, with the residual of row 4 ``residual`` units of its
+    bound and of every other row zero: each factorization gets y0 = x[:8],
+    Z = 0, S = (1 - delta) I (so S + delta*I = I), r = x[8:], and an A0
+    of -delta on the two coherence diagonals, else zero, so that A(delta)
+    is zero; the right-hand sides are zero but in row 4."""
     real_init = RationalLineshape.__init__
 
     def init(self, params):
         real_init(self, params)
+        delta = params.delta_raman
         self.y0, self.Z = np.array(x[:8]), np.zeros((8, 2))
-        self._coherences = lambda deltas: (np.full(deltas.shape, x[8]),
-                                           np.full(deltas.shape, x[9]))
-        self._A0, self._b = np.zeros((10, 10)), np.zeros(10)
-        self._b[8:] = params.delta_raman * np.array(x[8:])
-        self._b[4] = -residual * self._residual_bound
+        self.S, self.r = (1.0 - delta) * np.eye(2), np.array(x[8:])
+        self.q1, self.q0, self._hw2 = 2.0 * (1.0 - delta), (1.0 - delta) ** 2, 0.0
+        self._A0 = np.zeros((10, 10))
+        self._A0[8, 8] = self._A0[9, 9] = -delta
+        self._rhs = np.zeros((8, 3))
+        self._rhs[4, 0] = -residual * self._residual_bound
 
     monkeypatch.setattr(RationalLineshape, "__init__", init)
 
@@ -953,6 +1013,14 @@ def test_solve_non_finite_solution_is_singular(monkeypatch):
         solve_steady_state(make_params(rabi=hz_to_angular(1e5), delta_raman=123.0))
 
 
+@pytest.mark.parametrize("rabi_hz", [1e100, 1e140])
+def test_solve_at_a_huge_rabi_frequency_is_singular_without_a_warning(rabi_hz):
+    # the rows overflow; with warnings as errors, a numpy RuntimeWarning
+    # from any step would replace the typed error
+    with pytest.raises(SingularSystem, match=r"non-finite solution at delta_raman=0\.0"):
+        solve_steady_state(make_params(rabi=hz_to_angular(rabi_hz)))
+
+
 def test_certificate_refuses_a_real_pole(monkeypatch):
     # the same coherence block has real poles at delta = +/-123: no state
     # exists there, so the certificate, and every call, is SingularSystem
@@ -988,13 +1056,14 @@ def _factorization_cases():
 
 def test_assembled_system_is_the_factorization_s_system():
     # one builder: A(delta) is the factorization's A0 with delta on the two
-    # coherence diagonals, and b is its b, byte for byte
+    # coherence diagonals, and b is the first column of its right-hand
+    # sides with +0.0 in the coherence rows, byte for byte
     for p in _factorization_cases():
         A, b = assemble_linear_system(p)
         model = RationalLineshape(p)
         A0 = model._A0.copy()
         A0[8, 8] = A0[9, 9] = p.delta_raman
-        assert (_bytes(A), _bytes(b)) == (_bytes(A0), _bytes(model._b))
+        assert (_bytes(A), _bytes(b)) == (_bytes(A0), _bytes([*model._rhs[:, 0], 0.0, 0.0]))
 
 
 def _count_lorentz_factors(monkeypatch):
@@ -1027,9 +1096,9 @@ def test_solve_steady_state_forms_the_lorentz_factors_once(monkeypatch):
 def test_factorization_and_checked_call_match_the_verbatim_arithmetic():
     # bytes, so the sign of every zero counts: the matrix, the factorization
     # and its scalars, the rho_ee of a call (the closed form of the verbatim
-    # scalars), and the coherences, populations, residual and trace behind
-    # solve_steady_state equal those of oracles.factorization_verbatim and
-    # oracles.checked_call_verbatim
+    # scalars), and the residual, trace, populations, coherence and rho_ee
+    # of solve_steady_state at each detuning equal those of
+    # oracles.factorization_verbatim and oracles.checked_call_verbatim
     checked = 0
     for p in _factorization_cases():
         f = factorization_verbatim(p)
@@ -1041,22 +1110,23 @@ def test_factorization_and_checked_call_match_the_verbatim_arithmetic():
         for key in ("y0", "Z", "S", "r", "c0", "p0", "p1", "q0", "q1"):
             assert _bytes(getattr(model, key)) == _bytes(f[key]), key
         deltas = np.array([0.0, -0.0, p.delta_raman, 1e3, -1e3, 1e9])
-        x_ref, _, _, rho_ref = checked_call_verbatim(f, deltas)
-        assert _bytes(model._coherences(deltas)) == _bytes(x_ref[8:])
+        x_ref, rho_ref = checked_call_verbatim(f, deltas)
         try:
             assert _bytes(model(deltas)) == _bytes(rho_ref)
             checked += 1
         except InvariantViolation:
             pass
 
-        x_ref, resid_ref, trace_ref, _ = checked_call_verbatim(f, np.array([p.delta_raman]))
-        try:
-            sol = solve_steady_state(p)
-        except InvariantViolation as exc:
-            value = {"residual": resid_ref.max(), "trace": abs(trace_ref[0] - 1.0)}
-            assert exc.value == value.get(exc.invariant, exc.value)
-            continue
-        assert _bytes(sol.ground) == _bytes(x_ref[:8, 0])
-        assert sol.coherence == complex(x_ref[8, 0], x_ref[9, 0])
-        assert sol.residual_norm == resid_ref.max()
+        for delta, x, rho in zip(deltas.tolist(), x_ref.T, rho_ref):
+            ground = x[11:19]
+            try:
+                sol = solve_steady_state(p.replace(delta_raman=delta))
+            except InvariantViolation as exc:
+                value = {"residual": np.abs(x[:10]).max(), "trace": abs(x[10]),
+                         "positivity": -ground.min(), "population": ground.max() - 1.0}
+                assert exc.value == value.get(exc.invariant, exc.value)
+                continue
+            assert _bytes(sol.ground) == _bytes(ground)
+            assert _bytes([sol.coherence.real, sol.coherence.imag]) == _bytes(x[19:])
+            assert _bytes([sol.residual_norm, sol.rho_ee]) == _bytes([np.abs(x[:10]).max(), rho])
     assert checked >= 0.95 * 2 * 600

@@ -12,8 +12,9 @@ ones.  Each child imports its tree's ``cptsim`` and times ``FUNCTIONS`` on
 the same ``N_DRAWS`` draws of ``tests/conftest.py::random_params`` from
 ``np.random.default_rng(SEED)``: ``RationalLineshape`` is the
 factorization ``RationalLineshape(p)``, ``certify`` the certificate of an
-already built factorization, and the others the library functions of that
-name.  A cptsim error ends its call, which is timed all the same.  Per
+already built factorization, ``solve_steady_state`` the one-detuning state
+at each draw's own delta_raman, and the others the library functions of
+that name.  A cptsim error ends its call, which is timed all the same.  Per
 function, a child reports the mean microseconds per call of its fastest
 of ``PASSES`` passes over the draws, with the garbage collector off.
 
@@ -42,8 +43,8 @@ SEED = 7
 N_DRAWS = 100
 ROUNDS = 20
 PASSES = 7
-FUNCTIONS = ("RationalLineshape", "certify", "physical_contrast",
-             "resonance_metrics", "calibration_fwhm")
+FUNCTIONS = ("RationalLineshape", "certify", "solve_steady_state",
+             "physical_contrast", "resonance_metrics", "calibration_fwhm")
 
 # Run in a tree as ``python -c CHILD TREE``; prints one JSON object,
 # function name -> microseconds per call.
@@ -53,13 +54,14 @@ tree = sys.argv[1]
 sys.path[:0] = [tree + "/src", tree + "/tests"]
 import numpy as np
 import cptsim.lineshape as lineshape
-from cptsim import CptsimError, RationalLineshape
+from cptsim import CptsimError, RationalLineshape, solve_steady_state
 from conftest import random_params
 
 rng = np.random.default_rng(SEED)
 draws = [random_params(rng) for _ in range(N_DRAWS)]
 jobs = {"RationalLineshape": (RationalLineshape, draws),
-        "certify": (RationalLineshape.certify, [RationalLineshape(p) for p in draws])}
+        "certify": (RationalLineshape.certify, [RationalLineshape(p) for p in draws]),
+        "solve_steady_state": (solve_steady_state, draws)}
 
 def one_pass(fn, inputs):
     start = time.perf_counter()
