@@ -17,8 +17,9 @@ Model metrics (``physical_contrast``, ``resonance_metrics(params)``,
 ``calibration_fwhm``, ``calibrate_power_broadening``) are exact: rho_ee
 is a rational function of delta (``steady_state.RationalLineshape``), so
 c0 is its limit, the center and the crossings are roots of quadratics,
-and each factorization is certified once, for every real detuning and
-the limit (``RationalLineshape.certify``).  ``sweep`` samples that same
+and each factorization whose value a call returns or decides on is
+certified once, for every real detuning and the limit
+(``RationalLineshape.certify``).  ``sweep`` samples that same
 rational function, placing its ADAPTIVE grid from the exact crossings.
 Sampled metrics (``fwhm``, ``resonance_center``, ``asymmetry`` of a
 ``Lineshape``) use linear crossings and a local cubic through the
@@ -437,10 +438,12 @@ def _model_dip(model: RationalLineshape, span_halfwidths: float) -> _ModelDip:
     ``damping``).  The center is the root of
     the derivative's numerator -p1*d^2 - 2*p0*d + (p1*q0 - p0*q1) with
     the lower rho_ee; each crossing of a level c0 + k solves
-    k*d^2 + (k*q1 - p1)*d + (k*q0 - p0) = 0.  Raises NoResonance for a
-    flat or inverted dip and Unbracketed when the center or a crossing
-    lies outside the window.
+    k*d^2 + (k*q1 - p1)*d + (k*q0 - p0) = 0.  Raises SingularSystem for
+    a real pole (``RationalLineshape.require_no_real_pole``, before the
+    closed form is read), NoResonance for a flat or inverted dip and
+    Unbracketed when the center or a crossing lies outside the window.
     """
+    model.require_no_real_pole()
     p1, p0, q1, q0 = model.p1, model.p0, model.q1, model.q0
     edge = span_halfwidths * model.damping
     baseline = 0.5 * (model.excess(-edge) + model.excess(edge))
@@ -463,11 +466,18 @@ def _model_dip(model: RationalLineshape, span_halfwidths: float) -> _ModelDip:
 def calibration_fwhm(params: ModelParams) -> float:
     """FWHM (Hz) of the model dip against the mean of rho_ee at +/-25
     estimated half widths, in closed form (see ``_model_dip``), of a
-    certified model."""
+    certified model: ``_calibration_width``, then the certificate."""
+    model, width = _calibration_width(params)
+    model.certify()
+    return width
+
+
+def _calibration_width(params: ModelParams) -> tuple[RationalLineshape, float]:
+    """The factorization of ``params`` and its ``calibration_fwhm`` (Hz),
+    not yet certified."""
     model = RationalLineshape(params)
     dip = _model_dip(model, CALIBRATION_SPAN_HALFWIDTHS)
-    model.certify()
-    return (dip.hi - dip.lo) / TWO_PI
+    return model, (dip.hi - dip.lo) / TWO_PI
 
 
 def calibrate_power_broadening(params: ModelParams,
@@ -482,6 +492,11 @@ def calibrate_power_broadening(params: ModelParams,
     CALIBRATION_BRACKET pumping strengths: the returned V is one whose
     width was evaluated, and the root lies within 1e-6 of it in ln V.
     Raises NotBracketed when the target width is not attainable there.
+
+    About ten widths are evaluated; three of their models are certified,
+    those the result rests on: the probe, V and the other end of Brent's
+    final bracket.  The other widths only chose the next step.  Before
+    NotBracketed is raised, both bracket ends are certified.
     """
     return _calibrate(params, multiple)[0]
 
@@ -498,30 +513,36 @@ def _calibrate(params: ModelParams, multiple: float) -> tuple[float, float, floa
         rabi=rabi_for_pumping_strength(params, PROBE_PUMPING_STRENGTH)))
     target = (1.0 + multiple) * (w0 * TWO_PI)
     ln_target = math.log(target)
-    seen = {}  # ln V -> (V, FWHM in Hz) of every evaluated width
+    seen = {}  # ln V -> (V, model, FWHM in Hz) of every evaluated width
 
     def evaluate(v: float, u: float) -> float:
-        seen[u] = v, calibration_fwhm(params.replace(rabi=v))
-        return math.log(seen[u][1] * TWO_PI) - ln_target
+        seen[u] = v, *_calibration_width(params.replace(rabi=v))
+        return math.log(seen[u][2] * TWO_PI) - ln_target
 
     lo, hi = (rabi_for_pumping_strength(params, s) for s in CALIBRATION_BRACKET)
     ln_lo, ln_hi = math.log(lo), math.log(hi)
     g_lo, g_hi = evaluate(lo, ln_lo), evaluate(hi, ln_hi)
-    w_lo, w_hi = seen[ln_lo][1] * TWO_PI, seen[ln_hi][1] * TWO_PI
+    w_lo, w_hi = seen[ln_lo][2] * TWO_PI, seen[ln_hi][2] * TWO_PI
     if not (w_lo <= target <= w_hi):
+        seen[ln_lo][1].certify()
+        seen[ln_hi][1].certify()
         raise NotBracketed(
             f"target width {target:.6e} rad/s outside attainable "
             f"[{w_lo:.6e}, {w_hi:.6e}]")
-    v, w = seen[_brent_root(lambda u: evaluate(math.exp(u), u),
-                            ln_lo, ln_hi, g_lo, g_hi, 1e-6)]
+    b, c = _brent_root(lambda u: evaluate(math.exp(u), u), ln_lo, ln_hi, g_lo, g_hi, 1e-6)
+    seen[b][1].certify()
+    seen[c][1].certify()
+    v, _, w = seen[b]
     return v, w0, w
 
 
-def _brent_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+def _brent_root(f, a: float, b: float, fa: float, fb: float,
+                xtol: float) -> tuple[float, float]:
     """A root of f on [a, b], where fa = f(a) and fb = f(b) differ in sign
     or vanish: Brent's method (inverse quadratic, secant or bisection
-    steps; Brent 1973, ch. 4).  Returns an evaluated point within xtol of
-    a sign change of f."""
+    steps; Brent 1973, ch. 4).  Returns the final bracket (b, c): points
+    each evaluated or a given end, with f(b)*f(c) <= 0 and either
+    |b - c| <= xtol or f(b) = 0, so a root lies within xtol of b."""
     c, fc = a, fa
     d = e = b - a
     tol = 0.5 * xtol
@@ -534,7 +555,7 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> flo
             fa, fb, fc = fb, fc, fb
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
-            return b
+            return b, c
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant

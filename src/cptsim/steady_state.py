@@ -343,6 +343,14 @@ class RationalLineshape:
         a = ab[:, 0]
         return rows, a, ab[:, 1] - (0.5 * self.q1) * a
 
+    def require_no_real_pole(self) -> None:
+        """Raise SingularSystem unless the coherence block is regular at
+        every real detuning: 0 < hw2 = q0 - q1^2/4 < inf, so the
+        denominator of the closed form has no real root."""
+        if not 0.0 < self._hw2 < math.inf:
+            raise SingularSystem(
+                f"coherence block singular at a real detuning: q0 - q1^2/4 = {self._hw2!r}")
+
     def certify(self) -> None:
         """Check the state of the factorization at every real detuning and
         as delta -> inf: residual (each row of |A(delta) x - b| within
@@ -356,12 +364,11 @@ class RationalLineshape:
 
         The first broken check, a NaN value included, raises
         InvariantViolation at its worst detuning (inf for the limit).  A
-        real pole (hw2 <= 0) or a non-finite row raises SingularSystem.
+        real pole (:meth:`require_no_real_pole`) or a non-finite row raises
+        SingularSystem.
         """
+        self.require_no_real_pole()
         q1, hw2 = self.q1, self._hw2
-        if not 0.0 < hw2 < math.inf:
-            raise SingularSystem(
-                f"coherence block singular at a real detuning: q0 - q1^2/4 = {hw2!r}")
         rows, a, b = self._rows()
         c = rows[:, 0]
         q = b + np.copysign(np.hypot(b, a * math.sqrt(hw2)), b)

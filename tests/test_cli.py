@@ -144,6 +144,15 @@ def test_sweep_flat_region_no_resonance_exit_code(capsys):
     assert "NoResonance" in err
 
 
+@pytest.mark.parametrize("rabi_hz", ["1e100", "1e140"])
+def test_sweep_at_a_huge_rabi_frequency_is_singular(capsys, rabi_hz):
+    # the adaptive grid meets the real pole before it reads the closed form
+    code, out, err = run(capsys, "sweep", "--rabi-hz", rabi_hz, "--n-points", "5")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: SingularSystem: coherence block singular at a real detuning")
+    assert "Traceback" not in err
+
+
 def test_sweep_stdout_metrics(capsys):
     code, out, _ = run(capsys, "sweep", "--pumping-strength", "5",
                        "--n-points", "201")

@@ -8,12 +8,12 @@ import pytest
 import cptsim.lineshape as lineshape_mod
 from cptsim import (Depolarization, InvariantViolation, Lineshape,
                     NoResonance, NotBracketed, ParameterError,
-                    RationalLineshape, Spacing, SweepSpec,
+                    RationalLineshape, SingularSystem, Spacing, SweepSpec,
                     Unbracketed, asymmetry,
                     calibrate_power_broadening, default_sweep_spec, fwhm,
-                    physical_contrast, rabi_for_pumping_strength,
+                    hz_to_angular, physical_contrast, rabi_for_pumping_strength,
                     resonance_center, resonance_metrics, sweep)
-from cptsim.lineshape import calibration_fwhm, halfwidth_estimate
+from cptsim.lineshape import CALIBRATION_BRACKET, calibration_fwhm, halfwidth_estimate
 
 from conftest import fuzz_range_draws, make_params, random_params, use_fake_system
 from oracles import (antisymmetric_fraction_verbatim, mirrored_offsets_verbatim,
@@ -416,9 +416,10 @@ def test_model_calls_make_one_factorization_and_one_checked_call(monkeypatch, mo
 
 
 def test_calibration_makes_three_factorizations_plus_one_per_brent_evaluation(monkeypatch):
-    # each factorization is followed by exactly one certificate of its
-    # model: the probe, the two bracket ends, then one per Brent evaluation
-    # (resonance_metrics and physical_contrast: one of each, see
+    # the probe's factorization and its certificate; then one factorization
+    # per bracket end and per Brent evaluation, none certified; then the
+    # two certificates of the final bracket (resonance_metrics and
+    # physical_contrast: one of each, see
     # test_model_calls_make_one_factorization_and_one_checked_call)
     events, evaluations = _count_model_work(monkeypatch), [0]
     real_brent = lineshape_mod._brent_root
@@ -436,7 +437,48 @@ def test_calibration_makes_three_factorizations_plus_one_per_brent_evaluation(mo
             evaluations[0] = 0
             calibrate_power_broadening(base, multiple)
             assert evaluations[0] >= 1
-            assert events == ["factorization", "certificate"] * (3 + evaluations[0])
+            assert events == (["factorization", "certificate"]
+                              + ["factorization"] * (2 + evaluations[0])
+                              + ["certificate"] * 2)
+
+
+def test_calibration_certifies_the_probe_and_the_final_bracket(monkeypatch):
+    # the result rests on the probe and on the two ends b, c of Brent's
+    # final bracket: a failed certificate there raises, and one at any
+    # other evaluated width, which only chose a step, changes nothing
+    certified, evaluated, failing = [], [], [None]
+    real_certify, real_width = RationalLineshape.certify, lineshape_mod._calibration_width
+
+    def certify(self):
+        certified.append(self.params.rabi)
+        if self.params.rabi == failing[0]:
+            raise InvariantViolation("injected", invariant="residual", value=1.0,
+                                     bound=0.0, delta_raman=0.0)
+        real_certify(self)
+
+    def recording(params):
+        evaluated.append(params.rabi)
+        return real_width(params)
+
+    monkeypatch.setattr(RationalLineshape, "certify", certify)
+    monkeypatch.setattr(lineshape_mod, "_calibration_width", recording)
+    base = make_params(mode=Depolarization.NONE)
+    clean = lineshape_mod._calibrate(base, 3.0)
+    probe, v_b, v_c = certified
+    assert (probe, v_b) == (rabi_for_pumping_strength(base, 1e-3), clean[0])
+    visited = [v for v in evaluated if v not in certified]
+    assert v_c in evaluated and len(visited) == len(evaluated) - 3 > 0
+    for failing[0] in (probe, v_b, v_c):
+        with pytest.raises(InvariantViolation, match="injected"):
+            lineshape_mod._calibrate(base, 3.0)
+    for failing[0] in visited:
+        got = lineshape_mod._calibrate(base, 3.0)
+        assert [x.hex() for x in got] == [x.hex() for x in clean]
+    # an unreachable target: both bracket ends are certified before it is named
+    for s in CALIBRATION_BRACKET:
+        failing[0] = rabi_for_pumping_strength(base, s)
+        with pytest.raises(InvariantViolation, match="injected"):
+            lineshape_mod._calibrate(base, 1e4)
 
 
 def test_model_dip_window_is_the_estimated_half_width(rng):
@@ -502,6 +544,15 @@ def test_closed_form_metrics_of_a_dark_cell_raise_no_resonance():
         resonance_metrics(make_params(rabi=0.0))
     with pytest.raises(NoResonance):
         calibration_fwhm(make_params(rabi=0.0))
+
+
+def test_closed_form_metrics_at_a_huge_rabi_frequency_are_singular():
+    # q0 - q1^2/4 is -inf: the real pole is named before the closed form
+    # is read, where a division by zero would end the call untyped
+    p = make_params(rabi=hz_to_angular(1e140))
+    for call in (resonance_metrics, calibration_fwhm):
+        with pytest.raises(SingularSystem, match=r"real detuning: q0 - q1\^2/4 = -inf"):
+            call(p)
 
 
 @pytest.mark.parametrize("mode", [Depolarization.NONE, Depolarization.COMPLETE])
@@ -662,24 +713,25 @@ def test_vanishing_baseline_is_no_resonance(mode):
 
 def test_calibration_returns_an_evaluated_width(monkeypatch):
     seen = []
-    real = lineshape_mod.calibration_fwhm
+    real = lineshape_mod._calibration_width
 
     def recording(params):
-        seen.append((params.rabi, real(params)))
-        return seen[-1][1]
+        model, width = real(params)
+        seen.append((params.rabi, width))
+        return model, width
 
-    monkeypatch.setattr(lineshape_mod, "calibration_fwhm", recording)
+    monkeypatch.setattr(lineshape_mod, "_calibration_width", recording)
     base = make_params(mode=Depolarization.NONE)
     v, w0, w = lineshape_mod._calibrate(base, 3.0)
     assert seen[0] == (rabi_for_pumping_strength(base, 1e-3), w0)
     assert (v, w) in seen[1:]
-    assert w == real(base.replace(rabi=v))
+    assert w == calibration_fwhm(base.replace(rabi=v))
 
 
 def test_calibration_factorization_count(monkeypatch):
-    # Brent's method on ln V: about 10 checked factorizations per
-    # calibration, probe and bracket widths included; a bisection of the
-    # bracket to the same tolerance takes 27
+    # Brent's method on ln V: about 10 factorizations per calibration,
+    # probe and bracket widths included, of which 3 are certified; a
+    # bisection of the bracket to the same tolerance takes 27
     count = [0]
     real_init = RationalLineshape.__init__
 
@@ -712,9 +764,14 @@ def test_brent_root_bisects_where_interpolation_fails(f, root):
         evaluated.append(x)
         return f(x)
 
-    x = lineshape_mod._brent_root(recording, -1.0, 2.0, f(-1.0), f(2.0), 1e-6)
+    x, c = lineshape_mod._brent_root(recording, -1.0, 2.0, f(-1.0), f(2.0), 1e-6)
     assert x in evaluated
     assert abs(x - root) <= 1e-6
+    # the final bracket: a sign change within xtol, at points whose values
+    # were evaluated or given
+    assert c in evaluated or c in (-1.0, 2.0)
+    assert f(x) * f(c) <= 0.0
+    assert abs(x - c) <= 1e-6
     assert len(evaluated) <= 4 * math.ceil(math.log2(3.0 / 1e-6))
 
 

@@ -13,8 +13,9 @@ the same ``N_DRAWS`` draws of ``tests/conftest.py::random_params`` from
 ``np.random.default_rng(SEED)``: ``RationalLineshape`` is the
 factorization ``RationalLineshape(p)``, ``certify`` the certificate of an
 already built factorization, ``solve_steady_state`` the one-detuning state
-at each draw's own delta_raman, and the others the library functions of
-that name.  A cptsim error ends its call, which is timed all the same.  Per
+at each draw's own delta_raman, ``calibrate_power_broadening`` the
+calibration at its default multiple, and the others the library functions
+of that name.  A cptsim error ends its call, which is timed all the same.  Per
 function, a child reports the mean microseconds per call of its fastest
 of ``PASSES`` passes over the draws, with the garbage collector off.
 
@@ -44,7 +45,8 @@ N_DRAWS = 100
 ROUNDS = 20
 PASSES = 7
 FUNCTIONS = ("RationalLineshape", "certify", "solve_steady_state",
-             "physical_contrast", "resonance_metrics", "calibration_fwhm")
+             "physical_contrast", "resonance_metrics", "calibration_fwhm",
+             "calibrate_power_broadening")
 
 # Run in a tree as ``python -c CHILD TREE``; prints one JSON object,
 # function name -> microseconds per call.
