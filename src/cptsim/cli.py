@@ -59,6 +59,7 @@ FIG1_PRESET_HZ = {
 }
 
 BLOCK_SIZE = 4096  # rows per chunk of the sweep CSV (see _sweep_csv)
+MAX_SPIN_EXCHANGE_ROWS = 100_000  # steps of 0.003 C span the whole vapor-pressure window
 
 # the fig-1 geometry, then each value the library also states, read from it
 DEFAULTS = {
@@ -397,7 +398,11 @@ def cmd_spin_exchange(opts: dict) -> int:
     # Each temperature is formed as its row is solved, so a range past the
     # vapor-pressure window fails at its first temperature outside it
     # without ever holding the whole range.
-    n_steps = math.floor((t_max - t_min) / t_step + 1e-9)
+    steps = (t_max - t_min) / t_step + 1e-9
+    if not steps < MAX_SPIN_EXCHANGE_ROWS:  # also inf, from a tiny step
+        raise ConfigError(f"t_min_c to t_max_c in steps of t_step_c exceeds "
+                          f"{MAX_SPIN_EXCHANGE_ROWS} rows")
+    n_steps = math.floor(steps)
     rows = []
     for i in range(n_steps + 1):
         t_c = t_min + (i * t_step if i else 0.0)

@@ -208,8 +208,8 @@ def _brackets(ys: np.ndarray, i: int, level: float) -> tuple[int | None, int | N
     on both sides unless ys[i] lies below the level."""
     if not ys[i] < level:
         return None, None
-    left = np.nonzero(ys[:i] >= level)[0]
-    right = np.nonzero(ys[i + 1:] >= level)[0]
+    left = (ys[:i] >= level).nonzero()[0]
+    right = (ys[i + 1:] >= level).nonzero()[0]
     return (int(left[-1]) if left.size else None,
             i + int(right[0]) if right.size else None)
 

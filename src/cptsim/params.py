@@ -133,4 +133,7 @@ def rabi_for_pumping_strength(params: ModelParams, s: float) -> float:
     if not s >= 0:
         raise ParameterError("pumping strength must be >= 0")
     lu = lorentz_factors(params).lu
+    if not 0.0 < lu < math.inf:
+        raise ParameterError(f"optical Lorentz factor lu = {lu!r}: no Rabi frequency "
+                             "sets a pumping strength")
     return math.sqrt(s * params.gamma_g / lu)

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (MonotonicityError, NoResonance, ParseError,
                      TooFewSamples)
@@ -47,6 +48,7 @@ SSE_RTOL = 1e-10
 CSV_HEADER = "frequency_hz,signal"
 VARY_KEY = "intensity_mW_cm2"  # the metadata key batch_metrics sweeps by default
 FILE_KEY = "file"              # the source file name, never a grouping key
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,12 @@ class Scan:
         if f.size < MIN_SAMPLES:
             raise TooFewSamples(f"scan has {f.size} samples, need >= {MIN_SAMPLES}")
         # strictly increasing input (no NaN) is its own stable sort
-        if not (np.diff(f) > 0).all():
+        if not (f[1:] > f[:-1]).all():
             order = np.argsort(f, kind="stable")
             f, y = f[order], y[order]
             if np.any(np.diff(f) <= 0):
                 raise MonotonicityError("duplicate or non-increasing frequencies")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(f).all() and np.isfinite(y).all()):
             raise ParseError("non-finite frequency or signal value")
         object.__setattr__(self, "frequency", f)
         object.__setattr__(self, "signal", y)
@@ -214,11 +216,14 @@ class FitReport:
 
 def _median(v: np.ndarray) -> float:
     """``np.median`` of a non-empty finite float array, by its own steps:
-    ``np.partition`` at the kth list it builds, then ``np.mean``'s sum and
-    division of the middle one or two elements.  So the same double."""
+    ``np.partition``'s copy and partition at the kth list it builds, then
+    ``np.mean``'s sum and division of the middle one or two elements.  So
+    the same double."""
     k = v.size // 2
     kth = [k, -1] if v.size % 2 else [k - 1, k, -1]
-    middle = np.partition(v, kth)[kth[0]:k + 1]
+    v = v.copy()
+    v.partition(kth)
+    middle = v[kth[0]:k + 1]
     return float(np.add.reduce(middle)) / middle.size
 
 
@@ -238,10 +243,10 @@ def _initial_guess(x: np.ndarray, y: np.ndarray):
     where one is missing), and the median sample spacing."""
     a0, b0 = _edge_affine(x, y)
     resid = y - (a0 + b0 * x)
-    i0 = int(np.argmax(np.abs(resid)))
+    i0 = int(np.abs(resid).argmax())
     sign = 1 if resid[i0] >= 0 else -1
     amp0 = abs(resid[i0])
-    spacing = _median(np.diff(x))
+    spacing = _median(x[1:] - x[:-1])
     lo, hi = level_crossings(x, -sign * resid, i0, -amp0 / 2.0)
     width = hi - lo
     if math.isnan(lo):
@@ -250,6 +255,20 @@ def _initial_guess(x: np.ndarray, y: np.ndarray):
         hi = x[i0] + spacing
     w0 = max((hi - lo) / 2.0, spacing)
     return np.array([a0, b0, sign * amp0, float(x[i0]), w0]), width, spacing
+
+
+def _raise_lstsq(err, flag):
+    """The error callback of np.linalg.lstsq: LAPACK's SVD did not converge."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
+    """``np.linalg.lstsq(a, b, rcond)[0]`` for a float64 matrix and
+    vector: its own gufunc call under its own error state, without its
+    checks and wrapping."""
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(a, b[:, None], rcond, signature="ddd->ddid")[0][:, 0]
 
 
 def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
@@ -281,6 +300,7 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
     jac = np.empty((x.size, 5))
     jac[:, 0] = 1.0
     jac[:, 1] = x
+    rcond = _EPS * max(x.size, 5)  # lstsq's rcond=None
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
@@ -289,9 +309,12 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
         jac[:, 2] = lor
         jac[:, 3] = sa * 2.0 * dx * lor2 / w**2
         jac[:, 4] = sa * 2.0 * dx2 * lor2 / w**3
+        # on a non-finite input LAPACK writes DLASCL text to stdout
+        if not (math.isfinite(sse) and np.isfinite(jac).all()):
+            raise NoResonance("resonance fit failed: non-finite Jacobian")
         try:
-            step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        except np.linalg.LinAlgError as exc:  # non-finite or extreme-scale Jacobian
+            step = _lstsq(jac, r, rcond)
+        except np.linalg.LinAlgError as exc:  # extreme-scale Jacobian
             raise NoResonance(f"resonance fit failed: {exc}") from exc
         accepted = False
         for _ in range(40):
@@ -329,16 +352,17 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     v[1] = x
     scl = np.sqrt(np.add.reduce(np.square(v), axis=1))
     scl[scl == 0] = 1.0
-    return np.linalg.lstsq(v.T / scl, y, x.size * np.finfo(float).eps)[0] / scl
+    return _lstsq(v.T / scl, y, x.size * _EPS) / scl
 
 
 def fit_resonance(scan: Scan) -> FitReport:
     """Fit baseline + Lorentzian to a scan and extract metrics.
 
     Raises NoResonance when the fitted amplitude is below three times
-    the residual RMS, or when a fit step's least-squares solve fails (as
-    at extreme frequency scales).  A fit that stalls before the SSE tolerance is
-    returned with converged=False rather than raised.
+    the residual RMS, or when a fit step's Jacobian or squared residual is
+    not finite or its least-squares solve fails (as at extreme frequency
+    scales).  A fit that stalls before the SSE tolerance is returned with
+    converged=False rather than raised.
     """
     f = scan.frequency
     y = scan.signal

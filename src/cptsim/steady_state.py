@@ -346,10 +346,13 @@ class RationalLineshape:
     def require_no_real_pole(self) -> None:
         """Raise SingularSystem unless the coherence block is regular at
         every real detuning: 0 < hw2 = q0 - q1^2/4 < inf, so the
-        denominator of the closed form has no real root."""
+        denominator of the closed form has no real root; then unless c0,
+        p1 and p0, the weights of the closed form, are finite."""
         if not 0.0 < self._hw2 < math.inf:
             raise SingularSystem(
                 f"coherence block singular at a real detuning: q0 - q1^2/4 = {self._hw2!r}")
+        if not (math.isfinite(self.c0) and math.isfinite(self.p1) and math.isfinite(self.p0)):
+            raise SingularSystem("non-finite factorization")
 
     def certify(self) -> None:
         """Check the state of the factorization at every real detuning and

@@ -124,5 +124,8 @@ def spin_exchange(params: VaporParams) -> SpinExchangeResult:
     n = alkali_number_density(params.temperature)
     v_r = mean_relative_velocity(params.temperature, params.atomic_mass)
     gamma_se = nuclear_spin_prefactor(params.nuclear_spin) * params.sigma_se * v_r * n
+    if not math.isfinite(gamma_se):
+        raise ParameterError(f"spin-exchange rate not finite at {params.temperature!r} K "
+                             f"(sigma_se = {params.sigma_se!r} cm^2)")
     return SpinExchangeResult(n=n, v_r=v_r, gamma_se=gamma_se,
                               width_hz=gamma_se / math.pi)

@@ -1,8 +1,10 @@
 """Command-line behaviors: dispatch, config merging, outputs, exit codes."""
 
+import contextlib
 import dataclasses
 import errno
 import inspect
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 import cptsim
 from cptsim import cli
 from cptsim.cli import main
+from cptsim.vapor import spin_exchange
 
 from conftest import make_params
 from oracles import lorentzian_scan
@@ -618,6 +622,24 @@ def test_analyze_tables_each_scan_once_under_its_path_name(tmp_path, capsys):
                                                        "status"]
 
 
+def test_analyze_stdout_is_the_table_when_a_fit_overflows(tmp_path):
+    # a span of 1e160 Hz overflows the fit's Jacobian; the scan is a typed
+    # row, and LAPACK, which writes to fd 1, never sees the non-finite input
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    write_scan(scans / "normal.csv", seed=0)
+    u = np.linspace(-5.0, 5.0, 401)
+    y = 1.0 + 0.05 / (u**2 + 1.0) + np.random.default_rng(1).normal(0.0, 5e-4, u.size)
+    (scans / "wide.csv").write_text(
+        "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(1e159 * u, y)))
+    proc = subprocess.run([sys.executable, "-m", "cptsim", "analyze", str(scans)],
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("file,status,")
+    assert "DLASCL" not in proc.stdout
+    assert "NoResonance: resonance fit failed: non-finite Jacobian" in proc.stdout
+
+
 def test_analyze_total_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("frequency_hz,signal\n1,2\n")
@@ -680,6 +702,81 @@ def test_stray_tmp_directory_does_not_block_write(tmp_path, capsys):
     umask = os.umask(0)
     os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# ---------------------------------------------------------- extreme values
+
+EXTREME_VALUES = ("0", "-1", "5e-324", "1e-300", "1e-30", "1e30", "1e300", "inf", "-inf",
+                  "nan")
+# the drive a subcommand needs unless the option under test is one
+GRID_DRIVES = {"solve": ("--pumping-strength", "1"), "sweep": ("--pumping-strength", "1"),
+               "contrast-ratio": ("--pumping-strengths", "1")}
+# cases that end in a typed error with numpy RuntimeWarnings on stderr: a
+# rate that underflows or a V^2/gamma that overflows makes the factorization
+# non-finite (ROADMAP item 18)
+WARNED_AT_RATCHET = {(sub, flag, value)
+                     for sub in ("solve", "sweep", "contrast-ratio", "power-broadening")
+                     for flag, value in (("--gamma-nat-hz", "5e-324"),
+                                         ("--gamma-nat-hz", "1e-300"),
+                                         ("--gamma-g-hz", "5e-324"))}
+
+
+@pytest.mark.parametrize("command", [c for c in cli.build_parser()[1] if c != "analyze"])
+def test_every_float_option_fails_typed_at_extreme_values(command, monkeypatch):
+    # each float option of the subcommand, in turn, at each extreme value:
+    # exit 0, 2 or 3 without a traceback, and no inf or nan printed
+    rows = []
+    def counted(vp):
+        rows.append(vp)
+        assert len(rows) <= cli.MAX_SPIN_EXCHANGE_ROWS, "unbounded spin-exchange range"
+        return spin_exchange(vp)
+    monkeypatch.setattr(cli, "spin_exchange", counted)
+    _, options = cli.build_parser()
+    warned = set()
+    for dest, (kind, _, flags) in options[command].items():
+        if kind is not float:
+            continue
+        drive = () if dest in ("rabi_hz", "pumping_strength") else GRID_DRIVES.get(command, ())
+        for value in EXTREME_VALUES:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([command, *drive, f"{flags[0]}={value}"])
+            case = (command, flags[0], value)
+            assert code in (0, 2, 3), case
+            assert code == 0 or err.getvalue().startswith("error: "), case
+            assert not re.search(r"(?i)\b(inf|infinity|nan)\b", out.getvalue()), case
+            if caught:
+                assert {w.category for w in caught} == {RuntimeWarning}, case
+                warned.add(case)
+    assert warned == {c for c in WARNED_AT_RATCHET if c[0] == command}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("solve", "--pumping-strength", "1", "--gamma-opt-hz=5e-324"), 3,
+     "ParameterError: optical Lorentz factor lu = 0.0"),
+    (("power-broadening", "--gamma-opt-hz=5e-324"), 3,
+     "ParameterError: optical Lorentz factor lu = 0.0"),
+    (("spin-exchange", "--t-step-c=5e-324"), 2, "exceeds 100000 rows"),
+    (("spin-exchange", "--t-step-c=1e-30"), 2, "exceeds 100000 rows"),
+    (("spin-exchange", "--sigma-se-cm2=1e300"), 3,
+     "ParameterError: spin-exchange rate not finite at 323.15 K"),
+])
+def test_extreme_values_are_one_line_typed_errors(capsys, monkeypatch, argv, code, message):
+    if argv[1].startswith("--t-step-c"):  # refused before the first row
+        monkeypatch.setattr(cli, "spin_exchange", lambda vp: pytest.fail("a row was solved"))
+    got, out, err = run(capsys, *argv)
+    assert (got, out, err.count("\n")) == (code, "", 1)
+    assert err.startswith("error: ") and message in err
+
+
+def test_contrast_ratio_at_a_vanishing_decay_rate_is_a_non_finite_factorization(capsys):
+    # V^2/gamma overflows, so c0, p1 and p0 are nan; not a table of nan
+    with np.errstate(invalid="ignore"):
+        code, out, err = run(capsys, "contrast-ratio", "--pumping-strengths", "1",
+                             "--gamma-nat-hz=1e-300")
+    assert (code, out, err) == (3, "", "error: SingularSystem: non-finite factorization\n")
 
 
 # ------------------------------------------------------------------ config

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the model's per-call costs at two revisions, in paired child
+"""Time the library's per-call costs at two revisions, in paired child
 interpreters.
 
     python tools/call_times.py BASE [HEAD]
@@ -14,10 +14,13 @@ the same ``N_DRAWS`` draws of ``tests/conftest.py::random_params`` from
 factorization ``RationalLineshape(p)``, ``certify`` the certificate of an
 already built factorization, ``solve_steady_state`` the one-detuning state
 at each draw's own delta_raman, ``calibrate_power_broadening`` the
-calibration at its default multiple, and the others the library functions
-of that name.  A cptsim error ends its call, which is timed all the same.  Per
-function, a child reports the mean microseconds per call of its fastest
-of ``PASSES`` passes over the draws, with the garbage collector off.
+calibration at its default multiple, ``fit_resonance`` the scan fit on
+``N_DRAWS`` scans of ``tests/oracles.py::lorentzian_scan`` from
+``np.random.default_rng([SEED, 1])`` (201 to 801 samples, 1% noise), and
+the others the library functions of that name.  A cptsim error ends its
+call, which is timed all the same.  Per function, a child reports the
+mean microseconds per call of its fastest of ``PASSES`` passes over the
+draws, with the garbage collector off.
 
 One JSON line per function goes to stdout: each side's median
 microseconds over the pairs, the median over the pairs of the head's time
@@ -46,7 +49,7 @@ ROUNDS = 20
 PASSES = 7
 FUNCTIONS = ("RationalLineshape", "certify", "solve_steady_state",
              "physical_contrast", "resonance_metrics", "calibration_fwhm",
-             "calibrate_power_broadening")
+             "calibrate_power_broadening", "fit_resonance")
 
 # Run in a tree as ``python -c CHILD TREE``; prints one JSON object,
 # function name -> microseconds per call.
@@ -56,14 +59,19 @@ tree = sys.argv[1]
 sys.path[:0] = [tree + "/src", tree + "/tests"]
 import numpy as np
 import cptsim.lineshape as lineshape
-from cptsim import CptsimError, RationalLineshape, solve_steady_state
+from cptsim import CptsimError, RationalLineshape, Scan, fit_resonance, solve_steady_state
 from conftest import random_params
+from oracles import lorentzian_scan
 
 rng = np.random.default_rng(SEED)
 draws = [random_params(rng) for _ in range(N_DRAWS)]
+scan_rng = np.random.default_rng([SEED, 1])
+scans = [Scan(*lorentzian_scan(scan_rng, n=int(scan_rng.integers(201, 802)))[:2])
+         for _ in range(N_DRAWS)]
 jobs = {"RationalLineshape": (RationalLineshape, draws),
         "certify": (RationalLineshape.certify, [RationalLineshape(p) for p in draws]),
-        "solve_steady_state": (solve_steady_state, draws)}
+        "solve_steady_state": (solve_steady_state, draws),
+        "fit_resonance": (fit_resonance, scans)}
 
 def one_pass(fn, inputs):
     start = time.perf_counter()
