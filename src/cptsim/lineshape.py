@@ -290,10 +290,7 @@ def _extremum_location(deltas: np.ndarray, ys: np.ndarray) -> tuple[float, float
         return float(deltas[i]), float(ys[i])
     k0, k1 = max(i - 2, 0), min(i + 2, ys.size - 1)
     p = _local_cubic(deltas, ys, k0, k1)
-    a, b, c = 3.0 * p[:, 0], 2.0 * p[:, 1], p[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        u = np.stack([q / a, c / q], axis=1)
+    u = np.array([_quadratic_roots(3.0 * a, 2.0 * b, c) for a, b, c, _ in p.tolist()])
     row, col = np.nonzero((u >= 0.0) & (u <= np.diff(deltas[k0:k1 + 1])[:, None]))
     if row.size == 0:
         return float(deltas[i]), float(ys[i])

@@ -20,6 +20,7 @@ Symbols:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -77,6 +78,10 @@ class ModelParams:
                             ("omega_e", self.delta_opt + self.omega_e)):
             if math.isinf(value * value):
                 raise ParameterError(f"{name} too large: a square in the model overflows")
+        if self.gamma_g < sys.float_info.min:
+            raise ParameterError("gamma_g too small: the model's rates underflow")
+        if math.isinf(self.rabi**2 / self.gamma_nat):
+            raise ParameterError("rabi**2/gamma_nat overflows")
 
     def replace(self, **changes) -> "ModelParams":
         return replace(self, **changes)

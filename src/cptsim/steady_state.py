@@ -56,10 +56,9 @@ _I20 = GROUND_INDEX[(2, 0)]
 _I10 = GROUND_INDEX[(1, 0)]
 
 
-def _exact_rate_tables(depolarization: Depolarization) -> tuple[list, list]:
-    """Exact (blocks, pump_out) per unit pump rate of each optical branch,
-    index 0 for F_e=2 (rate V^2*lu) and 1 for F_e=1 (rate V^2*ld), as
-    lists of Fraction (or int 0).
+def _exact_rate_tables(depolarization: Depolarization) -> list:
+    """Exact blocks per unit pump rate of each optical branch (0: F_e=2 at
+    rate V^2*lu, 1: F_e=1 at V^2*ld), as lists of Fraction (or int 0).
 
     blocks[k] is the part of A linear in that rate, flattened 10x10: the
     population rows over the ground columns and Re(rho21) (column 8).  A
@@ -67,19 +66,15 @@ def _exact_rate_tables(depolarization: Depolarization) -> tuple[list, list]:
     (c = 2a, and 2w for Re(rho21)) puts its pump-out c on row j (for
     Re(rho21), c/2 on each m=0 row) and takes the spontaneous feed off
     the rows e decays to: b*c with branching ratio b in NONE mode, c/8 on
-    every row in COMPLETE mode.  So every column sums to 0.  pump_out[k]
-    sums c over the routes of each column: gamma * d(rho_ee)/dx, by
-    detailed balance.
+    every row in COMPLETE mode.  So every column sums to 0.
     """
     blocks = [[0] * 100, [0] * 100]
-    pump_out = [[0] * 9, [0] * 9]
     for e, rows in TABLES.excitation.items():
         k = 0 if EXCITED_IS_UPPER[EXCITED_INDEX[e]] else 1
         routes = [(GROUND_INDEX[g], 2 * a, [GROUND_INDEX[g]]) for g, a in rows]
         if e in TABLES.coherence_weight:
             routes.append((8, 2 * TABLES.coherence_weight[e], [_I20, _I10]))
         for j, c, out in routes:
-            pump_out[k][j] += c
             for g in out:
                 blocks[k][10 * g + j] += c / len(out)
             if depolarization is Depolarization.COMPLETE:
@@ -88,7 +83,7 @@ def _exact_rate_tables(depolarization: Depolarization) -> tuple[list, list]:
                 feed = ((GROUND_INDEX[g], b * c) for g, b in TABLES.branch[e])
             for g, f in feed:
                 blocks[k][10 * g + j] -= f
-    return blocks, pump_out
+    return blocks
 
 
 def _system_table(blocks: list) -> np.ndarray:
@@ -113,13 +108,12 @@ def _system_table(blocks: list) -> np.ndarray:
     return table.reshape(5, 130)
 
 
-# One table per mode; _PUMP_OUT (2, 9), the rho_ee weights per unit pump
-# rate, is the same in both modes.
-_SYSTEM_TABLE = {}
-for _mode in Depolarization:
-    _blocks, _pump_out = _exact_rate_tables(_mode)
-    _SYSTEM_TABLE[_mode] = _system_table(_blocks)
-_PUMP_OUT = np.array(_pump_out, dtype=float)
+_SYSTEM_TABLE = {mode: _system_table(_exact_rate_tables(mode)) for mode in Depolarization}
+# _PUMP_OUT (2, 9), the rho_ee weights per unit pump rate of each branch in
+# both modes: gamma * d(rho_ee)/dx, twice the branch's column sums of
+# [_A_EXC | _W_EXC], which are exact (one nonzero per column and branch).
+_PUMP_OUT = 2.0 * np.array([np.column_stack([_A_EXC, _W_EXC])[rows].sum(axis=0)
+                            for rows in (_UPPER, ~_UPPER)])
 
 POPULATION_TOL = 1e-12     # allowed negative excursion of ground populations
 TRACE_TOL = 1e-10          # |sum(ground) - 1| bound

@@ -790,6 +790,14 @@ def test_resonance_center_refinement():
     assert resonance_center(shape) == pytest.approx(0.37, abs=5e-3)
 
 
+def test_resonance_center_of_a_monotone_curve_is_its_edge_sample():
+    # with the sampled minimum at an edge there is no dip to refine: the
+    # center is that edge sample
+    d = np.linspace(-3.0, 5.0, 9)
+    assert resonance_center(Lineshape(d, 4.0 + d, make_params())) == d[0]
+    assert resonance_center(Lineshape(d, 2.0 - 0.1 * d, make_params())) == d[-1]
+
+
 def test_local_cubic_reproduces_a_sampled_cubic(rng):
     # on samples of a cubic, on an uneven grid, the local cubic is the
     # cubic itself: its center and level crossings are exact

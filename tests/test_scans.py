@@ -15,6 +15,7 @@ from cptsim import (CptsimError, Depolarization, MonotonicityError, NoResonance,
                     default_sweep_spec, fit_resonance, fwhm, load_scan,
                     rabi_for_pumping_strength, sweep, write_scan_csv)
 
+import cptsim.scans as scans_mod
 from cptsim.lineshape import level_crossings
 from cptsim.scans import CSV_HEADER, _affine_fit, _bulk_columns, _median
 
@@ -397,6 +398,34 @@ def test_fit_at_an_extreme_frequency_scale_is_a_typed_failure():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NoResonance, match="resonance fit failed"):
         fit_resonance(Scan(1e159 * u, y))
+
+
+def test_a_fit_that_stalls_is_unconverged_and_a_narrow_one_no_resonance():
+    # on this noisy scan no halving of the Gauss-Newton step lowers the
+    # SSE after 6 steps: the fit stops unconverged, below MAX_ITERATIONS,
+    # on a half width far below the sample spacing
+    rng = np.random.default_rng([5, 1545])
+    n = int(rng.integers(16, 300))
+    noise = rng.uniform(0.0, 2.0)
+    f, y, _ = lorentzian_scan(rng, n=n, noise_frac=noise)
+    x = f - 0.5 * (f[0] + f[-1])
+    theta, _, iterations, converged, _, spacing = scans_mod._fit_damped(x, y)
+    assert (n, iterations, converged) == (265, 6, False)
+    assert iterations < scans_mod.MAX_ITERATIONS and theta[4] < spacing
+    with pytest.raises(NoResonance, match="below the sample spacing"):
+        fit_resonance(Scan(f, y))
+
+
+def test_a_failed_least_squares_solve_is_no_resonance(monkeypatch):
+    def fail(a, b, rcond):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    monkeypatch.setattr(scans_mod, "_lstsq", fail)
+    f, y, _ = lorentzian_scan(np.random.default_rng(19))
+    with pytest.raises(NoResonance) as info:
+        fit_resonance(Scan(f, y))
+    assert str(info.value) == ("resonance fit failed: "
+                               "SVD did not converge in Linear Least Squares")
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_converged_fit_beats_affine_baseline():

@@ -137,7 +137,7 @@ def test_rate_tables_are_exact_and_conserve_population(mode):
     # coherence rows have none
     assert table[:, :8, 11:].tobytes() == table[:, :8, 8:10].tobytes()
     assert not table[:, 8:, 10:].any()
-    assert steady_state_mod._exact_rate_tables(mode) == (blocks, weights)
+    assert steady_state_mod._exact_rate_tables(mode) == blocks
 
 
 def test_complete_mode_feed_is_uniform(rng):

@@ -12,6 +12,9 @@ that tree's ``cptsim`` and evaluates ``FUNCTIONS`` on the same inputs:
 geometry at the ``FAULT1_POINTS`` gamma_g, pumping strength and mode).
 ``sweep_linear`` and ``sweep_adaptive`` are ``sweep(p, default_sweep_spec(p))``
 in each spacing: the sampled deltas and rho_ee of the library's sweep.
+``sampled_linear`` and ``sampled_adaptive`` are the ``fwhm``,
+``resonance_center`` and ``asymmetry`` of that sweep, each with its own
+value or error.
 The functions of ``EACH_CASE`` are evaluated at each input as drawn, at
 rabi = 0 and at delta_raman = 0, as ``tests/test_steady_state.py``'s
 ``_factorization_cases`` are: ``assemble_linear_system`` gives A and b,
@@ -43,8 +46,8 @@ SEED = 5
 N_DRAWS = 2000
 FUNCTIONS = ("resonance_metrics", "physical_contrast", "calibration_fwhm",
              "calibrate_power_broadening", "solve_steady_state",
-             "sweep_linear", "sweep_adaptive", "assemble_linear_system",
-             "factorization")
+             "sweep_linear", "sweep_adaptive", "sampled_linear", "sampled_adaptive",
+             "assemble_linear_system", "factorization")
 EACH_CASE = ("assemble_linear_system", "factorization")
 # (gamma_g/2pi in Hz, pumping strength, mode) at the fig-1 geometry
 FAULT1_POINTS = (
@@ -79,6 +82,13 @@ def canon(obj):
         return struct.pack("<dd", obj.real, obj.imag).hex()
     return repr(obj)
 
+def outcome(fn, arg):
+    try:
+        return canon(fn(arg))
+    except Exception as exc:
+        return "%s: %s %s" % (type(exc).__name__, exc, " ".join(
+            "%s=%s" % (k, canon(v)) for k, v in sorted(vars(exc).items())))
+
 rng = np.random.default_rng(SEED)
 inputs = [random_params(rng) for _ in range(N_DRAWS)]
 for gamma_g, s, mode in FAULT1_POINTS:
@@ -88,12 +98,20 @@ for gamma_g, s, mode in FAULT1_POINTS:
 def sweep_in(spacing):
     return lambda p: lineshape.sweep(p, lineshape.default_sweep_spec(p, spacing=spacing))
 
+def sampled_in(spacing):
+    def sampled(p):
+        shape = sweep_in(spacing)(p)
+        return tuple(outcome(metric, shape) for metric in
+                     (lineshape.fwhm, lineshape.resonance_center, lineshape.asymmetry))
+    return sampled
+
 def factorization(p):
     model = steady_state.RationalLineshape(p)
     return tuple(getattr(model, key) for key in
                  ("y0", "Z", "S", "r", "c0", "p0", "p1", "q0", "q1", "damping"))
 
 own = {"sweep_" + s.name.lower(): sweep_in(s) for s in lineshape.Spacing}
+own.update({"sampled_" + s.name.lower(): sampled_in(s) for s in lineshape.Spacing})
 own["factorization"] = factorization
 cases = [q for p in inputs for q in (p, p.replace(rabi=0.0), p.replace(delta_raman=0.0))]
 digests = {}
@@ -101,12 +119,7 @@ for name in FUNCTIONS:
     fn = own.get(name) or getattr(lineshape, name, None) or getattr(steady_state, name)
     out = []
     for p in (cases if name in EACH_CASE else inputs):
-        try:
-            text = canon(fn(p))
-        except Exception as exc:
-            text = "%s: %s %s" % (type(exc).__name__, exc, " ".join(
-                "%s=%s" % (k, canon(v)) for k, v in sorted(vars(exc).items())))
-        out.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        out.append(hashlib.sha256(outcome(fn, p).encode()).hexdigest()[:16])
     digests[name] = out
 print(json.dumps(digests))
 """
