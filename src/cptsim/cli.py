@@ -442,10 +442,19 @@ def _collect_scan_paths(inputs: list[str]) -> list[Path]:
     return paths
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: as it is, or in double quotes with its own
+    double quotes doubled where it holds a comma, a double quote, CR or LF
+    (RFC 4180 section 2, rules 6 and 7)."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _table_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
+    lines = [",".join(map(_csv_field, columns))]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        lines.append(",".join(_csv_field(_fmt(row.get(c))) for c in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,10 @@ refined by Gauss-Newton steps with step halving whenever the squared
 residual would grow.  Frequencies are centered on the scan midpoint
 internally, which keeps the normal equations well conditioned for
 absolute frequencies in the GHz range and makes the fit exactly
-equivariant under frequency shifts.
+equivariant under frequency shifts.  ``batch_metrics`` fits the scans of
+one length together, in bounded stacks, with one stacked least-squares
+solve per step; LAPACK solves each item of a stack as it solves it alone,
+so a scan's report is the one it gets fitted alone.
 
 Contrast follows the transmission convention: fitted amplitude divided
 by the fitted signal level at the resonance extremum (baseline plus
@@ -32,7 +35,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -45,6 +48,7 @@ from .lineshape import (ResonanceMetrics, _antisymmetric_fraction,
 MIN_SAMPLES = 16
 MAX_ITERATIONS = 200
 SSE_RTOL = 1e-10
+STACK_SAMPLES = 1 << 13  # samples per fitted stack: bounds its memory, moves no answer
 CSV_HEADER = "frequency_hz,signal"
 VARY_KEY = "intensity_mW_cm2"  # the metadata key batch_metrics sweeps by default
 FILE_KEY = "file"              # the source file name, never a grouping key
@@ -263,132 +267,186 @@ def _raise_lstsq(err, flag):
 
 
 def _lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
-    """``np.linalg.lstsq(a, b, rcond)[0]`` for a float64 matrix and
-    vector: its own gufunc call under its own error state, without its
-    checks and wrapping."""
+    """``np.linalg.lstsq(a, b, rcond)[0]`` for a float64 matrix and vector,
+    or for each of a stack of them: its own gufunc call under its own error
+    state, without its checks and wrapping.  LAPACK solves each item of a
+    stack as it solves it alone; if any item fails, the call fails."""
     with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
-        return _umath_linalg.lstsq(a, b[:, None], rcond, signature="ddd->ddid")[0][:, 0]
+        return _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
 
 
-def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
-    """Gauss-Newton with step halving on theta = (a, b, sA, x0, w).
+def _evaluate(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> list:
+    """For each row of ``t`` and the same rows of x and y: x - x0, its
+    square, w**2 (as a column), the Lorentzian factor, the residual and the
+    squared residual.  w**2 is each scan's numpy scalar power, because
+    numpy's array power can differ from it in the last bit.  Each row of
+    the residual starts 16-byte aligned, as a lone array does: OpenBLAS's
+    SSE3 (Prescott) dot kernel sums an unaligned vector in another order."""
+    w2 = np.array([w**2 for w in t[:, 4]])[:, None]
+    dx = x - t[:, 3:4]
+    dx2 = np.square(dx)
+    lor = w2 / (dx2 + w2)
+    n = x.shape[1]
+    r = np.empty((len(t), n + n % 2))[:, :n]
+    np.subtract(y, t[:, :1] + t[:, 1:2] * x + t[:, 2:3] * lor, out=r)
+    return [dx, dx2, w2, lor, r, np.vecdot(r, r)]
 
-    The signal is pre-scaled by a power of two so that rescaling the
+
+def _jacobian(x, t, dx, dx2, w2, lor) -> np.ndarray:
+    """The Jacobian of the model at each row of ``t``, from that row's
+    state (``_evaluate``), stored column by column: the (k, n, 5) stack is
+    the returned array's ``swapaxes(1, 2)``.  w**3 is each scan's numpy
+    scalar power."""
+    sa2 = t[:, 2:3] * 2.0
+    lor2 = np.square(lor)
+    jac = np.empty((len(x), 5, x.shape[1]))
+    jac[:, 0] = 1.0
+    jac[:, 1] = x
+    jac[:, 2] = lor
+    jac[:, 3] = sa2 * dx * lor2 / w2
+    jac[:, 4] = sa2 * dx2 * lor2 / np.array([w**3 for w in t[:, 4]])[:, None]
+    return jac
+
+
+def _halve(x, y, theta, sse, step):
+    """Step halving for one scan whose full step was refused: the first of
+    theta + step/2, theta + step/4, ... (39 tries) that has w > 0, is
+    finite, and whose squared residual is finite and not above ``sse``,
+    with its state (``_evaluate`` on the one-row stack x, y); None if no
+    try is."""
+    for _ in range(39):
+        step = step / 2.0
+        trial = theta + step
+        if trial[4] > 0 and np.isfinite(trial).all():
+            state = _evaluate(x, y, trial[None])
+            new_sse = float(state[-1][0])
+            if math.isfinite(new_sse) and new_sse <= sse:
+                return trial, state
+    return None
+
+
+def _fit_damped(x: np.ndarray, y_raw: np.ndarray) -> list:
+    """Gauss-Newton with step halving on theta = (a, b, sA, x0, w), for each
+    row of x and y_raw (a stack of scans of one length), in lockstep: one
+    stacked least-squares solve and one stacked trial of the full steps per
+    iteration; a row that refuses its full step halves on its own, and a
+    row leaves the stack when it converges or stalls.  Each row's
+    arithmetic is the arithmetic of that row fitted alone.
+
+    Each signal is pre-scaled by a power of two so that rescaling the
     input (by any power of two) reproduces bit-identical fit geometry;
     for the same reason the half-depth width of the initial guess is the
     direct width of the unscaled signal, and is returned as it is, with
     the median sample spacing.
+
+    Returns, per row, (theta, sse, iterations, converged, width, spacing).
+    Raises NoResonance if any row's Jacobian or squared residual is not
+    finite, or if the stack's least-squares solve fails.
     """
-    _, exp2 = math.frexp(float(np.maximum.reduce(np.abs(y_raw))) or 1.0)
-    scale = math.ldexp(1.0, exp2)
-    y = y_raw / scale
+    scales = [math.ldexp(1.0, math.frexp(float(m) or 1.0)[1])
+              for m in np.maximum.reduce(np.abs(y_raw), axis=1)]
+    y = y_raw / np.array(scales)[:, None]
+    guesses = [_initial_guess(*row) for row in zip(x, y)]
+    fits: list = [None] * len(x)
+    rcond = _EPS * max(x.shape[1], 5)  # lstsq's rcond=None
 
-    theta, width, spacing = _initial_guess(x, y)
+    def finish(i, theta, sse, converged):
+        theta = theta.copy()
+        theta[:3] *= scales[i]  # offset, slope, amplitude back to input units (exact)
+        fits[i] = (theta, sse * scales[i] * scales[i], iterations, converged,
+                   *guesses[i][1:])
 
-    def evaluate(t):
-        """x - x0, its square, the Lorentzian factor, residual and squared
-        residual at ``t``."""
-        a, b, sa, x0, w = t
-        dx = x - x0
-        dx2 = np.square(dx)
-        lor = w**2 / (dx2 + w**2)
-        r = y - (a + b * x + sa * lor)
-        return dx, dx2, lor, r, float(r @ r)
-
-    dx, dx2, lor, r, sse = evaluate(theta)
-    jac = np.empty((x.size, 5))
-    jac[:, 0] = 1.0
-    jac[:, 1] = x
-    rcond = _EPS * max(x.size, 5)  # lstsq's rcond=None
-    iterations = 0
-    converged = False
+    rows = np.arange(len(x))
+    theta = np.array([guess[0] for guess in guesses])
+    state = _evaluate(x, y, theta)
     for iterations in range(1, MAX_ITERATIONS + 1):
-        _, _, sa, _, w = theta
-        lor2 = np.square(lor)
-        jac[:, 2] = lor
-        jac[:, 3] = sa * 2.0 * dx * lor2 / w**2
-        jac[:, 4] = sa * 2.0 * dx2 * lor2 / w**3
+        dx, dx2, w2, lor, r, sse = state
+        jac = _jacobian(x, theta, dx, dx2, w2, lor)
         # on a non-finite input LAPACK writes DLASCL text to stdout
-        if not (math.isfinite(sse) and np.isfinite(jac).all()):
+        if not (np.isfinite(sse).all() and np.isfinite(jac).all()):
             raise NoResonance("resonance fit failed: non-finite Jacobian")
         try:
-            step = _lstsq(jac, r, rcond)
+            step = _lstsq(jac.swapaxes(1, 2), r, rcond)
         except np.linalg.LinAlgError as exc:  # extreme-scale Jacobian
             raise NoResonance(f"resonance fit failed: {exc}") from exc
-        accepted = False
-        for _ in range(40):
-            trial = theta + step
-            if trial[4] > 0 and np.isfinite(trial).all():
-                state = evaluate(trial)
-                new_sse = state[-1]
-                if math.isfinite(new_sse) and new_sse <= sse:
-                    accepted = True
-                    break
-            step = step / 2.0
-        if not accepted:
+        del jac  # not held through the trials: it is the stack's largest array
+        # the full steps as one stack; a row whose step is not a valid
+        # theta evaluates its own theta instead, and halves below
+        trials = theta + step
+        valid = (trials[:, 4] > 0) & np.isfinite(trials).all(axis=1)
+        if not valid.all():
+            trials[~valid] = theta[~valid]
+        trial_state = _evaluate(x, y, trials)
+        keep = []
+        for j, (ok, old, new) in enumerate(zip(valid.tolist(), sse.tolist(),
+                                               trial_state[-1].tolist())):
+            if not (ok and math.isfinite(new) and new <= old):
+                halved = _halve(x[j:j + 1], y[j:j + 1], theta[j], old, step[j])
+                if halved is None:  # no step lowers the squared residual
+                    finish(rows[j], theta[j], old, False)
+                    continue
+                trials[j], row_state = halved
+                for full, part in zip(trial_state, row_state):
+                    full[j] = part[0]
+                new = float(row_state[-1][0])
+            if old - new <= SSE_RTOL * max(new, 1e-300):
+                finish(rows[j], trials[j], new, True)
+            else:
+                keep.append(j)
+        if not keep:
             break
-        change = sse - new_sse
-        theta, (dx, dx2, lor, r, sse) = trial, state
-        if change <= SSE_RTOL * max(sse, 1e-300):
-            converged = True
-            break
-    theta = theta.copy()
-    theta[:3] *= scale  # offset, slope, amplitude back to input units (exact)
-    return theta, sse * scale * scale, iterations, converged, width, spacing
+        if len(keep) < len(rows):
+            rows, x, y, trials, *trial_state = (v[keep] for v in (rows, x, y, trials,
+                                                                   *trial_state))
+        theta, state = trials, trial_state
+    else:
+        for j, i in enumerate(rows):
+            finish(i, theta[j], float(state[-1][j]), False)
+    return fits
 
 
 def _affine_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Offset and slope of the least-squares line through (x, y), by the
-    arithmetic of ``np.polynomial.polynomial.polyfit(x, y, 1)``: the design
-    rows [1, x] scaled to unit 2-norm (a zero norm counts as 1), ``lstsq``
-    at rcond n*eps, and the result divided by the scales.  Unlike polyfit it
+    """Offset and slope of the least-squares line through (x, y), or through
+    each row of a stack of them, by the arithmetic of
+    ``np.polynomial.polynomial.polyfit(x, y, 1)``: the design rows [1, x]
+    scaled to unit 2-norm (a zero norm counts as 1), ``lstsq`` at rcond
+    n*eps, and the result divided by the scales.  Unlike polyfit it
     neither adds 0.0 to x and y (which moves no bit) nor warns below rank 2,
     which 16 distinct finite x of both signs reach only when the norm of x
     overflows (|x| of order 1e153; the coefficients are the same).
     """
-    v = np.empty((2, x.size))
-    v[0] = 1.0
-    v[1] = x
-    scl = np.sqrt(np.add.reduce(np.square(v), axis=1))
+    v = np.empty(x.shape[:-1] + (2, x.shape[-1]))
+    v[..., 0, :] = 1.0
+    v[..., 1, :] = x
+    scl = np.sqrt(np.add.reduce(np.square(v), axis=-1))
     scl[scl == 0] = 1.0
-    return _lstsq(v.T / scl, y, x.size * _EPS) / scl
+    return _lstsq(np.swapaxes(v, -1, -2) / scl[..., None, :], y, x.shape[-1] * _EPS) / scl
 
 
-def fit_resonance(scan: Scan) -> FitReport:
-    """Fit baseline + Lorentzian to a scan and extract metrics.
-
-    Raises NoResonance when the fitted amplitude is below three times
-    the residual RMS, or when a fit step's Jacobian or squared residual is
-    not finite or its least-squares solve fails (as at extreme frequency
-    scales).  A fit that stalls before the SSE tolerance is returned with
-    converged=False rather than raised.
-    """
-    f = scan.frequency
-    y = scan.signal
-    f_mid = 0.5 * (float(f[0]) + float(f[-1]))
-    x = f - f_mid
-
-    theta, sse, iterations, converged, direct_fwhm, spacing = _fit_damped(x, y)
+def _report(x: np.ndarray, y: np.ndarray, f_mid: float, fit: tuple,
+            affine_ss: float) -> FitReport | NoResonance:
+    """The report of one scan's ``_fit_damped`` result, or the NoResonance
+    that refuses it: an amplitude not above three times the residual rms,
+    or a half width below the sample spacing.  ``affine_ss`` is the squared
+    residual of the least-squares line through the scan."""
+    theta, sse, iterations, converged, direct_fwhm, spacing = fit
     a, b, sa, x0, w = (float(t) for t in theta)
     sign = 1 if sa >= 0 else -1
     amp = abs(sa)
     rms = math.sqrt(sse / x.size)
 
     if amp <= 3.0 * rms:
-        raise NoResonance(
+        return NoResonance(
             f"fitted amplitude {amp:.3e} not above 3x residual rms {rms:.3e}")
     if w < spacing:
         # narrower than the sampling: a noise spike, not a resonance
-        raise NoResonance(
+        return NoResonance(
             f"fitted half width {w:.3e} Hz below the sample spacing")
 
     if converged:
         # A converged fit can never sit above the plain affine fit.
-        c = _affine_fit(x, y)
-        affine_r = y - (c[0] + c[1] * x)
-        affine_rms = math.sqrt(float(np.add.reduce(affine_r * affine_r)) / x.size)
-        converged = rms <= affine_rms * (1.0 + 1e-12)
+        converged = rms <= math.sqrt(affine_ss / x.size) * (1.0 + 1e-12)
 
     baseline_at_center = a + b * x0
     peak_level = baseline_at_center + sign * amp
@@ -410,6 +468,50 @@ def fit_resonance(scan: Scan) -> FitReport:
     return FitReport(model=model, metrics=metrics, rms_residual=rms,
                      iterations=iterations, converged=converged,
                      fwhm_direct_hz=direct_fwhm)
+
+
+def _fit_together(scans: Sequence[Scan]) -> list:
+    """The report, or the NoResonance of a refused fit, of each of
+    ``scans`` (all of one length): one lockstep ``_fit_damped``, and one
+    stacked affine fit for the converged-fit guard."""
+    f = np.array([scan.frequency for scan in scans])
+    y = np.array([scan.signal for scan in scans])
+    f_mid = 0.5 * (f[:, 0] + f[:, -1])
+    x = f - f_mid[:, None]
+    fits = _fit_damped(x, y)
+    c = _affine_fit(x, y)
+    r = y - (c[:, :1] + c[:, 1:] * x)
+    return [_report(*row) for row in zip(x, y, f_mid.tolist(), fits,
+                                         np.add.reduce(r * r, axis=1).tolist())]
+
+
+def _fit_stack(scans: Sequence[Scan]) -> list:
+    """fit_resonance's report, or the exception it raises, for each of
+    ``scans`` (all of one length), fitted together.  If the stack raises
+    (say, on one scan's non-finite Jacobian), its scans are fitted again
+    one by one; so a scan's outcome never depends on the other scans."""
+    try:
+        return _fit_together(scans)
+    except Exception as exc:  # collected, not fatal to the batch
+        if len(scans) == 1:
+            return [exc]
+    return [outcome for scan in scans for outcome in _fit_stack([scan])]
+
+
+def fit_resonance(scan: Scan) -> FitReport:
+    """Fit baseline + Lorentzian to a scan and extract metrics: a stack of
+    one (see ``batch_metrics``).
+
+    Raises NoResonance when the fitted amplitude is below three times
+    the residual RMS, or when a fit step's Jacobian or squared residual is
+    not finite or its least-squares solve fails (as at extreme frequency
+    scales).  A fit that stalls before the SSE tolerance is returned with
+    converged=False rather than raised.
+    """
+    (outcome,) = _fit_stack([scan])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 METRIC_COLUMNS = ("baseline", "amplitude", "contrast", "fwhm_hz", "center_hz",
@@ -440,8 +542,23 @@ def failed_row(metadata: dict, exc: Exception) -> dict:
             **dict.fromkeys(METRIC_COLUMNS)}
 
 
+def _stacks(scans: Sequence[Scan]) -> Iterator[list[int]]:
+    """The indices of ``scans`` in stacks of one length, in input order
+    within a length, each of at most STACK_SAMPLES samples (or one scan)."""
+    by_length: dict[int, list[int]] = {}
+    for i, scan in enumerate(scans):
+        by_length.setdefault(scan.frequency.size, []).append(i)
+    for n, indices in by_length.items():
+        size = max(1, STACK_SAMPLES // n)
+        for start in range(0, len(indices), size):
+            yield indices[start:start + size]
+
+
 def batch_metrics(scans: Sequence[Scan], vary: str = VARY_KEY) -> BatchResult:
-    """Fit every scan and tabulate metrics alongside its metadata.
+    """Fit every scan and tabulate metrics alongside its metadata, in input
+    order.  Scans of one length are fitted together, in stacks of at most
+    STACK_SAMPLES samples; each scan's row is the one its own
+    ``fit_resonance`` gives.
 
     Per-scan failures become rows with a ``status`` column naming the
     error; they never abort the batch.  A per-group maximum-Q summary
@@ -449,16 +566,14 @@ def batch_metrics(scans: Sequence[Scan], vary: str = VARY_KEY) -> BatchResult:
     (the swept quantity, e.g. laser intensity) and FILE_KEY (the source
     file name, an identifier).
     """
-    rows = []
-    keys: set[str] = set()
-    for scan in scans:
-        keys.update(scan.metadata.keys())
-        try:
-            report = fit_resonance(scan)
-        except Exception as exc:  # collected, not fatal to the batch
-            rows.append(failed_row(scan.metadata, exc))
-            continue
-        rows.append(_row_from_report(scan.metadata, report))
+    outcomes: list = [None] * len(scans)
+    for stack in _stacks(scans):
+        for i, outcome in zip(stack, _fit_stack([scans[i] for i in stack])):
+            outcomes[i] = outcome
+    rows = [failed_row(scan.metadata, outcome) if isinstance(outcome, Exception)
+            else _row_from_report(scan.metadata, outcome)
+            for scan, outcome in zip(scans, outcomes)]
+    keys = {key for scan in scans for key in scan.metadata}
 
     group_keys = [k for k in sorted(keys) if k not in (vary, FILE_KEY)]
     groups: dict[tuple, dict] = {}

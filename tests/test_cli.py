@@ -1,6 +1,7 @@
 """Command-line behaviors: dispatch, config merging, outputs, exit codes."""
 
 import contextlib
+import csv
 import dataclasses
 import errno
 import inspect
@@ -622,13 +623,48 @@ def test_analyze_tables_each_scan_once_under_its_path_name(tmp_path, capsys):
                                                        "status"]
 
 
-def test_analyze_stdout_is_the_table_when_a_fit_overflows(tmp_path):
-    # a span of 1e160 Hz overflows the fit's Jacobian; the scan is a typed
-    # row, and LAPACK, which writes to fd 1, never sees the non-finite input
+def test_analyze_csv_quotes_only_the_fields_that_need_it(tmp_path, capsys):
+    # a status and a metadata value that hold a comma, and one that holds a
+    # double quote, stay one field each in the table and in _qmax.csv
     scans = tmp_path / "scans"
     scans.mkdir()
-    write_scan(scans / "normal.csv", seed=0)
+    write_scan(scans / "a.csv", seed=1, meta={"gas": "Ne, 30 Torr", "cell": 'say "A"',
+                                              "intensity_mW_cm2": 0.1})
+    write_scan(scans / "b.csv", seed=2, meta={"gas": "N2", "cell": "B",
+                                              "intensity_mW_cm2": 0.2})
+    (scans / "c.csv").write_text("frequency_hz,signal\n"
+                                 + "".join(f"{i}.0,1.0\n" for i in range(20)) + "20.0,abc\n")
+    out = tmp_path / "table.csv"
+    code, _, _ = run(capsys, "analyze", str(scans), "--out", str(out))
+    assert code == 0
+    tables = {}
+    for path in (out, tmp_path / "table_qmax.csv"):
+        text = path.read_text()
+        records = list(csv.reader(io.StringIO(text)))
+        header = records[0]
+        assert all(len(record) == len(header) for record in records)
+        # a line without a quoted field is its fields joined by commas
+        for line, record in zip(text.splitlines(), records):
+            if '"' not in line:
+                assert line == ",".join(record)
+        tables[path.name] = [dict(zip(header, record)) for record in records[1:]]
+    rows = tables["table.csv"]
+    assert [(row["file"], row["gas"], row["cell"]) for row in rows] == [
+        ("a.csv", "Ne, 30 Torr", 'say "A"'), ("b.csv", "N2", "B"), ("c.csv", "", "")]
+    assert [row["status"] for row in rows] == [
+        "ok", "ok", "ParseError: line 22: non-numeric value in '20.0,abc'"]
+    assert [row["gas"] for row in tables["table_qmax.csv"]] == ["N2", "Ne, 30 Torr"]
+    assert out.read_text().splitlines()[1].startswith('"say ""A""",a.csv,"Ne, 30 Torr",0.1,ok,')
+
+
+def test_analyze_stdout_is_the_table_when_a_fit_overflows(tmp_path):
+    # a span of 1e160 Hz overflows the fit's Jacobian; the scan is a typed
+    # row, and LAPACK, which writes to fd 1, never sees the non-finite input,
+    # also when a normal scan of the same length shares its stack
+    scans = tmp_path / "scans"
+    scans.mkdir()
     u = np.linspace(-5.0, 5.0, 401)
+    write_scan(scans / "normal.csv", seed=0, n=u.size)
     y = 1.0 + 0.05 / (u**2 + 1.0) + np.random.default_rng(1).normal(0.0, 5e-4, u.size)
     (scans / "wide.csv").write_text(
         "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(1e159 * u, y)))
@@ -638,6 +674,7 @@ def test_analyze_stdout_is_the_table_when_a_fit_overflows(tmp_path):
     assert proc.stdout.startswith("file,status,")
     assert "DLASCL" not in proc.stdout
     assert "NoResonance: resonance fit failed: non-finite Jacobian" in proc.stdout
+    assert "\nnormal.csv,ok," in proc.stdout
 
 
 def test_analyze_total_failure_exit_code(tmp_path, capsys):

@@ -409,7 +409,8 @@ def test_a_fit_that_stalls_is_unconverged_and_a_narrow_one_no_resonance():
     noise = rng.uniform(0.0, 2.0)
     f, y, _ = lorentzian_scan(rng, n=n, noise_frac=noise)
     x = f - 0.5 * (f[0] + f[-1])
-    theta, _, iterations, converged, _, spacing = scans_mod._fit_damped(x, y)
+    (fit,) = scans_mod._fit_damped(x[None], y[None])  # a stack of one
+    theta, _, iterations, converged, _, spacing = fit
     assert (n, iterations, converged) == (265, 6, False)
     assert iterations < scans_mod.MAX_ITERATIONS and theta[4] < spacing
     with pytest.raises(NoResonance, match="below the sample spacing"):
@@ -506,6 +507,104 @@ def test_fit_matches_the_verbatim_fit():
     assert sum(got.startswith("NoResonance") for got, _ in outcomes) >= 6
     assert sum("converged=True" in r for r in reports) >= 0.9 * len(reports)
     assert all("converged=False" in got for got, _ in outcomes[-len(GUARDED_LINES):])
+
+
+def _row_alone(scan):
+    """The table row of ``scan`` fitted on its own."""
+    try:
+        return scans_mod._row_from_report(scan.metadata, fit_resonance(scan))
+    except Exception as exc:
+        return scans_mod.failed_row(scan.metadata, exc)
+
+
+@pytest.mark.parametrize("stack_samples", [None, 1, 3000])
+def test_a_scan_reports_in_a_stack_as_alone(monkeypatch, stack_samples):
+    # the verbatim cases, with the fit that stalls (see the stall test) and
+    # a normal scan of its length, fitted as one batch: at the
+    # default stack bound, at one scan a stack, and at a bound that splits
+    # each length's group
+    cases = _verbatim_cases(np.random.default_rng(4711))
+    rng = np.random.default_rng([5, 1545])
+    n = int(rng.integers(16, 300))
+    cases.append(lorentzian_scan(rng, n=n, noise_frac=rng.uniform(0.0, 2.0))[:2])
+    cases.append(lorentzian_scan(np.random.default_rng(8), n=n)[:2])
+    scans = [Scan(f, y, {"case": i}) for i, (f, y) in enumerate(cases)]
+    alone = [_row_alone(scan) for scan in scans]
+    if stack_samples is not None:
+        monkeypatch.setattr(scans_mod, "STACK_SAMPLES", stack_samples)
+    stacks = list(scans_mod._stacks(scans))
+    assert sorted(i for stack in stacks for i in stack) == list(range(len(scans)))
+    lengths = [scans[stack[0]].frequency.size for stack in stacks]
+    assert max(map(len, stacks)) == {None: 40, 1: 1, 3000: 14}[stack_samples]
+    assert len(set(lengths)) < len(lengths)  # some length's group is split
+    rows = batch_metrics(scans).rows
+    assert len(rows) == len(alone) >= 300
+    for got, want in zip(rows, alone):
+        assert repr(got) == repr(want)
+    # the stalled fit is refused for its width, beside an accepted fit
+    assert rows[-2]["status"].endswith("Hz below the sample spacing")
+    assert rows[-1]["status"] == "ok"
+    assert sum(row["status"] != "ok" for row in rows) >= 6
+
+
+def test_stacked_residual_rows_start_where_a_lone_array_does():
+    # OpenBLAS's SSE3 (Prescott) dot kernel sums a vector that starts 8
+    # bytes past a 16-byte boundary in another order; so each row of a
+    # stack's residual starts 16-byte aligned, as a lone array does
+    for n in (16, 17, 201):
+        x = np.linspace(-1.0, 1.0, n) + np.zeros((5, 1))
+        t = np.tile([1.0, 0.0, 0.5, 0.0, 0.3], (5, 1))
+        r = scans_mod._evaluate(x, x, t)[4]
+        assert [row.ctypes.data % 16 for row in r] == [0] * 5
+
+
+def _failure(outcome):
+    """An outcome's exception as type, message and cause."""
+    cause = outcome.__cause__
+    return (type(outcome), str(outcome), type(cause), str(cause))
+
+
+def test_a_typed_failure_stays_with_its_scan_in_a_stack(monkeypatch):
+    # a 1e159 Hz span (a non-finite Jacobian) and a scan whose solve fails,
+    # each among normal scans of the same length
+    rng = np.random.default_rng(29)
+    normal = [Scan(*lorentzian_scan(rng)[:2]) for _ in range(3)]
+    u = np.linspace(-5.0, 5.0, 401)
+    wide = Scan(1e159 * u, 1.0 + 0.05 / (u**2 + 1.0) + rng.normal(0.0, 5e-4, u.size))
+    unsolvable = Scan(*lorentzian_scan(rng, span_hz=12_000.0)[:2])
+    x = unsolvable.frequency - 0.5 * (unsolvable.frequency[0] + unsolvable.frequency[-1])
+    real_lstsq = scans_mod._lstsq
+
+    def fail_its_solve(a, b, rcond):
+        # a stack that holds the unsolvable scan's Jacobian (column 1 is x) fails
+        if (a[..., 1] == x).all(axis=-1).any():
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return real_lstsq(a, b, rcond)
+
+    monkeypatch.setattr(scans_mod, "_lstsq", fail_its_solve)
+    stack = [normal[0], wide, normal[1], unsolvable, normal[2]]
+    assert list(scans_mod._stacks(stack)) == [[0, 1, 2, 3, 4]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = scans_mod._fit_stack(stack)
+        alone = []
+        for scan in stack:
+            try:
+                alone.append(fit_resonance(scan))
+            except NoResonance as exc:
+                alone.append(exc)
+        rows = batch_metrics(stack).rows
+    assert [type(o) for o in outcomes] == [scans_mod.FitReport, NoResonance,
+                                           scans_mod.FitReport, NoResonance,
+                                           scans_mod.FitReport]
+    assert _failure(outcomes[1]) == _failure(alone[1]) == (
+        NoResonance, "resonance fit failed: non-finite Jacobian", type(None), "None")
+    assert _failure(outcomes[3]) == _failure(alone[3]) == (
+        NoResonance, "resonance fit failed: SVD did not converge in Linear Least Squares",
+        np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares")
+    for i in (0, 2, 4):
+        assert repr(outcomes[i]) == repr(alone[i])
+    assert [row["status"] for row in rows] == [
+        "ok", f"NoResonance: {alone[1]}", "ok", f"NoResonance: {alone[3]}", "ok"]
 
 
 def test_median_is_numpys_median():

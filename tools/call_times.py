@@ -16,8 +16,9 @@ already built factorization, ``solve_steady_state`` the one-detuning state
 at each draw's own delta_raman, ``calibrate_power_broadening`` the
 calibration at its default multiple, ``fit_resonance`` the scan fit on
 ``N_DRAWS`` scans of ``tests/oracles.py::lorentzian_scan`` from
-``np.random.default_rng([SEED, 1])`` (201 to 801 samples, 1% noise), and
-the others the library functions of that name.  A cptsim error ends its
+``np.random.default_rng([SEED, 1])`` (201 to 801 samples, 1% noise),
+``batch_metrics`` one call over all of those scans, and the others the
+library functions of that name.  A cptsim error ends its
 call, which is timed all the same.  Per function, a child reports the
 mean microseconds per call of its fastest of ``PASSES`` passes over the
 draws, with the garbage collector off.
@@ -49,7 +50,7 @@ ROUNDS = 20
 PASSES = 7
 FUNCTIONS = ("RationalLineshape", "certify", "solve_steady_state",
              "physical_contrast", "resonance_metrics", "calibration_fwhm",
-             "calibrate_power_broadening", "fit_resonance")
+             "calibrate_power_broadening", "fit_resonance", "batch_metrics")
 
 # Run in a tree as ``python -c CHILD TREE``; prints one JSON object,
 # function name -> microseconds per call.
@@ -59,7 +60,8 @@ tree = sys.argv[1]
 sys.path[:0] = [tree + "/src", tree + "/tests"]
 import numpy as np
 import cptsim.lineshape as lineshape
-from cptsim import CptsimError, RationalLineshape, Scan, fit_resonance, solve_steady_state
+from cptsim import (CptsimError, RationalLineshape, Scan, batch_metrics, fit_resonance,
+                    solve_steady_state)
 from conftest import random_params
 from oracles import lorentzian_scan
 
@@ -71,7 +73,8 @@ scans = [Scan(*lorentzian_scan(scan_rng, n=int(scan_rng.integers(201, 802)))[:2]
 jobs = {"RationalLineshape": (RationalLineshape, draws),
         "certify": (RationalLineshape.certify, [RationalLineshape(p) for p in draws]),
         "solve_steady_state": (solve_steady_state, draws),
-        "fit_resonance": (fit_resonance, scans)}
+        "fit_resonance": (fit_resonance, scans),
+        "batch_metrics": (batch_metrics, [scans])}
 
 def one_pass(fn, inputs):
     start = time.perf_counter()
