@@ -344,35 +344,45 @@ def asymmetry(shape: Lineshape) -> float:
     return _antisymmetric_fraction(_horner(p[k - k0], t - deltas[k]), baseline)
 
 
-def _mirrored_offsets(center: float, d_lo: float, d_hi: float,
-                      n_half: int) -> np.ndarray:
+def _mirrored_offsets(center, d_lo, d_hi, n_half: int) -> np.ndarray:
     """center + x, then center - x, for n_half + 1 offsets x across half
     the window [d_lo, d_hi]: the x of np.linspace(0.0, stop, n_half + 1),
     formed with linspace's own arithmetic, and center - x, which is the
-    same double as center + (-x)."""
+    same double as center + (-x).  center, d_lo and d_hi are floats (one
+    window, 2 * (n_half + 1) offsets) or columns, arrays of shape (k, 1)
+    (k windows, one row of offsets each); a row whose step underflows is
+    scaled as linspace scales it."""
     stop = (d_hi - d_lo) / 2.0
-    xs = np.arange(n_half + 1.0)
     step = stop / n_half
-    if step == 0.0:  # the step underflows: scale as linspace does
-        xs /= n_half
-        xs *= stop
-    else:
-        xs *= step
+    xs = np.arange(n_half + 1.0) * step
+    under = step == 0.0  # a bool, or a column of them
+    if under.any() if isinstance(under, np.ndarray) else under:
+        xs = np.where(under, np.arange(n_half + 1.0) / n_half * stop, xs)
     xs += 0.0
-    xs[-1] = stop
-    out = np.empty(2 * xs.size)
-    np.add(center, xs, out=out[:xs.size])
-    np.subtract(center, xs, out=out[xs.size:])
+    xs[..., -1:] = stop
+    m = n_half + 1
+    out = np.empty(xs.shape[:-1] + (2 * m,))
+    np.add(center, xs, out=out[..., :m])
+    np.subtract(center, xs, out=out[..., m:])
     return out
 
 
-def _antisymmetric_fraction(values: np.ndarray, baseline: float) -> float:
-    """||rho(+x) - rho(-x)|| / ||baseline - rho|| over mirrored values."""
-    up, dn = values.reshape(2, -1)
-    dev = np.square(baseline - values)
-    num = math.sqrt(np.add.reduce(np.square(up - dn)))
-    den = math.sqrt(np.add.reduce(dev[:up.size]) + np.add.reduce(dev[up.size:]))
-    return num / den if den else 0.0
+def _antisymmetric_fraction(values: np.ndarray, baseline):
+    """||rho(+x) - rho(-x)|| / ||baseline - rho|| over mirrored values:
+    a float for one row of them, a list of floats for the rows of a stack
+    (the sums run along the last axis, each row's as it runs alone)."""
+    rows, h = values.shape[:-1], values.shape[-1] // 2
+    # per row: rho(+x) - rho(-x), then baseline - rho at +x and at -x;
+    # squared and summed, each part on its own
+    parts = np.empty(rows + (3, h))
+    np.subtract(values[..., :h], values[..., h:], out=parts[..., 0, :])
+    np.subtract(baseline, values.reshape(rows + (2, h)), out=parts[..., 1:, :])
+    sums = np.add.reduce(np.square(parts, out=parts), axis=-1)
+    fractions = []
+    for num, up, dn in sums.reshape(-1, 3).tolist():
+        den = math.sqrt(up + dn)
+        fractions.append(math.sqrt(num) / den if den else 0.0)
+    return fractions if values.ndim > 1 else fractions[0]
 
 
 def physical_contrast(params: ModelParams) -> ContrastSummary:

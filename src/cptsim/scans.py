@@ -22,7 +22,14 @@ absolute frequencies in the GHz range and makes the fit exactly
 equivariant under frequency shifts.  ``batch_metrics`` fits the scans of
 one length together, in bounded stacks, with one stacked least-squares
 solve per step; LAPACK solves each item of a stack as it solves it alone,
-so a scan's report is the one it gets fitted alone.
+so a scan's report is the one it gets fitted alone.  The array work of
+the initial guess (edge sums and medians, residuals, median spacing) and
+of the report's asymmetry (mirrored offsets, sums) is formed on the
+whole stack too, each row's arithmetic its own; the half-depth
+crossings, the interpolation and each report's few float operations run
+scan by scan.  A stack runs under one numpy error state, so the
+overflows of an extreme frequency scale raise no warning; the fit
+refuses a non-finite state by itself.
 
 Contrast follows the transmission convention: fitted amplitude divided
 by the fitted signal level at the resonance extremum (baseline plus
@@ -218,47 +225,55 @@ class FitReport:
     fwhm_direct_hz: float   # half-depth read of the raw data (cross-check)
 
 
-def _median(v: np.ndarray) -> float:
-    """``np.median`` of a non-empty finite float array, by its own steps:
-    ``np.partition``'s copy and partition at the kth list it builds, then
-    ``np.mean``'s sum and division of the middle one or two elements.  So
-    the same double."""
-    k = v.size // 2
-    kth = [k, -1] if v.size % 2 else [k - 1, k, -1]
+def _median(v: np.ndarray) -> np.ndarray:
+    """``np.median`` of each row (along the last axis) of a non-empty
+    finite float array, by its own steps: ``np.partition``'s copy and
+    partition at the kth list it builds, then ``np.mean``'s sum and
+    division of the middle one or two elements.  So the same doubles."""
+    m = v.shape[-1]
+    k = m // 2
+    kth = [k, -1] if m % 2 else [k - 1, k, -1]
     v = v.copy()
     v.partition(kth)
-    middle = v[kth[0]:k + 1]
-    return float(np.add.reduce(middle)) / middle.size
-
-
-def _edge_affine(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Affine baseline through the medians of the two scan edges (at the
-    edges' mean x, summed as ``np.mean`` sums)."""
-    n_edge = max(3, x.size // 10)
-    xl, yl = float(np.add.reduce(x[:n_edge])) / n_edge, _median(y[:n_edge])
-    xr, yr = float(np.add.reduce(x[-n_edge:])) / n_edge, _median(y[-n_edge:])
-    slope = (yr - yl) / (xr - xl)
-    return yl - slope * xl, slope
+    middle = v[..., kth[0]:k + 1]
+    return np.add.reduce(middle, axis=-1) / middle.shape[-1]
 
 
 def _initial_guess(x: np.ndarray, y: np.ndarray):
-    """Starting theta from the edge baseline and the half-depth crossings
-    of the largest excursion, the width between those crossings (nan
-    where one is missing), and the median sample spacing."""
-    a0, b0 = _edge_affine(x, y)
-    resid = y - (a0 + b0 * x)
-    i0 = int(np.abs(resid).argmax())
-    sign = 1 if resid[i0] >= 0 else -1
-    amp0 = abs(resid[i0])
-    spacing = _median(x[1:] - x[:-1])
-    lo, hi = level_crossings(x, -sign * resid, i0, -amp0 / 2.0)
-    width = hi - lo
-    if math.isnan(lo):
-        lo = x[i0] - spacing
-    if math.isnan(hi):
-        hi = x[i0] + spacing
-    w0 = max((hi - lo) / 2.0, spacing)
-    return np.array([a0, b0, sign * amp0, float(x[i0]), w0]), width, spacing
+    """Starting theta for each row of x and y (a stack of scans of one
+    length), from the edge baseline and the half-depth crossings of the
+    largest excursion; with, per row, the width between those crossings
+    (nan where one is missing) and the median sample spacing.  The edge
+    baseline runs through the medians of the two scan edges, at the
+    edges' mean x (summed as ``np.mean`` sums).  The sums, medians,
+    residuals and their largest excursions are formed on the stack; the
+    line through the edges and the crossings, row by row.  Each row's
+    arithmetic is that row's alone."""
+    k, n = x.shape
+    n_edge = max(3, n // 10)
+    edges = np.concatenate((x[:, :n_edge], x[:, -n_edge:], y[:, :n_edge], y[:, -n_edge:]),
+                           axis=1).reshape(k, 4, n_edge)
+    lines = []
+    for (xl, xr), (yl, yr) in zip((np.add.reduce(edges[:, :2], axis=2) / n_edge).tolist(),
+                                  _median(edges[:, 2:]).tolist()):
+        slope = (yr - yl) / (xr - xl)
+        lines.append((yl - slope * xl, slope))
+    line = np.array(lines)
+    resid = y - (line[:, :1] + line[:, 1:] * x)
+    spacings = _median(x[:, 1:] - x[:, :-1]).tolist()
+    thetas, widths = [], []
+    for (a0, b0), xj, rj, i0, spacing in zip(lines, x, resid,
+                                              np.abs(resid).argmax(axis=1).tolist(), spacings):
+        peak, at = float(rj[i0]), float(xj[i0])
+        sign = 1 if peak >= 0 else -1
+        lo, hi = level_crossings(xj, -sign * rj, i0, -abs(peak) / 2.0)
+        widths.append(hi - lo)
+        if math.isnan(lo):
+            lo = at - spacing
+        if math.isnan(hi):
+            hi = at + spacing
+        thetas.append((a0, b0, sign * abs(peak), at, max((hi - lo) / 2.0, spacing)))
+    return np.array(thetas), widths, spacings
 
 
 def _raise_lstsq(err, flag):
@@ -266,14 +281,14 @@ def _raise_lstsq(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
+@np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
 def _lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
     """``np.linalg.lstsq(a, b, rcond)[0]`` for a float64 matrix and vector,
     or for each of a stack of them: its own gufunc call under its own error
     state, without its checks and wrapping.  LAPACK solves each item of a
     stack as it solves it alone; if any item fails, the call fails."""
-    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+    return _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
 
 
 def _evaluate(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> list:
@@ -347,7 +362,7 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray) -> list:
     scales = [math.ldexp(1.0, math.frexp(float(m) or 1.0)[1])
               for m in np.maximum.reduce(np.abs(y_raw), axis=1)]
     y = y_raw / np.array(scales)[:, None]
-    guesses = [_initial_guess(*row) for row in zip(x, y)]
+    theta, widths, spacings = _initial_guess(x, y)
     fits: list = [None] * len(x)
     rcond = _EPS * max(x.shape[1], 5)  # lstsq's rcond=None
 
@@ -355,16 +370,16 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray) -> list:
         theta = theta.copy()
         theta[:3] *= scales[i]  # offset, slope, amplitude back to input units (exact)
         fits[i] = (theta, sse * scales[i] * scales[i], iterations, converged,
-                   *guesses[i][1:])
+                   widths[i], spacings[i])
 
     rows = np.arange(len(x))
-    theta = np.array([guess[0] for guess in guesses])
     state = _evaluate(x, y, theta)
     for iterations in range(1, MAX_ITERATIONS + 1):
         dx, dx2, w2, lor, r, sse = state
+        sse = sse.tolist()
         jac = _jacobian(x, theta, dx, dx2, w2, lor)
         # on a non-finite input LAPACK writes DLASCL text to stdout
-        if not (np.isfinite(sse).all() and np.isfinite(jac).all()):
+        if not (all(map(math.isfinite, sse)) and np.isfinite(jac).all()):
             raise NoResonance("resonance fit failed: non-finite Jacobian")
         try:
             step = _lstsq(jac.swapaxes(1, 2), r, rcond)
@@ -374,13 +389,13 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray) -> list:
         # the full steps as one stack; a row whose step is not a valid
         # theta evaluates its own theta instead, and halves below
         trials = theta + step
-        valid = (trials[:, 4] > 0) & np.isfinite(trials).all(axis=1)
-        if not valid.all():
-            trials[~valid] = theta[~valid]
+        valid = [t[4] > 0 and all(map(math.isfinite, t)) for t in trials.tolist()]
+        if not all(valid):
+            invalid = np.logical_not(valid)
+            trials[invalid] = theta[invalid]
         trial_state = _evaluate(x, y, trials)
         keep = []
-        for j, (ok, old, new) in enumerate(zip(valid.tolist(), sse.tolist(),
-                                               trial_state[-1].tolist())):
+        for j, (ok, old, new) in enumerate(zip(valid, sse, trial_state[-1].tolist())):
             if not (ok and math.isfinite(new) and new <= old):
                 halved = _halve(x[j:j + 1], y[j:j + 1], theta[j], old, step[j])
                 if halved is None:  # no step lowers the squared residual
@@ -424,56 +439,69 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _lstsq(np.swapaxes(v, -1, -2) / scl[..., None, :], y, x.shape[-1] * _EPS) / scl
 
 
-def _report(x: np.ndarray, y: np.ndarray, f_mid: float, fit: tuple,
-            affine_ss: float) -> FitReport | NoResonance:
-    """The report of one scan's ``_fit_damped`` result, or the NoResonance
+def _reports(x: np.ndarray, y: np.ndarray, f_mid: np.ndarray, fits: list,
+             affine_ss: np.ndarray) -> list:
+    """The report of each row's ``_fit_damped`` result, or the NoResonance
     that refuses it: an amplitude not above three times the residual rms,
-    or a half width below the sample spacing.  ``affine_ss`` is the squared
-    residual of the least-squares line through the scan."""
-    theta, sse, iterations, converged, direct_fwhm, spacing = fit
-    a, b, sa, x0, w = (float(t) for t in theta)
-    sign = 1 if sa >= 0 else -1
-    amp = abs(sa)
-    rms = math.sqrt(sse / x.size)
-
-    if amp <= 3.0 * rms:
-        return NoResonance(
-            f"fitted amplitude {amp:.3e} not above 3x residual rms {rms:.3e}")
-    if w < spacing:
-        # narrower than the sampling: a noise spike, not a resonance
-        return NoResonance(
-            f"fitted half width {w:.3e} Hz below the sample spacing")
-
-    if converged:
-        # A converged fit can never sit above the plain affine fit.
-        converged = rms <= math.sqrt(affine_ss / x.size) * (1.0 + 1e-12)
-
-    baseline_at_center = a + b * x0
-    peak_level = baseline_at_center + sign * amp
-    contrast = amp / peak_level
-    fwhm_hz = 2.0 * w
+    or a half width below the sample spacing.  ``affine_ss`` holds each
+    row's squared residual of the least-squares line through the scan.
+    The asymmetry's offsets, baseline-removed data and sums are formed on
+    the stack (only its interpolation runs row by row), the rest row by
+    row in floats; each row's arithmetic is that row's alone."""
+    thetas = np.array([fit[0] for fit in fits])
     # the baseline-removed data at mirrored offsets across the FWHM window
-    mirrored = np.interp(_mirrored_offsets(x0, 0.0, fwhm_hz, 100), x, y - (a + b * x))
-    metrics = ResonanceMetrics(
-        baseline=baseline_at_center,
-        amplitude=amp,
-        physical_contrast=contrast,
-        fwhm_hz=fwhm_hz,
-        center_hz=f_mid + x0,
-        asymmetry=_antisymmetric_fraction(mirrored, 0.0),
-        qfactor=contrast / fwhm_hz,
-    )
-    model = FitModel(offset=a - b * f_mid, slope=b, center_hz=f_mid + x0,
-                     half_width_hz=w, amplitude=amp, sign=sign)
-    return FitReport(model=model, metrics=metrics, rms_residual=rms,
-                     iterations=iterations, converged=converged,
-                     fwhm_direct_hz=direct_fwhm)
+    offsets = _mirrored_offsets(thetas[:, 3:4], 0.0, 2.0 * thetas[:, 4:5], 100)
+    level = y - (thetas[:, :1] + thetas[:, 1:2] * x)
+    asymmetries = _antisymmetric_fraction(
+        np.array([np.interp(*row) for row in zip(offsets, x, level)]), 0.0)
+    n = x.shape[1]
+    reports = []
+    for (a, b, sa, x0, w), fit, mid, ss, asymmetry in zip(
+            thetas.tolist(), fits, f_mid.tolist(), affine_ss.tolist(), asymmetries):
+        _, sse, iterations, converged, direct_fwhm, spacing = fit
+        sign = 1 if sa >= 0 else -1
+        amp = abs(sa)
+        rms = math.sqrt(sse / n)
+        if amp <= 3.0 * rms:
+            reports.append(NoResonance(
+                f"fitted amplitude {amp:.3e} not above 3x residual rms {rms:.3e}"))
+            continue
+        if w < spacing:
+            # narrower than the sampling: a noise spike, not a resonance
+            reports.append(NoResonance(
+                f"fitted half width {w:.3e} Hz below the sample spacing"))
+            continue
+        if converged:
+            # A converged fit can never sit above the plain affine fit.
+            converged = rms <= math.sqrt(ss / n) * (1.0 + 1e-12)
+        baseline_at_center = a + b * x0
+        peak_level = baseline_at_center + sign * amp
+        contrast = amp / peak_level
+        fwhm_hz = 2.0 * w
+        metrics = ResonanceMetrics(
+            baseline=baseline_at_center,
+            amplitude=amp,
+            physical_contrast=contrast,
+            fwhm_hz=fwhm_hz,
+            center_hz=mid + x0,
+            asymmetry=asymmetry,
+            qfactor=contrast / fwhm_hz,
+        )
+        model = FitModel(offset=a - b * mid, slope=b, center_hz=mid + x0,
+                         half_width_hz=w, amplitude=amp, sign=sign)
+        reports.append(FitReport(model=model, metrics=metrics, rms_residual=rms,
+                                 iterations=iterations, converged=converged,
+                                 fwhm_direct_hz=direct_fwhm))
+    return reports
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def _fit_together(scans: Sequence[Scan]) -> list:
     """The report, or the NoResonance of a refused fit, of each of
-    ``scans`` (all of one length): one lockstep ``_fit_damped``, and one
-    stacked affine fit for the converged-fit guard."""
+    ``scans`` (all of one length): one lockstep ``_fit_damped``, one
+    stacked affine fit for the converged-fit guard and one stacked report,
+    under one error state that keeps numpy's warnings of extreme scales
+    off stderr (the fit refuses a non-finite state by itself)."""
     f = np.array([scan.frequency for scan in scans])
     y = np.array([scan.signal for scan in scans])
     f_mid = 0.5 * (f[:, 0] + f[:, -1])
@@ -481,8 +509,7 @@ def _fit_together(scans: Sequence[Scan]) -> list:
     fits = _fit_damped(x, y)
     c = _affine_fit(x, y)
     r = y - (c[:, :1] + c[:, 1:] * x)
-    return [_report(*row) for row in zip(x, y, f_mid.tolist(), fits,
-                                         np.add.reduce(r * r, axis=1).tolist())]
+    return _reports(x, y, f_mid, fits, np.add.reduce(r * r, axis=1))
 
 
 def _fit_stack(scans: Sequence[Scan]) -> list:

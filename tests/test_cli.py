@@ -675,6 +675,7 @@ def test_analyze_stdout_is_the_table_when_a_fit_overflows(tmp_path):
     assert "DLASCL" not in proc.stdout
     assert "NoResonance: resonance fit failed: non-finite Jacobian" in proc.stdout
     assert "\nnormal.csv,ok," in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_analyze_total_failure_exit_code(tmp_path, capsys):

@@ -211,6 +211,36 @@ def test_antisymmetric_fraction_matches_verbatim():
     assert lineshape_mod._antisymmetric_fraction(np.full(202, 0.75), 0.75) == 0.0
 
 
+def test_stacked_mirrored_offsets_and_fraction_are_each_rows_own():
+    # one stack of windows, columns in and one row of offsets out each: every
+    # row is byte for byte the verbatim offsets of its own window, including
+    # rows whose step underflows (subnormal and zero half widths) beside
+    # normal ones; the fraction of each row of a stack is that row's alone,
+    # a zero denominator included
+    halves = (0.0, 5e-324, 1e-322, 1e-320, 2.2250738585072014e-308, 1e-300, 3e-7,
+              0.1, 7.0, 6.8e9, 1e300)
+    windows = [(center, d_lo, d_lo + 2.0 * half) for center in (0.0, -0.0, 1.25e9, -3.5)
+               for half in halves for d_lo in (0.0, -half, -0.0)]
+    center, d_lo, d_hi = (np.array(column)[:, None] for column in zip(*windows))
+    for n_half in (100, 200):
+        got = lineshape_mod._mirrored_offsets(center, d_lo, d_hi, n_half)
+        assert got.shape == (len(windows), 2 * (n_half + 1))
+        for row, window in zip(got, windows):
+            want = mirrored_offsets_verbatim(*window, n_half)
+            assert row.tobytes() == want.tobytes(), window
+    rng = np.random.default_rng(20261021)
+    for n in (101, 201):
+        values = np.concatenate([scale * rng.normal(size=(3, 2 * n))
+                                 for scale in (1e-170, 1e-3, 1.0, 1e150)])
+        values = np.concatenate([values, np.zeros((1, 2 * n)),
+                                 np.tile(rng.normal(size=n), (1, 2))])
+        for baseline in (0.0, 0.5):
+            got = lineshape_mod._antisymmetric_fraction(values, baseline)
+            want = [antisymmetric_fraction_verbatim(row, baseline) for row in values]
+            assert [type(v) for v in got] == [float] * len(values)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def test_asymmetry_complete_mode_symmetric():
     p = params_at_strength(8.9)
     shape = sweep(p, default_sweep_spec(p))

@@ -400,6 +400,18 @@ def test_fit_at_an_extreme_frequency_scale_is_a_typed_failure():
         fit_resonance(Scan(1e159 * u, y))
 
 
+def test_fit_at_an_extreme_frequency_scale_warns_nothing():
+    # the same scan with numpy set to warn on everything and warnings made
+    # errors: the fit enters its own error state, so the typed failure is
+    # all that comes out
+    u = np.linspace(-5.0, 5.0, 401)
+    y = 1.0 + 0.05 / (u**2 + 1.0) + np.random.default_rng(1).normal(0.0, 5e-4, u.size)
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoResonance, match="non-finite Jacobian"):
+            fit_resonance(Scan(1e159 * u, y))
+
+
 def test_a_fit_that_stalls_is_unconverged_and_a_narrow_one_no_resonance():
     # on this noisy scan no halving of the Gauss-Newton step lowers the
     # SSE after 6 steps: the fit stops unconverged, below MAX_ITERATIONS,
@@ -608,14 +620,20 @@ def test_a_typed_failure_stays_with_its_scan_in_a_stack(monkeypatch):
 
 
 def test_median_is_numpys_median():
+    # each row of a stack: its median is np.median of that row alone, to
+    # the sign of a zero, in stacks of one to four rows of each kind
     rng = np.random.default_rng(5)
     pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -1.0, 0.5])
     for n in range(1, 201):
-        for v in (rng.choice(pool, n), rng.choice([0.0, -0.0], n),
-                  np.round(rng.normal(0.0, 3.0, n)), rng.choice([1e308, -1e308], n)):
-            with np.errstate(over="ignore"):  # the even case may overflow to inf
-                got, want = _median(v), np.median(v)
-            assert repr(got) == repr(float(want)), v
+        k = 1 + n % 4
+        stack = np.concatenate([rng.choice(pool, (k, n)), rng.choice([0.0, -0.0], (k, n)),
+                                np.round(rng.normal(0.0, 3.0, (k, n))),
+                                rng.choice([1e308, -1e308], (k, n))])
+        with np.errstate(over="ignore"):  # the even case may overflow to inf
+            got = _median(stack)
+            want = [float(np.median(row)) for row in stack]
+        assert got.shape == (len(stack),)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], stack
 
 
 def test_affine_fit_is_polyfit():

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare what the model's library functions return at two revisions.
+"""Compare what the library's model and scan functions return at two
+revisions.
 
     python tools/model_bits.py BASE [HEAD]
 
@@ -20,13 +21,20 @@ rabi = 0 and at delta_raman = 0, as ``tests/test_steady_state.py``'s
 ``_factorization_cases`` are: ``assemble_linear_system`` gives A and b,
 and ``factorization`` the y0, Z, S, r, c0, p0, p1, q0, q1 and ``damping``
 of ``RationalLineshape(p)``.
+The scan side reads the scans of ``tools/call_times.py`` (``SCANS``, at
+``SCAN_SEED``): its 100 scans of distinct lengths and its 120 scans of
+three lengths, built as the benchmark's ``scan-batch`` builds them.
+``fit_resonance`` is evaluated on each scan, and ``batch_metrics`` once
+over each of the two sets; each row of its table and of its q-max
+summary is one result.
 
 Each result is written out bit for bit: every float and array by its
-bytes (so the sign of every zero counts), every tuple item by item and
-every dataclass field by field, and a raised error by its type,
-message and attributes.  The tool prints, per function, how many inputs
-give a different result, and the first of them.  The exit status is 0
-when no result differs, 1 when any does, and 2 on a usage or git error.
+bytes (so the sign of every zero counts), every tuple and list item by
+item, every dataclass field by field, every dict entry by entry, and a
+raised error by its type, message and attributes.  The tool prints, per
+function, how many results differ, and the first of them.  The exit
+status is 0 when no result differs, 1 when any does, and 2 on a usage or
+git error.
 
 Standard library and git only; the trees need numpy, as cptsim does, and
 ``tests/conftest.py`` imports pytest.
@@ -38,8 +46,11 @@ import json
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
+from call_times import N_MIX, N_SCANS, SCANS
+from call_times import SEED as SCAN_SEED
 from cli_bytes import export
 
 SEED = 5
@@ -47,7 +58,7 @@ N_DRAWS = 2000
 FUNCTIONS = ("resonance_metrics", "physical_contrast", "calibration_fwhm",
              "calibrate_power_broadening", "solve_steady_state",
              "sweep_linear", "sweep_adaptive", "sampled_linear", "sampled_adaptive",
-             "assemble_linear_system", "factorization")
+             "assemble_linear_system", "factorization", "fit_resonance", "batch_metrics")
 EACH_CASE = ("assemble_linear_system", "factorization")
 # (gamma_g/2pi in Hz, pumping strength, mode) at the fig-1 geometry
 FAULT1_POINTS = (
@@ -55,16 +66,13 @@ FAULT1_POINTS = (
     (1.0, 3e6, "NONE"), (1.0, 3e6, "COMPLETE"),
 )
 
-# Run in a tree as ``python -c CHILD TREE``; prints one JSON object,
-# function name -> the digest of each input's result, in input order.
+# Run in a tree after call_times.SCANS; prints one JSON object, function
+# name -> the digest of each result, in input order.
 CHILD = r"""
-import dataclasses, hashlib, json, struct, sys
-tree = sys.argv[1]
-sys.path[:0] = [tree + "/src", tree + "/tests"]
-import numpy as np
+import dataclasses, hashlib, json, struct
 import cptsim.lineshape as lineshape
 import cptsim.steady_state as steady_state
-from cptsim import Depolarization, rabi_for_pumping_strength
+from cptsim import Depolarization, batch_metrics, fit_resonance, rabi_for_pumping_strength
 from conftest import make_params, random_params
 
 def canon(obj):
@@ -72,8 +80,10 @@ def canon(obj):
         return "%s(%s)" % (type(obj).__name__, ", ".join(
             "%s=%s" % (f.name, canon(getattr(obj, f.name)))
             for f in dataclasses.fields(obj)))
-    if isinstance(obj, tuple):
+    if isinstance(obj, (tuple, list)):
         return "(%s)" % ", ".join(canon(item) for item in obj)
+    if isinstance(obj, dict):
+        return "{%s}" % ", ".join("%r: %s" % (k, canon(v)) for k, v in obj.items())
     if isinstance(obj, np.ndarray):
         return "array(%s, %s, %s)" % (obj.dtype.str, obj.shape, obj.tobytes().hex())
     if isinstance(obj, float):
@@ -82,12 +92,15 @@ def canon(obj):
         return struct.pack("<dd", obj.real, obj.imag).hex()
     return repr(obj)
 
+def error_text(exc):
+    return "%s: %s %s" % (type(exc).__name__, exc, " ".join(
+        "%s=%s" % (k, canon(v)) for k, v in sorted(vars(exc).items())))
+
 def outcome(fn, arg):
     try:
         return canon(fn(arg))
     except Exception as exc:
-        return "%s: %s %s" % (type(exc).__name__, exc, " ".join(
-            "%s=%s" % (k, canon(v)) for k, v in sorted(vars(exc).items())))
+        return error_text(exc)
 
 rng = np.random.default_rng(SEED)
 inputs = [random_params(rng) for _ in range(N_DRAWS)]
@@ -114,13 +127,27 @@ own = {"sweep_" + s.name.lower(): sweep_in(s) for s in lineshape.Spacing}
 own.update({"sampled_" + s.name.lower(): sampled_in(s) for s in lineshape.Spacing})
 own["factorization"] = factorization
 cases = [q for p in inputs for q in (p, p.replace(rabi=0.0), p.replace(delta_raman=0.0))]
+
+def table_rows(scan_set):
+    try:
+        result = batch_metrics(scan_set)
+    except Exception as exc:
+        return [error_text(exc)]
+    return [canon(row) for row in result.rows + result.qmax]
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
 digests = {}
 for name in FUNCTIONS:
-    fn = own.get(name) or getattr(lineshape, name, None) or getattr(steady_state, name)
-    out = []
-    for p in (cases if name in EACH_CASE else inputs):
-        out.append(hashlib.sha256(outcome(fn, p).encode()).hexdigest()[:16])
-    digests[name] = out
+    if name == "fit_resonance":
+        out = [outcome(fit_resonance, scan) for scan in scans + mix]
+    elif name == "batch_metrics":
+        out = table_rows(scans) + table_rows(mix)
+    else:
+        fn = own.get(name) or getattr(lineshape, name, None) or getattr(steady_state, name)
+        out = [outcome(fn, p) for p in (cases if name in EACH_CASE else inputs)]
+    digests[name] = [digest(text) for text in out]
 print(json.dumps(digests))
 """
 
@@ -128,7 +155,8 @@ print(json.dumps(digests))
 def run_tree(tree: Path) -> dict[str, list[str]]:
     """Digests of FUNCTIONS on every input, evaluated in ``tree``."""
     code = (f"SEED, N_DRAWS = {SEED}, {N_DRAWS}\nFUNCTIONS = {FUNCTIONS!r}\n"
-            f"EACH_CASE = {EACH_CASE!r}\nFAULT1_POINTS = {FAULT1_POINTS!r}\n{CHILD}")
+            f"SCAN_SEED, N_SCANS, N_MIX = {SCAN_SEED}, {N_SCANS}, {N_MIX}\n"
+            f"EACH_CASE = {EACH_CASE!r}\nFAULT1_POINTS = {FAULT1_POINTS!r}\n{SCANS}{CHILD}")
     proc = subprocess.run([sys.executable, "-c", code, str(tree)], cwd=tree,
                           capture_output=True, text=True, timeout=3600)
     if proc.returncode:
@@ -149,11 +177,12 @@ def main(argv: list[str]) -> int:
             results.append(run_tree(tree))
     any_differ = False
     for name in FUNCTIONS:
-        differ = [i for i, (old, new) in enumerate(zip(results[0][name], results[1][name]))
-                  if old != new]
+        # a result that one side lacks (a table of another length) differs
+        pairs = list(zip_longest(results[0][name], results[1][name]))
+        differ = [i for i, (old, new) in enumerate(pairs) if old != new]
         any_differ = any_differ or bool(differ)
-        first = f", the first is input {differ[0]}" if differ else ""
-        print(f"{name}: {len(differ)} of {len(results[0][name])} inputs differ{first}")
+        first = f", the first is result {differ[0]}" if differ else ""
+        print(f"{name}: {len(differ)} of {len(pairs)} results differ{first}")
     return 1 if any_differ else 0
 
 
