@@ -344,10 +344,11 @@ def _halve(x, y, theta, sse, step):
 def _fit_damped(x: np.ndarray, y_raw: np.ndarray) -> list:
     """Gauss-Newton with step halving on theta = (a, b, sA, x0, w), for each
     row of x and y_raw (a stack of scans of one length), in lockstep: one
-    stacked least-squares solve and one stacked trial of the full steps per
-    iteration; a row that refuses its full step halves on its own, and a
-    row leaves the stack when it converges or stalls.  Each row's
-    arithmetic is the arithmetic of that row fitted alone.
+    stacked least-squares solve and one stacked trial of the full steps,
+    valid or not, per iteration; a row whose step is not a valid theta
+    (w <= 0 or not finite) or raises its squared residual halves on its
+    own, and a row leaves the stack when it converges or stalls.  Each
+    row's arithmetic is the arithmetic of that row fitted alone.
 
     Each signal is pre-scaled by a power of two so that rescaling the
     input (by any power of two) reproduces bit-identical fit geometry;
@@ -386,13 +387,8 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray) -> list:
         except np.linalg.LinAlgError as exc:  # extreme-scale Jacobian
             raise NoResonance(f"resonance fit failed: {exc}") from exc
         del jac  # not held through the trials: it is the stack's largest array
-        # the full steps as one stack; a row whose step is not a valid
-        # theta evaluates its own theta instead, and halves below
         trials = theta + step
         valid = [t[4] > 0 and all(map(math.isfinite, t)) for t in trials.tolist()]
-        if not all(valid):
-            invalid = np.logical_not(valid)
-            trials[invalid] = theta[invalid]
         trial_state = _evaluate(x, y, trials)
         keep = []
         for j, (ok, old, new) in enumerate(zip(valid, sse, trial_state[-1].tolist())):
@@ -496,29 +492,23 @@ def _reports(x: np.ndarray, y: np.ndarray, f_mid: np.ndarray, fits: list,
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def _fit_together(scans: Sequence[Scan]) -> list:
-    """The report, or the NoResonance of a refused fit, of each of
+def _fit_stack(scans: Sequence[Scan]) -> list:
+    """fit_resonance's report, or the exception it raises, for each of
     ``scans`` (all of one length): one lockstep ``_fit_damped``, one
     stacked affine fit for the converged-fit guard and one stacked report,
     under one error state that keeps numpy's warnings of extreme scales
-    off stderr (the fit refuses a non-finite state by itself)."""
-    f = np.array([scan.frequency for scan in scans])
-    y = np.array([scan.signal for scan in scans])
-    f_mid = 0.5 * (f[:, 0] + f[:, -1])
-    x = f - f_mid[:, None]
-    fits = _fit_damped(x, y)
-    c = _affine_fit(x, y)
-    r = y - (c[:, :1] + c[:, 1:] * x)
-    return _reports(x, y, f_mid, fits, np.add.reduce(r * r, axis=1))
-
-
-def _fit_stack(scans: Sequence[Scan]) -> list:
-    """fit_resonance's report, or the exception it raises, for each of
-    ``scans`` (all of one length), fitted together.  If the stack raises
-    (say, on one scan's non-finite Jacobian), its scans are fitted again
-    one by one; so a scan's outcome never depends on the other scans."""
+    off stderr (the fit refuses a non-finite state by itself).  If the
+    stack raises, say on one scan's non-finite Jacobian, its scans are
+    fitted again one by one: a scan's outcome never depends on the others."""
     try:
-        return _fit_together(scans)
+        f = np.array([scan.frequency for scan in scans])
+        y = np.array([scan.signal for scan in scans])
+        f_mid = 0.5 * (f[:, 0] + f[:, -1])
+        x = f - f_mid[:, None]
+        fits = _fit_damped(x, y)
+        c = _affine_fit(x, y)
+        r = y - (c[:, :1] + c[:, 1:] * x)
+        return _reports(x, y, f_mid, fits, np.add.reduce(r * r, axis=1))
     except Exception as exc:  # collected, not fatal to the batch
         if len(scans) == 1:
             return [exc]

@@ -21,7 +21,9 @@ assemble_verbatim, factorization_verbatim and checked_call_verbatim are
 the package's own assembly, factorization, rho_ee samples and
 one-detuning state written as fancy-indexed and sliced updates, with the
 delta-free scalars re-read on every call, one numpy operation after
-another.  Their per-rate tables come from rate_tables_verbatim, dense
+another; assemble_verbatim forms the population rows with one np.dot
+over the package's (5, 130) layout, so its bits match on every BLAS
+kernel.  Their per-rate tables come from rate_tables_verbatim, dense
 Fraction products of the full coupling tables rather than the package's
 sparse loop over them.  Unlike the routes above they share the package's
 coupling tables: they are a bit for bit reference of the package's
@@ -501,24 +503,40 @@ def _rounded_rate_tables(depolarization):
     return tuple(np.array(t, dtype=float) for t in rate_tables_verbatim(depolarization))
 
 
+@functools.cache
+def _system_table_verbatim(depolarization):
+    """[A0 | b | A0[:, 8:]] per unit of each of V^2*lu, V^2*ld, gamma_g, D
+    and gamma_g/8, as a (5, 130) array, built once per mode: the two
+    rounded blocks of rate_tables_verbatim, the unit gamma_g diagonal of
+    the population block, -1/2 and +1/2 on the m=0 rows of column 9, 1 in
+    the b column of the population rows, and columns 11-12 of those rows
+    repeating columns 8-9."""
+    table = np.zeros((5, 10, 13))
+    table[:2, :, :10] = _rounded_rate_tables(depolarization)[0].reshape(2, 10, 10)
+    table[2, range(8), range(8)] = 1.0
+    table[3, _I20, 9] = -0.5
+    table[3, _I10, 9] = 0.5
+    table[4, :8, 10] = 1.0
+    table[:, :8, 11:] = table[:, :8, 8:10]
+    return table.reshape(5, 130)
+
+
 def assemble_verbatim(params):
-    """(A, b) of steady_state.assemble_linear_system: the two branch
-    rates times rate_tables_verbatim's rounded blocks, in the package's
-    np.dot, then one update at a time."""
+    """(A, b) of steady_state.assemble_linear_system: the population rows
+    and b as one np.dot of the five scalars (V^2*lu, V^2*ld, gamma_g, D,
+    gamma_g/8) with _system_table_verbatim, as the package forms them
+    (the same product, so the same bits on every BLAS kernel), then the
+    six coherence-row entries and delta_raman on the two coherence
+    diagonals, one update at a time."""
     lf = lorentz_factors(params)
     gg = params.gamma_g
     v2 = params.rabi**2
-    P = params.rabi**2 * (lf.lu + lf.ld / 3.0)
+    P = v2 * (lf.lu + lf.ld / 3.0)
     D = lf.du + lf.dd / 3.0
 
-    A = np.dot((v2 * lf.lu, v2 * lf.ld), _rounded_rate_tables(params.depolarization)[0])
-    A = A.reshape(10, 10)
-    A[np.arange(8), np.arange(8)] += gg
-    b = np.zeros(10)
-    b[:8] = gg / 8.0
-
-    A[_I20, 9] -= D / 2.0
-    A[_I10, 9] += D / 2.0
+    M = np.dot((v2 * lf.lu, v2 * lf.ld, gg, D, gg / 8.0),
+               _system_table_verbatim(params.depolarization)).reshape(10, 13)
+    A, b = M[:, :10], M[:, 10]
 
     width = gg + P / 2.0
     A[8, 8] = params.delta_raman

@@ -982,6 +982,28 @@ def test_negative_value_does_not_reach_an_unknown_flag(capsys):
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
 
+def test_tokens_after_a_bare_double_dash_are_not_joined(capsys):
+    _, options = cli.build_parser()
+    argv = ["solve", "--delta-opt-hz", "-30e6", "--", "--rabi-hz", "-1e3"]
+    assert cli._attach_negative_values(argv, options) == [
+        "solve", "--delta-opt-hz=-30e6", "--", "--rabi-hz", "-1e3"]
+    code, out, err = run(capsys, "solve", "--pumping-strength", "5", "--",
+                         "--delta-opt-hz", "-30e6")
+    assert (code, out) == (2, "")
+    # argparse names the unjoined pair, with or without the "--"
+    assert "unrecognized arguments:" in err and err.endswith(" --delta-opt-hz -30e6\n")
+
+
+@pytest.mark.parametrize("value", ["-x", "-e5", "--"])
+def test_a_dash_value_that_is_not_a_number_is_not_joined(capsys, value):
+    _, options = cli.build_parser()
+    argv = ["solve", "--delta-opt-hz", value, "--pumping-strength", "5"]
+    assert cli._attach_negative_values(argv, options) == argv
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "argument --delta-opt-hz: expected one argument" in err
+
+
 @pytest.mark.parametrize("argv", [["contrast-ratio", "--pumping-strengths", "nan"],
                                   ["contrast-ratio", "--pumping-strengths", "1,inf"],
                                   ["solve", "--pumping-strength", "-inf"],

@@ -1,5 +1,6 @@
 """Rational-arithmetic audits of the transition coefficient tables."""
 
+import dataclasses
 from fractions import Fraction
 
 from cptsim import EXCITED_LEVELS, GROUND_LEVELS, build_coupling_tables
@@ -73,3 +74,15 @@ def test_dark_state_coherence_weights():
     assert tables.coherence_weight == {(2, 1): F(-1, 2), (1, 1): F(-1, 6)}
     # no sigma+ route into the lowest excited sublevel
     assert tables.excitation[(2, -2)] == ()
+
+
+def test_detailed_balance_defects_names_each_broken_pair():
+    tables = build_coupling_tables()
+    g, ((e, c), *rest) = next(iter(tables.pump.items()))
+    a = dict(tables.excitation[e])[g]
+    # a pump coefficient that is not twice its excitation coefficient
+    wrong = dataclasses.replace(tables, pump={**tables.pump, g: ((e, c + 1), *rest)})
+    assert wrong.detailed_balance_defects() == [(g, e, c + 1, a)]
+    # an excitation entry with no pump entry
+    missing = dataclasses.replace(tables, pump={**tables.pump, g: tuple(rest)})
+    assert missing.detailed_balance_defects() == [(g, e, F(0), a)]

@@ -879,3 +879,16 @@ def test_noisy_dips_give_finite_metrics_or_typed_errors(rng):
             assert math.isfinite(asymmetry(shape))
         except (NoResonance, Unbracketed):
             pass
+
+
+def test_sampled_curves_that_cannot_give_a_metric_are_typed_errors():
+    p = make_params()
+    with pytest.raises(ParameterError, match="matching 1-d arrays"):
+        Lineshape(np.arange(5.0), np.ones(4), p)
+    # baseline 0.6 (the edges' mean), half-depth level 0.3: the right side
+    # never climbs back to it inside the sweep
+    with pytest.raises(Unbracketed, match="right half-depth crossing outside the sweep"):
+        fwhm(Lineshape(np.arange(5.0), np.array([1.0, 0.8, 0.0, 0.1, 0.2]), p))
+    # a minimum between two samples: the local cubic needs four
+    with pytest.raises(ParameterError, match="at least four samples"):
+        resonance_center(Lineshape(np.arange(3.0), np.array([1.0, 0.0, 1.0]), p))

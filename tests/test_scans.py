@@ -136,6 +136,20 @@ def test_load_scan_accepts_any_path_like(tmp_path):
     assert scan.metadata == expected.metadata == {"cell": "A1"}
 
 
+def test_scan_refuses_mismatched_or_non_finite_arrays_and_load_scan_a_non_source():
+    f = np.arange(20.0)
+    for frequency, signal in ((f, np.ones(19)), (f.reshape(4, 5), np.ones((4, 5)))):
+        with pytest.raises(ParseError, match="matching 1-d arrays"):
+            Scan(frequency, signal)
+    y = np.ones(20)
+    y[7] = np.nan
+    for frequency, signal in ((f, y), (np.append(f[:-1], np.inf), np.ones(20))):
+        with pytest.raises(ParseError, match="non-finite frequency or signal"):
+            Scan(frequency, signal)
+    with pytest.raises(TypeError, match="cannot read a scan from int"):
+        load_scan(42)
+
+
 # whitespace that str.strip drops, some of which str.splitlines would also
 # treat as a line break; float() refuses "\x1c" to "\x1f" around a number
 # and accepts the rest, while numpy's reader strips all of them

@@ -717,6 +717,19 @@ def test_certificate_names_a_perturbed_factorization(rng):
         _expect_break(model, "trace")
 
 
+def test_a_non_finite_factorization_is_a_singular_system():
+    # no parameter set reaches these checks: the attributes are set by hand
+    model = RationalLineshape(make_params())
+    model.c0 = math.nan
+    with pytest.raises(SingularSystem, match="non-finite factorization"):
+        model.require_no_real_pole()
+    model = RationalLineshape(make_params())
+    model.S = model.S.copy()
+    model.S[0, 0] = math.nan
+    with pytest.raises(SingularSystem, match="non-finite factorization"):
+        model.certify()
+
+
 _BOUND_OF = {"residual": (None, "_residual_bound"),
              "trace": (steady_state_mod, "TRACE_TOL"),
              "positivity": (steady_state_mod, "POPULATION_TOL")}

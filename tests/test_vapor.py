@@ -57,6 +57,12 @@ def test_velocity_hand_check_65C():
     assert got == pytest.approx(4.06e4, rel=0.01)
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0])
+def test_velocity_refuses_a_temperature_not_above_zero(temperature):
+    with pytest.raises(ParameterError, match="temperature and mass must be > 0"):
+        mean_relative_velocity(temperature, RB87_MASS_KG)
+
+
 def test_density_monotone_and_in_range():
     temps = [280.0 + 10.0 * i for i in range(23)]
     densities = [alkali_number_density(t) for t in temps]

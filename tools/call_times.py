@@ -18,13 +18,14 @@ calibration at its default multiple, ``fit_resonance`` the scan fit on
 ``N_SCANS`` scans of ``tests/oracles.py::lorentzian_scan`` from
 ``np.random.default_rng([SEED, 1])`` (201 to 801 samples, 1% noise),
 ``batch_metrics`` one call over all of those scans (86 lengths, so stacks
-of one or two), ``batch_metrics_mix`` one call over ``N_MIX`` scans of
-three lengths built as the benchmark's ``scan-batch`` builds its scans at
-seed ``SEED`` (stacks of 40, 20 and 10 scans), and the others the library
-functions of that name.  A cptsim error ends its
-call, which is timed all the same.  Per function, a child reports the
-mean microseconds per call of its fastest of ``PASSES`` passes over the
-draws, with the garbage collector off.
+of one or two), ``batch_metrics_mix`` one call over the 120 scans of
+three lengths that the tree's benchmark ``scan-batch``
+(``bench/workloads.py::ScanBatch``) writes at seed ``SEED``, read back
+with ``load_scan`` (stacks of 40, 20 and 10 scans), and the others the
+library functions of that name.  A cptsim error ends its call, which is
+timed all the same.  Per function, a child reports the mean microseconds
+per call of its fastest of ``PASSES`` passes over the draws, with the
+garbage collector off.
 
 One JSON line per function goes to stdout: each side's median
 microseconds over the pairs, the median over the pairs of the head's time
@@ -50,7 +51,6 @@ from cli_bytes import export
 SEED = 7
 N_DRAWS = 100
 N_SCANS = 100
-N_MIX = 120
 ROUNDS = 20
 PASSES = 7
 FUNCTIONS = ("RationalLineshape", "certify", "solve_steady_state",
@@ -59,35 +59,25 @@ FUNCTIONS = ("RationalLineshape", "certify", "solve_steady_state",
              "batch_metrics_mix")
 
 # The first lines of a child run as ``python -c CODE TREE``: they put the
-# tree's src and tests first on sys.path and build, from SCAN_SEED, N_SCANS
-# and N_MIX, ``scans``, the scans of distinct lengths, and ``mix``, the scans
-# of three lengths with the metadata of the benchmark's ``scan-batch``
-# (bench/workloads.py, whose draws it repeats in order: at SCAN_SEED = 7
-# they are its seed-7 scans).
+# tree's src, tests and bench first on sys.path and build, from SCAN_SEED and
+# N_SCANS, ``scans``, the scans of distinct lengths, and ``mix``, the scans
+# the tree's benchmark ``scan-batch`` (bench/workloads.py) writes at
+# SCAN_SEED, each read with ``load_scan`` in file-name order.
 SCANS = r"""
-import sys
-sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/tests"]
+import sys, tempfile
+from pathlib import Path
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/tests", sys.argv[1] + "/bench"]
 import numpy as np
-from cptsim import Scan
+from cptsim import Scan, load_scan
 from oracles import lorentzian_scan
+from workloads import ScanBatch
 
 scan_rng = np.random.default_rng([SCAN_SEED, 1])
 scans = [Scan(*lorentzian_scan(scan_rng, n=int(scan_rng.integers(201, 802)))[:2])
          for _ in range(N_SCANS)]
-mix_rng = np.random.default_rng([SCAN_SEED, 3])
-mix = []
-for i in range(N_MIX):
-    fwhm = 10 ** mix_rng.uniform(np.log10(300.0), np.log10(3000.0))
-    span = fwhm * mix_rng.uniform(8.0, 15.0)
-    center = 6.834682610904e9 + mix_rng.uniform(-0.1, 0.1) * span
-    slope = mix_rng.uniform(-0.02, 0.02) / span
-    f, y, _ = lorentzian_scan(
-        mix_rng, n=(201, 401, 801)[i % 3], span_hz=span, center_hz=center, fwhm_hz=fwhm,
-        contrast=mix_rng.uniform(0.01, 0.10), baseline=1.0 - slope * center, slope=slope,
-        noise_frac=(0.003, 0.01, 0.03)[i // 3 % 3], sign=1 if i // 9 % 2 == 0 else -1)
-    mix.append(Scan(f, y, {
-        "gas": ("Ne", "N2")[i % 2], "temperature_C": (55.0, 65.0, 75.0)[i // 2 % 3],
-        "intensity_mW_cm2": (0.1, 0.2, 0.4, 0.8, 1.6)[int(mix_rng.integers(5))]}))
+with tempfile.TemporaryDirectory() as scan_tmp:
+    ScanBatch(SCAN_SEED, scan_tmp)
+    mix = [load_scan(path) for path in sorted(Path(scan_tmp, "scans").glob("scan_*.csv"))]
 """
 
 # Run in a tree after SCANS; prints one JSON object, function name ->
@@ -130,7 +120,7 @@ print(json.dumps(times))
 def run_child(tree: Path) -> dict[str, float]:
     """Microseconds per call of each of FUNCTIONS, timed in ``tree``."""
     code = (f"SEED, N_DRAWS, PASSES = {SEED}, {N_DRAWS}, {PASSES}\n"
-            f"SCAN_SEED, N_SCANS, N_MIX = {SEED}, {N_SCANS}, {N_MIX}\n"
+            f"SCAN_SEED, N_SCANS = {SEED}, {N_SCANS}\n"
             f"FUNCTIONS = {FUNCTIONS!r}\n"
             f"{SCANS}{CHILD}")
     proc = subprocess.run([sys.executable, "-c", code, str(tree)], cwd=tree,

@@ -23,7 +23,7 @@ and ``factorization`` the y0, Z, S, r, c0, p0, p1, q0, q1 and ``damping``
 of ``RationalLineshape(p)``.
 The scan side reads the scans of ``tools/call_times.py`` (``SCANS``, at
 ``SCAN_SEED``): its 100 scans of distinct lengths and its 120 scans of
-three lengths, built as the benchmark's ``scan-batch`` builds them.
+three lengths, which the tree's benchmark ``scan-batch`` writes.
 ``fit_resonance`` is evaluated on each scan, and ``batch_metrics`` once
 over each of the two sets; each row of its table and of its q-max
 summary is one result.
@@ -49,7 +49,7 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
-from call_times import N_MIX, N_SCANS, SCANS
+from call_times import N_SCANS, SCANS
 from call_times import SEED as SCAN_SEED
 from cli_bytes import export
 
@@ -155,7 +155,7 @@ print(json.dumps(digests))
 def run_tree(tree: Path) -> dict[str, list[str]]:
     """Digests of FUNCTIONS on every input, evaluated in ``tree``."""
     code = (f"SEED, N_DRAWS = {SEED}, {N_DRAWS}\nFUNCTIONS = {FUNCTIONS!r}\n"
-            f"SCAN_SEED, N_SCANS, N_MIX = {SCAN_SEED}, {N_SCANS}, {N_MIX}\n"
+            f"SCAN_SEED, N_SCANS = {SCAN_SEED}, {N_SCANS}\n"
             f"EACH_CASE = {EACH_CASE!r}\nFAULT1_POINTS = {FAULT1_POINTS!r}\n{SCANS}{CHILD}")
     proc = subprocess.run([sys.executable, "-c", code, str(tree)], cwd=tree,
                           capture_output=True, text=True, timeout=3600)
