@@ -16,20 +16,28 @@ Fitting uses an affine baseline plus a Lorentzian peak or dip:
     model(f) = offset + slope*f + sign * A * w^2 / ((f - f0)^2 + w^2)
 
 refined by Gauss-Newton steps with step halving whenever the squared
-residual would grow.  Frequencies are centered on the scan midpoint
-internally, which keeps the normal equations well conditioned for
-absolute frequencies in the GHz range and makes the fit exactly
-equivariant under frequency shifts.  ``batch_metrics`` fits the scans of
-one length together, in bounded stacks, with one stacked least-squares
-solve per step; LAPACK solves each item of a stack as it solves it alone,
-so a scan's report is the one it gets fitted alone.  The array work of
-the initial guess (edge sums and medians, residuals, median spacing) and
-of the report's asymmetry (mirrored offsets, sums) is formed on the
+residual would grow.  Each scan is fitted in power-of-two-scaled units:
+frequency centered on the scan midpoint and divided by the power of two
+at its median sample spacing, signal divided by the power of two at its
+largest magnitude.  Both divisions are exact, so the Jacobian's columns
+keep their sizes at any scale, the fit is exactly equivariant under
+frequency shifts and under power-of-two rescalings of either variable,
+and each step comes from the 5x5 normal equations JᵀJ·step = Jᵀr, which
+for a well-scaled Jacobian give as good a step as an orthogonal solve
+(Björck, Numerical Methods for Least Squares Problems, 1996, §2.2).  The
+report is formed in the same units and multiplied back by the powers of
+two.  ``batch_metrics`` fits the scans of one length together, in
+bounded stacks, with one stacked product for both sides of the normal
+equations and one stacked 5x5 LAPACK solve per step; BLAS and LAPACK
+treat each item of a stack as they treat it alone, so a scan's report is
+the one it gets fitted alone.  The array work of the initial guess (edge
+sums and medians, residuals, median spacing) and of the report (mirrored
+offsets, sums, the figures and their scaling back) is formed on the
 whole stack too, each row's arithmetic its own; the half-depth
-crossings, the interpolation and each report's few float operations run
-scan by scan.  A stack runs under one numpy error state, so the
-overflows of an extreme frequency scale raise no warning; the fit
-refuses a non-finite state by itself.
+crossings, the interpolation and the report objects are formed scan by
+scan.  A stack runs under one numpy error state, so the overflows of an
+extreme input raise no warning; the fit refuses a non-finite state by
+itself.
 
 Contrast follows the transmission convention: fitted amplitude divided
 by the fitted signal level at the resonance extremum (baseline plus
@@ -239,16 +247,16 @@ def _median(v: np.ndarray) -> np.ndarray:
     return np.add.reduce(middle, axis=-1) / middle.shape[-1]
 
 
-def _initial_guess(x: np.ndarray, y: np.ndarray):
+def _initial_guess(x: np.ndarray, y: np.ndarray, spacings: list):
     """Starting theta for each row of x and y (a stack of scans of one
-    length), from the edge baseline and the half-depth crossings of the
-    largest excursion; with, per row, the width between those crossings
-    (nan where one is missing) and the median sample spacing.  The edge
-    baseline runs through the medians of the two scan edges, at the
-    edges' mean x (summed as ``np.mean`` sums).  The sums, medians,
-    residuals and their largest excursions are formed on the stack; the
-    line through the edges and the crossings, row by row.  Each row's
-    arithmetic is that row's alone."""
+    length, each with its median sample spacing in ``spacings``), from the
+    edge baseline and the half-depth crossings of the largest excursion;
+    with, per row, the width between those crossings (nan where one is
+    missing).  The edge baseline runs through the medians of the two scan
+    edges, at the edges' mean x (summed as ``np.mean`` sums).  The sums,
+    medians, residuals and their largest excursions are formed on the
+    stack; the line through the edges and the crossings, row by row.  Each
+    row's arithmetic is that row's alone."""
     k, n = x.shape
     n_edge = max(3, n // 10)
     edges = np.concatenate((x[:, :n_edge], x[:, -n_edge:], y[:, :n_edge], y[:, -n_edge:]),
@@ -260,7 +268,6 @@ def _initial_guess(x: np.ndarray, y: np.ndarray):
         lines.append((yl - slope * xl, slope))
     line = np.array(lines)
     resid = y - (line[:, :1] + line[:, 1:] * x)
-    spacings = _median(x[:, 1:] - x[:, :-1]).tolist()
     thetas, widths = [], []
     for (a0, b0), xj, rj, i0, spacing in zip(lines, x, resid,
                                               np.abs(resid).argmax(axis=1).tolist(), spacings):
@@ -273,7 +280,7 @@ def _initial_guess(x: np.ndarray, y: np.ndarray):
         if math.isnan(hi):
             hi = at + spacing
         thetas.append((a0, b0, sign * abs(peak), at, max((hi - lo) / 2.0, spacing)))
-    return np.array(thetas), widths, spacings
+    return np.array(thetas), widths
 
 
 def _raise_lstsq(err, flag):
@@ -289,6 +296,22 @@ def _lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
     state, without its checks and wrapping.  LAPACK solves each item of a
     stack as it solves it alone; if any item fails, the call fails."""
     return _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+
+
+def _raise_singular(err, flag):
+    """The error callback of np.linalg.solve: LAPACK found a zero pivot."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for each of a stack of square float64
+    matrices and vectors: its own gufunc call (LAPACK's ``dgesv`` on each
+    item) under its own error state, without its checks and wrapping.
+    LAPACK solves each item of a stack as it solves it alone; if any item
+    is singular, the call fails."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 def _evaluate(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> list:
@@ -308,20 +331,25 @@ def _evaluate(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> list:
     return [dx, dx2, w2, lor, r, np.vecdot(r, r)]
 
 
-def _jacobian(x, t, dx, dx2, w2, lor) -> np.ndarray:
-    """The Jacobian of the model at each row of ``t``, from that row's
-    state (``_evaluate``), stored column by column: the (k, n, 5) stack is
-    the returned array's ``swapaxes(1, 2)``.  w**3 is each scan's numpy
-    scalar power."""
-    sa2 = t[:, 2:3] * 2.0
+def _jacobian_and_residual(x, t, dx, dx2, w2, lor, r) -> np.ndarray:
+    """The rows M of the normal equations at each row of ``t``, from that
+    row's state (``_evaluate``): a (k, 6, n) stack whose rows are the
+    Jacobian's five columns and then the residual, so that the product
+    M·Mᵀ holds JᵀJ in [:5, :5] and Jᵀr in [:5, 5].  numpy forms each
+    item's M·Mᵀ with one BLAS ``syrk``.  Each row of M starts 16-byte
+    aligned, so that a scan's product is the same in a stack of any size
+    (see ``_evaluate``).  w**3 is each scan's numpy scalar power."""
+    k, n = x.shape
+    m = np.empty((k, 6, n + n % 2))[:, :, :n]
+    m[:, 0] = 1.0
+    m[:, 1] = x
+    m[:, 2] = lor
     lor2 = np.square(lor)
-    jac = np.empty((len(x), 5, x.shape[1]))
-    jac[:, 0] = 1.0
-    jac[:, 1] = x
-    jac[:, 2] = lor
-    jac[:, 3] = sa2 * dx * lor2 / w2
-    jac[:, 4] = sa2 * dx2 * lor2 / np.array([w**3 for w in t[:, 4]])[:, None]
-    return jac
+    sa2 = t[:, 2:3] * 2.0
+    m[:, 3] = sa2 * dx * lor2 / w2
+    m[:, 4] = sa2 * dx2 * lor2 / np.array([w**3 for w in t[:, 4]])[:, None]
+    m[:, 5] = r
+    return m
 
 
 def _halve(x, y, theta, sse, step):
@@ -341,52 +369,62 @@ def _halve(x, y, theta, sse, step):
     return None
 
 
-def _fit_damped(x: np.ndarray, y_raw: np.ndarray) -> list:
-    """Gauss-Newton with step halving on theta = (a, b, sA, x0, w), for each
-    row of x and y_raw (a stack of scans of one length), in lockstep: one
-    stacked least-squares solve and one stacked trial of the full steps,
-    valid or not, per iteration; a row whose step is not a valid theta
-    (w <= 0 or not finite) or raises its squared residual halves on its
-    own, and a row leaves the stack when it converges or stalls.  Each
-    row's arithmetic is the arithmetic of that row fitted alone.
+def _fit_damped(x: np.ndarray, y_raw: np.ndarray):
+    """Gauss-Newton with step halving on theta = (a, b, sA, u0, w), for each
+    row of x and y_raw (a stack of scans of one length, x centered on each
+    scan's midpoint), in lockstep: one stacked solve of the normal
+    equations and one stacked trial of the full steps, valid or not, per
+    iteration; a row whose step is not a valid theta (w <= 0 or not
+    finite) or raises its squared residual halves on its own, and a row
+    leaves the stack when it converges or stalls.  Each row's arithmetic
+    is the arithmetic of that row fitted alone.
 
-    Each signal is pre-scaled by a power of two so that rescaling the
-    input (by any power of two) reproduces bit-identical fit geometry;
-    for the same reason the half-depth width of the initial guess is the
-    direct width of the unscaled signal, and is returned as it is, with
-    the median sample spacing.
+    Each row is fitted in power-of-two-scaled units: frequency
+    u = x / 2**eh, with 2**eh the power of two at the row's median sample
+    spacing (so u's median spacing lies in [0.5, 1)), and signal
+    y = y_raw / 2**ey, with 2**ey the power of two at the row's largest
+    |y_raw|.  Both divisions are exact.  So the Jacobian's columns have the
+    same sizes at any frequency or signal scale, which makes the normal
+    equations JᵀJ·step = Jᵀr as good a step as an orthogonal solve, and
+    rescaling a scan by a power of two, in either variable, reproduces the
+    same fit in these units.
 
-    Returns, per row, (theta, sse, iterations, converged, width, spacing).
-    Raises NoResonance if any row's Jacobian or squared residual is not
-    finite, or if the stack's least-squares solve fails.
+    Returns u, y, eh and ey, and per row (theta, sse, iterations,
+    converged, width, spacing), all in the scaled units: width is the
+    half-depth width of the initial guess (the direct width; nan where a
+    crossing is missing) and spacing the median spacing of u.  Raises
+    NoResonance if any row's normal equations are not finite (its Jacobian
+    or residual, or their sums of products), or if the stack's solve finds
+    a singular system.
     """
-    scales = [math.ldexp(1.0, math.frexp(float(m) or 1.0)[1])
-              for m in np.maximum.reduce(np.abs(y_raw), axis=1)]
-    y = y_raw / np.array(scales)[:, None]
-    theta, widths, spacings = _initial_guess(x, y)
-    fits: list = [None] * len(x)
-    rcond = _EPS * max(x.shape[1], 5)  # lstsq's rcond=None
+    spacings = _median(x[:, 1:] - x[:, :-1])
+    eh = np.frexp(spacings)[1]
+    ey = np.frexp(np.maximum.reduce(np.abs(y_raw), axis=1))[1]
+    hz = np.ldexp(1.0, eh)
+    u = x / hz[:, None]
+    v = y_raw / np.ldexp(1.0, ey)[:, None]
+    spacings = (spacings / hz).tolist()
+    theta, widths = _initial_guess(u, v, spacings)
+    fits: list = [None] * len(u)
 
     def finish(i, theta, sse, converged):
-        theta = theta.copy()
-        theta[:3] *= scales[i]  # offset, slope, amplitude back to input units (exact)
-        fits[i] = (theta, sse * scales[i] * scales[i], iterations, converged,
-                   widths[i], spacings[i])
+        fits[i] = (theta, sse, iterations, converged, widths[i], spacings[i])
 
-    rows = np.arange(len(x))
+    rows, x, y = np.arange(len(u)), u, v  # the rows still fitted
     state = _evaluate(x, y, theta)
     for iterations in range(1, MAX_ITERATIONS + 1):
         dx, dx2, w2, lor, r, sse = state
         sse = sse.tolist()
-        jac = _jacobian(x, theta, dx, dx2, w2, lor)
-        # on a non-finite input LAPACK writes DLASCL text to stdout
-        if not (all(map(math.isfinite, sse)) and np.isfinite(jac).all()):
+        m = _jacobian_and_residual(x, theta, dx, dx2, w2, lor, r)
+        normal = np.matmul(m, m.swapaxes(1, 2))
+        del m  # not held through the trials: it is the stack's largest array
+        # a non-finite state has no step (its products hold inf or nan)
+        if not np.isfinite(normal).all():
             raise NoResonance("resonance fit failed: non-finite Jacobian")
         try:
-            step = _lstsq(jac.swapaxes(1, 2), r, rcond)
-        except np.linalg.LinAlgError as exc:  # extreme-scale Jacobian
+            step = _solve(normal[:, :5, :5], normal[:, :5, 5])
+        except np.linalg.LinAlgError as exc:  # a rank-deficient Jacobian
             raise NoResonance(f"resonance fit failed: {exc}") from exc
-        del jac  # not held through the trials: it is the stack's largest array
         trials = theta + step
         valid = [t[4] > 0 and all(map(math.isfinite, t)) for t in trials.tolist()]
         trial_state = _evaluate(x, y, trials)
@@ -414,7 +452,7 @@ def _fit_damped(x: np.ndarray, y_raw: np.ndarray) -> list:
     else:
         for j, i in enumerate(rows):
             finish(i, theta[j], float(state[-1][j]), False)
-    return fits
+    return u, v, eh, ey, fits
 
 
 def _affine_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -435,47 +473,58 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _lstsq(np.swapaxes(v, -1, -2) / scl[..., None, :], y, x.shape[-1] * _EPS) / scl
 
 
-def _reports(x: np.ndarray, y: np.ndarray, f_mid: np.ndarray, fits: list,
-             affine_ss: np.ndarray) -> list:
+def _reports(u: np.ndarray, y: np.ndarray, f_mid: np.ndarray, eh: np.ndarray,
+             ey: np.ndarray, fits: list, affine_ss: np.ndarray) -> list:
     """The report of each row's ``_fit_damped`` result, or the NoResonance
     that refuses it: an amplitude not above three times the residual rms,
-    or a half width below the sample spacing.  ``affine_ss`` holds each
-    row's squared residual of the least-squares line through the scan.
-    The asymmetry's offsets, baseline-removed data and sums are formed on
-    the stack (only its interpolation runs row by row), the rest row by
-    row in floats; each row's arithmetic is that row's alone."""
+    or a half width below the sample spacing.  u, y, eh, ey and the fits
+    are ``_fit_damped``'s, and ``affine_ss`` holds each row's squared
+    residual of the least-squares line through (u, y).
+
+    Every figure is formed on the stack in the fit's scaled units, and
+    then multiplied back by its power of two (2**eh per Hz, 2**ey per
+    signal unit): exact wherever the figure is a normal double.  So the
+    verdicts, the contrast and the asymmetry are the same at any power of
+    two of either scale, and no figure overflows on the way.  Only the
+    asymmetry's interpolation and the report objects are formed row by
+    row; each row's arithmetic is that row's alone."""
     thetas = np.array([fit[0] for fit in fits])
+    sse, iterations, converged, widths, spacings = map(np.array, zip(*(fit[1:] for fit in fits)))
     # the baseline-removed data at mirrored offsets across the FWHM window
     offsets = _mirrored_offsets(thetas[:, 3:4], 0.0, 2.0 * thetas[:, 4:5], 100)
-    level = y - (thetas[:, :1] + thetas[:, 1:2] * x)
+    level = y - (thetas[:, :1] + thetas[:, 1:2] * u)
     asymmetries = _antisymmetric_fraction(
-        np.array([np.interp(*row) for row in zip(offsets, x, level)]), 0.0)
-    n = x.shape[1]
+        np.array([np.interp(*row) for row in zip(offsets, u, level)]), 0.0)
+    n = u.shape[1]
+    a, b, sa, u0, w = thetas.T
+    peak = sa >= 0
+    amp = np.abs(sa)
+    rms = np.sqrt(sse / n)
+    baseline = a + b * u0
+    contrasts = amp / (baseline + np.where(peak, amp, -amp))
+    weak = amp <= 3.0 * rms
+    narrow = w < spacings  # narrower than the sampling: a noise spike
+    # A converged fit can never sit above the plain affine fit.
+    converged &= rms <= np.sqrt(affine_ss / n) * (1.0 + 1e-12)
+    figures = np.ldexp((a, b, amp, rms, baseline, u0, w, widths),
+                       (ey, ey - eh, ey, ey, ey, eh, eh, eh)).T.tolist()
+    flags = zip(weak.tolist(), narrow.tolist(), peak.tolist(), converged.tolist())
     reports = []
-    for (a, b, sa, x0, w), fit, mid, ss, asymmetry in zip(
-            thetas.tolist(), fits, f_mid.tolist(), affine_ss.tolist(), asymmetries):
-        _, sse, iterations, converged, direct_fwhm, spacing = fit
-        sign = 1 if sa >= 0 else -1
-        amp = abs(sa)
-        rms = math.sqrt(sse / n)
-        if amp <= 3.0 * rms:
+    for (a, b, amp, rms, baseline, x0, w, direct_fwhm), (too_weak, too_narrow, is_peak, ok), \
+            contrast, count, mid, asymmetry in zip(figures, flags, contrasts.tolist(),
+                                                   iterations.tolist(), f_mid.tolist(),
+                                                   asymmetries):
+        if too_weak:
             reports.append(NoResonance(
                 f"fitted amplitude {amp:.3e} not above 3x residual rms {rms:.3e}"))
             continue
-        if w < spacing:
-            # narrower than the sampling: a noise spike, not a resonance
+        if too_narrow:
             reports.append(NoResonance(
                 f"fitted half width {w:.3e} Hz below the sample spacing"))
             continue
-        if converged:
-            # A converged fit can never sit above the plain affine fit.
-            converged = rms <= math.sqrt(ss / n) * (1.0 + 1e-12)
-        baseline_at_center = a + b * x0
-        peak_level = baseline_at_center + sign * amp
-        contrast = amp / peak_level
         fwhm_hz = 2.0 * w
         metrics = ResonanceMetrics(
-            baseline=baseline_at_center,
+            baseline=baseline,
             amplitude=amp,
             physical_contrast=contrast,
             fwhm_hz=fwhm_hz,
@@ -484,9 +533,9 @@ def _reports(x: np.ndarray, y: np.ndarray, f_mid: np.ndarray, fits: list,
             qfactor=contrast / fwhm_hz,
         )
         model = FitModel(offset=a - b * mid, slope=b, center_hz=mid + x0,
-                         half_width_hz=w, amplitude=amp, sign=sign)
+                         half_width_hz=w, amplitude=amp, sign=1 if is_peak else -1)
         reports.append(FitReport(model=model, metrics=metrics, rms_residual=rms,
-                                 iterations=iterations, converged=converged,
+                                 iterations=count, converged=ok,
                                  fwhm_direct_hz=direct_fwhm))
     return reports
 
@@ -495,20 +544,20 @@ def _reports(x: np.ndarray, y: np.ndarray, f_mid: np.ndarray, fits: list,
 def _fit_stack(scans: Sequence[Scan]) -> list:
     """fit_resonance's report, or the exception it raises, for each of
     ``scans`` (all of one length): one lockstep ``_fit_damped``, one
-    stacked affine fit for the converged-fit guard and one stacked report,
-    under one error state that keeps numpy's warnings of extreme scales
-    off stderr (the fit refuses a non-finite state by itself).  If the
-    stack raises, say on one scan's non-finite Jacobian, its scans are
-    fitted again one by one: a scan's outcome never depends on the others."""
+    stacked affine fit in the fit's scaled units for the converged-fit
+    guard and one stacked report, under one error state that keeps numpy's
+    warnings of extreme scales off stderr (the fit refuses a non-finite
+    state by itself).  If the stack raises, say on one scan's non-finite
+    Jacobian, its scans are fitted again one by one: a scan's outcome
+    never depends on the others."""
     try:
         f = np.array([scan.frequency for scan in scans])
         y = np.array([scan.signal for scan in scans])
         f_mid = 0.5 * (f[:, 0] + f[:, -1])
-        x = f - f_mid[:, None]
-        fits = _fit_damped(x, y)
-        c = _affine_fit(x, y)
-        r = y - (c[:, :1] + c[:, 1:] * x)
-        return _reports(x, y, f_mid, fits, np.add.reduce(r * r, axis=1))
+        u, y, eh, ey, fits = _fit_damped(f - f_mid[:, None], y)
+        c = _affine_fit(u, y)
+        r = y - (c[:, :1] + c[:, 1:] * u)
+        return _reports(u, y, f_mid, eh, ey, fits, np.add.reduce(r * r, axis=1))
     except Exception as exc:  # collected, not fatal to the batch
         if len(scans) == 1:
             return [exc]
@@ -520,10 +569,11 @@ def fit_resonance(scan: Scan) -> FitReport:
     one (see ``batch_metrics``).
 
     Raises NoResonance when the fitted amplitude is below three times
-    the residual RMS, or when a fit step's Jacobian or squared residual is
-    not finite or its least-squares solve fails (as at extreme frequency
-    scales).  A fit that stalls before the SSE tolerance is returned with
-    converged=False rather than raised.
+    the residual RMS, when the fitted half width is below the median
+    sample spacing, or when a fit step's normal equations are not finite
+    (as when the squares of outlying frequencies overflow) or singular (as
+    on a flat scan, with no amplitude to fit).  A fit that stalls before
+    the SSE tolerance is returned with converged=False rather than raised.
     """
     (outcome,) = _fit_stack([scan])
     if isinstance(outcome, Exception):

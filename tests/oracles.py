@@ -346,68 +346,92 @@ def antisymmetric_fraction_verbatim(values, baseline):
     return num / den if den else 0.0
 
 
-def fit_verbatim(scan):
+def normal_equations_step(jac, r):
+    """The Gauss-Newton step from JᵀJ·step = Jᵀr: both sides from one
+    product M @ M.T, whose rows are the columns of ``jac`` and then ``r``,
+    each starting 16-byte aligned as in the package; solved by
+    np.linalg.solve."""
+    n = r.size
+    m = np.empty((6, n + n % 2))[:, :n]
+    m[:5] = jac.T
+    m[5] = r
+    products = m @ m.T
+    return np.linalg.solve(products[:5, :5], products[:5, 5])
+
+
+def lstsq_step(jac, r):
+    """The Gauss-Newton step by np.linalg.lstsq (an SVD) at its default rcond."""
+    return np.linalg.lstsq(jac, r, rcond=None)[0]
+
+
+def fit_verbatim(scan, step=normal_equations_step):
     """fit_resonance's FitReport (or error) for ``scan``, through np.mean,
-    np.median, (x - x0) ** 2 and numpy.polynomial's polyfit: the edge
-    baseline, the half-depth initial guess, Gauss-Newton with step halving
-    on a power-of-two scaled signal, then the NoResonance checks and the
-    affine guard on ``converged``."""
+    np.median, (u - u0) ** 2 and numpy.polynomial's polyfit: the frequency
+    and the signal divided by the powers of two at the median spacing and
+    at the largest |signal|, the edge baseline, the half-depth initial
+    guess, Gauss-Newton with step halving, each step from ``step(jac, r)``
+    (by default the normal equations as the package forms them), then the
+    NoResonance checks, the affine guard on ``converged`` and the figures,
+    in the scaled units, each figure multiplied back by its powers of
+    two."""
     f, y_raw = scan.frequency, scan.signal
     f_mid = 0.5 * (float(f[0]) + float(f[-1]))
     x = f - f_mid
-
-    _, exp2 = math.frexp(float(np.abs(y_raw).max()) or 1.0)
-    scale = math.ldexp(1.0, exp2)
+    hz = math.ldexp(1.0, math.frexp(float(np.median(np.diff(x))))[1])
+    u = x / hz
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(y_raw).max()))[1])
     y = y_raw / scale
-    n_edge = max(3, x.size // 10)
-    xl, yl = float(np.mean(x[:n_edge])), float(np.median(y[:n_edge]))
-    xr, yr = float(np.mean(x[-n_edge:])), float(np.median(y[-n_edge:]))
-    b0 = (yr - yl) / (xr - xl)
-    a0 = yl - b0 * xl
-    resid = y - (a0 + b0 * x)
+    n_edge = max(3, u.size // 10)
+    ul, yl = float(np.mean(u[:n_edge])), float(np.median(y[:n_edge]))
+    ur, yr = float(np.mean(u[-n_edge:])), float(np.median(y[-n_edge:]))
+    b0 = (yr - yl) / (ur - ul)
+    a0 = yl - b0 * ul
+    resid = y - (a0 + b0 * u)
     i0 = int(np.argmax(np.abs(resid)))
     sign = 1 if resid[i0] >= 0 else -1
     amp0 = abs(resid[i0])
-    spacing = float(np.median(np.diff(x)))
-    lo, hi = level_crossings(x, -sign * resid, i0, -amp0 / 2.0)
+    spacing = float(np.median(np.diff(u)))
+    lo, hi = level_crossings(u, -sign * resid, i0, -amp0 / 2.0)
     direct_fwhm = hi - lo
     if math.isnan(lo):
-        lo = x[i0] - spacing
+        lo = u[i0] - spacing
     if math.isnan(hi):
-        hi = x[i0] + spacing
-    theta = np.array([a0, b0, sign * amp0, float(x[i0]), max((hi - lo) / 2.0, spacing)])
+        hi = u[i0] + spacing
+    theta = np.array([a0, b0, sign * amp0, float(u[i0]), max((hi - lo) / 2.0, spacing)])
 
     def evaluate(t):
-        a, b, sa, x0, w = t
-        lor = w**2 / ((x - x0) ** 2 + w**2)
-        r = y - (a + b * x + sa * lor)
+        a, b, sa, u0, w = t
+        lor = w**2 / ((u - u0) ** 2 + w**2)
+        r = y - (a + b * u + sa * lor)
         return lor, r, float(r @ r)
 
     lor, r, sse = evaluate(theta)
-    jac = np.empty((x.size, 5))
+    jac = np.empty((u.size, 5))
     jac[:, 0] = 1.0
-    jac[:, 1] = x
+    jac[:, 1] = u
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        _, _, sa, x0, w = theta
-        dx = x - x0
+        _, _, sa, u0, w = theta
+        du = u - u0
         jac[:, 2] = lor
-        jac[:, 3] = sa * 2.0 * dx * lor**2 / w**2
-        jac[:, 4] = sa * 2.0 * dx**2 * lor**2 / w**3
+        jac[:, 3] = sa * 2.0 * du * lor**2 / w**2
+        jac[:, 4] = sa * 2.0 * du**2 * lor**2 / w**3
+        if not (np.all(np.isfinite(jac)) and math.isfinite(sse)):
+            raise NoResonance("resonance fit failed: non-finite Jacobian")
         try:
-            step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+            full_step = step(jac, r)
         except np.linalg.LinAlgError as exc:
             raise NoResonance(f"resonance fit failed: {exc}") from exc
         accepted = False
         for _ in range(40):
-            trial = theta + step
+            trial = theta + full_step
             if trial[4] > 0 and np.all(np.isfinite(trial)):
                 trial_lor, trial_r, new_sse = evaluate(trial)
                 if math.isfinite(new_sse) and new_sse <= sse:
                     accepted = True
                     break
-            step = step / 2.0
+            full_step = full_step / 2.0
         if not accepted:
             break
         change = sse - new_sse
@@ -416,31 +440,33 @@ def fit_verbatim(scan):
             converged = True
             break
 
-    y = y_raw
-    a, b, sa, x0, w = (float(t) for t in theta)
-    a, b, sa = a * scale, b * scale, sa * scale
+    a, b, sa, u0, w = (float(t) for t in theta)
     sign = 1 if sa >= 0 else -1
     amp = abs(sa)
-    rms = math.sqrt(sse * scale * scale / x.size)
+    rms = math.sqrt(sse / u.size)
     if amp <= 3.0 * rms:
-        raise NoResonance(
-            f"fitted amplitude {amp:.3e} not above 3x residual rms {rms:.3e}")
+        raise NoResonance(f"fitted amplitude {amp * scale:.3e} not above 3x "
+                          f"residual rms {rms * scale:.3e}")
     if w < spacing:
         raise NoResonance(
-            f"fitted half width {w:.3e} Hz below the sample spacing")
-    affine = np.polynomial.polynomial.polyfit(x, y, 1)
-    affine_rms = math.sqrt(float(np.mean((y - (affine[0] + affine[1] * x)) ** 2)))
+            f"fitted half width {w * hz:.3e} Hz below the sample spacing")
+    affine = np.polynomial.polynomial.polyfit(u, y, 1)
+    affine_rms = math.sqrt(float(np.mean((y - (affine[0] + affine[1] * u)) ** 2)))
     converged = converged and rms <= affine_rms * (1.0 + 1e-12)
 
-    baseline_at_center = a + b * x0
+    baseline_at_center = a + b * u0
     contrast = amp / (baseline_at_center + sign * amp)
+    mirrored = np.interp(mirrored_offsets_verbatim(u0, 0.0, 2.0 * w, 100), u,
+                         y - (a + b * u))
+    asymmetry = antisymmetric_fraction_verbatim(mirrored, 0.0)
+    # back to Hz and to the signal's units
+    a, b, amp, rms = a * scale, b * scale / hz, amp * scale, rms * scale
+    baseline_at_center *= scale
+    x0, w, direct_fwhm = u0 * hz, w * hz, direct_fwhm * hz
     fwhm_hz = 2.0 * w
-    mirrored = np.interp(mirrored_offsets_verbatim(x0, 0.0, fwhm_hz, 100), x,
-                         y - (a + b * x))
     metrics = ResonanceMetrics(
         baseline=baseline_at_center, amplitude=amp, physical_contrast=contrast,
-        fwhm_hz=fwhm_hz, center_hz=f_mid + x0,
-        asymmetry=antisymmetric_fraction_verbatim(mirrored, 0.0),
+        fwhm_hz=fwhm_hz, center_hz=f_mid + x0, asymmetry=asymmetry,
         qfactor=contrast / fwhm_hz)
     model = FitModel(offset=a - b * f_mid, slope=b, center_hz=f_mid + x0,
                      half_width_hz=w, amplitude=amp, sign=sign)

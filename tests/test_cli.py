@@ -658,16 +658,19 @@ def test_analyze_csv_quotes_only_the_fields_that_need_it(tmp_path, capsys):
 
 
 def test_analyze_stdout_is_the_table_when_a_fit_overflows(tmp_path):
-    # a span of 1e160 Hz overflows the fit's Jacobian; the scan is a typed
-    # row, and LAPACK, which writes to fd 1, never sees the non-finite input,
-    # also when a normal scan of the same length shares its stack
+    # a 10 Hz scan with two outlying frequencies at -+1e200 Hz overflows
+    # the fit's Jacobian; the scan is a typed row, and LAPACK, which writes
+    # to fd 1, never sees the non-finite input, also when a normal scan of
+    # the same length shares its stack
     scans = tmp_path / "scans"
     scans.mkdir()
     u = np.linspace(-5.0, 5.0, 401)
     write_scan(scans / "normal.csv", seed=0, n=u.size)
     y = 1.0 + 0.05 / (u**2 + 1.0) + np.random.default_rng(1).normal(0.0, 5e-4, u.size)
+    f = u.copy()
+    f[0], f[-1] = -1e200, 1e200
     (scans / "wide.csv").write_text(
-        "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(1e159 * u, y)))
+        "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(f, y)))
     proc = subprocess.run([sys.executable, "-m", "cptsim", "analyze", str(scans)],
                           env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
